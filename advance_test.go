@@ -24,7 +24,7 @@ import (
 // source scores, sentiment indicators and trending terms.
 func assertCorpusEquals(t *testing.T, inc, full *Corpus) {
 	t.Helper()
-	ri, rf := inc.RankSources(), full.RankSources()
+	ri, rf := allSources(t, inc), allSources(t, full)
 	if !reflect.DeepEqual(ri, rf) {
 		for i := range ri {
 			if !reflect.DeepEqual(ri[i], rf[i]) {
@@ -33,7 +33,7 @@ func assertCorpusEquals(t *testing.T, inc, full *Corpus) {
 		}
 		t.Fatalf("source rankings differ in length: %d vs %d", len(ri), len(rf))
 	}
-	if !reflect.DeepEqual(inc.RankContributors(), full.RankContributors()) {
+	if !reflect.DeepEqual(allContributors(t, inc), allContributors(t, full)) {
 		t.Fatal("contributor rankings differ")
 	}
 	for _, m := range quality.SourceMeasures() {
@@ -127,14 +127,14 @@ func TestAdvanceNoReevaluationOnZeroDelta(t *testing.T) {
 func TestAdvanceOldSnapshotStaysValid(t *testing.T) {
 	c := New(Config{Seed: 909, NumSources: 25, CommentText: true})
 	oldWorld := c.World()
-	oldRanked := c.RankSources()
+	oldRanked := allSources(t, c)
 	oldSenti := c.SentimentByCategory()
 
 	c.Advance(30, 9009)
 
 	// Re-assess the retained old world from scratch: it must be untouched.
 	fullOld := FromWorld(oldWorld, c.DI, 909)
-	if !reflect.DeepEqual(fullOld.RankSources(), oldRanked) {
+	if !reflect.DeepEqual(allSources(t, fullOld), oldRanked) {
 		t.Fatal("pre-advance world mutated by the tick")
 	}
 	if !reflect.DeepEqual(fullOld.SentimentByCategory(), oldSenti) {
@@ -294,7 +294,7 @@ func TestAdvanceFoldsPendingIngest(t *testing.T) {
 // guarantee of the tentpole.
 func TestAdvanceConcurrentReaders(t *testing.T) {
 	c := New(Config{Seed: 911, NumSources: 25, NumUsers: 80, CommentText: true})
-	n := len(c.RankSources())
+	n := len(allSources(t, c))
 	handler := c.Handler()
 	panelHandler := c.PanelHandler()
 
@@ -315,11 +315,15 @@ func TestAdvanceConcurrentReaders(t *testing.T) {
 		}()
 	}
 	reader(func() {
-		if len(c.RankSources()) != n {
+		if res, err := c.QuerySources(Query{}); err != nil || len(res.Items) != n {
 			t.Error("short ranking during advance")
 		}
 	})
-	reader(func() { c.RankContributors() })
+	reader(func() {
+		if _, err := c.QueryContributors(Query{}); err != nil {
+			t.Error(err)
+		}
+	})
 	reader(func() { c.SentimentByCategory() })
 	reader(func() { c.TrendingTerms("prerequisites", 5) })
 	reader(func() { c.SourceReport() })

@@ -452,7 +452,7 @@ func BenchmarkAdvanceIncremental(b *testing.B) {
 	// Report the measured churn so the "~1% daily" claim is checked, not
 	// asserted.
 	b.ReportMetric(float64(dirty)/float64(b.N)/float64(len(world.Sources)), "dirty-frac")
-	if len(c.RankSources()) != 2000 {
+	if len(allSources(b, c)) != 2000 {
 		b.Fatal("short ranking after advance")
 	}
 }
@@ -522,7 +522,7 @@ func BenchmarkAdvanceRebuild(b *testing.B) {
 		world, _ = webgen.Advance(world, 1, int64(9100+i))
 		c = FromWorld(world, di, 91)
 	}
-	if len(c.RankSources()) != 2000 {
+	if len(allSources(b, c)) != 2000 {
 		b.Fatal("short ranking after rebuild")
 	}
 }
@@ -945,7 +945,7 @@ func BenchmarkAdvanceSkewed(b *testing.B) {
 			c = FromWorld(world, di, 93)
 		}
 		b.StopTimer()
-		if c == nil || len(c.RankSources()) != 2000 {
+		if c == nil || len(allSources(b, c)) != 2000 {
 			b.Fatal("short ranking after skewed rebuild")
 		}
 	})

@@ -4,7 +4,7 @@ package informer
 // dedup index and story clusters were maintained incrementally — through
 // a randomized mix of Advance, AdvanceSameDay and per-source Ingest +
 // DrainTick — is byte-identical to one rebuilt from scratch over the
-// final world, at shard counts {1, 7} and under the unsharded
+// final world, at shard counts {1, 7} and under the default FromWorld
 // construction path. "Byte-identical" covers the full story sets (IDs,
 // members, representatives, freshness) and the src.originality measure
 // column all the way through assessment.
@@ -54,8 +54,9 @@ func TestCorrelationIncrementalEquivalenceRandomized(t *testing.T) {
 			world := webgen.Generate(webgen.Config{
 				Seed: seed, NumSources: 70, CommentText: true, SyndicationRate: 0.2,
 			})
-			// The incrementally maintained corpora: unsharded plus the
-			// sharded engine at a boundary-rich prime.
+			// The incrementally maintained corpora: the default FromWorld
+			// construction, the explicit one-shard path and a
+			// boundary-rich prime.
 			live := map[string]*Corpus{
 				"unsharded": FromWorld(world, DomainOfInterest{}, seed),
 				"shards=1":  FromWorldSharded(world, DomainOfInterest{}, seed, 1),

@@ -9,7 +9,11 @@ import (
 // ExampleNew shows the minimal assess-and-rank loop.
 func ExampleNew() {
 	c := informer.New(informer.Config{Seed: 2024, NumSources: 20})
-	ranked := c.RankSources()
+	res, err := c.QuerySources(informer.Query{})
+	if err != nil {
+		panic(err)
+	}
+	ranked := res.Items
 	fmt.Println("sources assessed:", len(ranked))
 	fmt.Println("best score is a fraction:", ranked[0].Score > 0 && ranked[0].Score <= 1)
 	// Output:

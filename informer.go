@@ -184,8 +184,8 @@ type Config struct {
 	// with routing-based shard pruning, and an Advance tick re-evaluates
 	// only the shards its delta touched. Results — assessments, rankings,
 	// query windows, cursors — are bit-identical for any value (benchmarks
-	// stay corpus-global; see DESIGN.md section 11). 0 or 1 keeps the
-	// single-matrix engine, today's default.
+	// stay corpus-global; see DESIGN.md section 11). Values below 2 mean
+	// one shard, the default.
 	Shards int
 }
 
@@ -347,13 +347,13 @@ func New(cfg Config) *Corpus {
 }
 
 // FromWorld assesses an existing world (generated with custom options)
-// with the single-matrix engine — FromWorldSharded with one shard.
+// on one shard — FromWorldSharded with one shard.
 func FromWorld(world *World, di DomainOfInterest, seed int64) *Corpus {
 	return FromWorldSharded(world, di, seed, 1)
 }
 
 // FromWorldSharded assesses an existing world over the given shard count
-// (see Config.Shards; values below 2 select the single-matrix engine).
+// (see Config.Shards; values below 2 mean one shard).
 func FromWorldSharded(world *World, di DomainOfInterest, seed int64, shards int) *Corpus {
 	if len(di.Categories) == 0 {
 		di.Categories = world.Categories
@@ -385,7 +385,7 @@ func FromWorldSharded(world *World, di DomainOfInterest, seed int64, shards int)
 }
 
 // ShardCount reports how many shards the corpus' quality engines partition
-// the record populations into (1 = the single-matrix engine).
+// the record populations into (1 unless Config.Shards asked for more).
 func (c *Corpus) ShardCount() int { return c.state.Load().env.Sources.ShardCount() }
 
 // SnapshotVersion returns the current assessment round's monotonic version
@@ -438,16 +438,6 @@ func (c *Corpus) QueryContributors(q Query) (*QueryResult, error) {
 	return c.state.Load().queryContributors(q)
 }
 
-// RankSources assesses and ranks every source, best first.
-//
-// Deprecated: RankSources materializes the full assessment of every source
-// on every call. Use QuerySources, which filters and bounds the selection
-// below the ranking (this shim is QuerySources with the zero Query).
-func (c *Corpus) RankSources() []*Assessment {
-	res, _ := c.QuerySources(Query{}) // the zero query cannot be invalid
-	return res.Items
-}
-
 // AssessContributor evaluates all Table 2 measures for one user.
 func (c *Corpus) AssessContributor(id int) (*Assessment, bool) {
 	st := c.state.Load()
@@ -455,15 +445,6 @@ func (c *Corpus) AssessContributor(id int) (*Assessment, bool) {
 		return nil, false
 	}
 	return st.env.Contributors.Assess(st.env.ContributorRecords[id]), true
-}
-
-// RankContributors assesses and ranks every contributor, best first.
-//
-// Deprecated: use QueryContributors (this shim is QueryContributors with
-// the zero Query).
-func (c *Corpus) RankContributors() []*Assessment {
-	res, _ := c.QueryContributors(Query{}) // the zero query cannot be invalid
-	return res.Items
 }
 
 // Influencers detects opinion leaders (Section 3.2).
@@ -758,18 +739,6 @@ func QueryRecords(records []*SourceRecord, di DomainOfInterest, q Query) (*Query
 	return quality.NewSourceAssessor(records, di, nil).Query(records, q)
 }
 
-// AssessRecords ranks externally obtained records (e.g. from Crawl) with
-// benchmarks derived from those same records — see QueryRecords for the
-// exact derivation semantics. The corpus contributes only its DI; the
-// panel-backed benchmarks of the corpus' own assessor are NOT reused.
-//
-// Deprecated: use QueryRecords, which makes the DI explicit and composes
-// with the full Query model.
-func (c *Corpus) AssessRecords(records []*SourceRecord) []*Assessment {
-	res, _ := QueryRecords(records, c.DI, Query{}) // the zero query cannot be invalid
-	return res.Items
-}
-
 // GenerateMicroblog builds the annotated microblog dataset of Section 4.2
 // (813 accounts by default) and its contributor records.
 func GenerateMicroblog(cfg MicroblogConfig) (*MicroblogDataset, []*ContributorRecord) {
@@ -799,7 +768,7 @@ func AssessMicroblog(records []*ContributorRecord) []*Assessment {
 // re-assessment never redraws panel noise for sources that did not change.
 //
 // Advance swaps the corpus' assessment snapshot atomically and returns the
-// receiver: concurrent readers (RankSources, SentimentByCategory, Handler,
+// receiver: concurrent readers (QuerySources, SentimentByCategory, Handler,
 // ...) keep serving the previous snapshot until the swap and are never
 // disturbed — the previous world and its assessments stay valid and
 // immutable. Writers are serialised internally. A tick that changes
@@ -991,18 +960,6 @@ func (c *Corpus) Shutdown(ctx context.Context) error {
 	c.subs.Close()
 	return err
 }
-
-// Changed returns a channel that is closed when a snapshot newer than the
-// current one is published. Grab the channel, then read the state; a swap
-// between the two closes the grabbed channel, so no publication can be
-// missed.
-//
-// Deprecated: Changed is the low-level wake-up primitive retained for
-// poll-style callers; it tells an observer that something changed but not
-// what. Use Subscribe, which delivers the actual window delta of a
-// standing query, evaluated once per tick however many subscribers share
-// it.
-func (c *Corpus) Changed() <-chan struct{} { return c.subs.Changed() }
 
 // LastDelta returns the Delta of the tick that produced the current
 // snapshot — which sources and contributors changed, and how much content

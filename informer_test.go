@@ -15,6 +15,27 @@ func testCorpus(t *testing.T) *Corpus {
 	return New(Config{Seed: 77, NumSources: 30, NumUsers: 90, CommentText: true})
 }
 
+// allSources is the full best-first source ranking: QuerySources with the
+// zero Query.
+func allSources(tb testing.TB, c *Corpus) []*Assessment {
+	tb.Helper()
+	res, err := c.QuerySources(Query{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res.Items
+}
+
+// allContributors is the full best-first contributor ranking.
+func allContributors(tb testing.TB, c *Corpus) []*Assessment {
+	tb.Helper()
+	res, err := c.QueryContributors(Query{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res.Items
+}
+
 func TestNewCorpusDefaults(t *testing.T) {
 	c := New(Config{NumSources: 10})
 	if len(c.World().Sources) != 10 {
@@ -27,7 +48,7 @@ func TestNewCorpusDefaults(t *testing.T) {
 
 func TestRankSourcesFacade(t *testing.T) {
 	c := testCorpus(t)
-	ranked := c.RankSources()
+	ranked := allSources(t, c)
 	if len(ranked) != 30 {
 		t.Fatalf("ranked = %d", len(ranked))
 	}
@@ -38,7 +59,7 @@ func TestRankSourcesFacade(t *testing.T) {
 	}
 	a, ok := c.AssessSource(ranked[0].ID)
 	if !ok || a.Score != ranked[0].Score {
-		t.Error("AssessSource disagrees with RankSources")
+		t.Error("AssessSource disagrees with the source ranking")
 	}
 	if _, ok := c.AssessSource(-1); ok {
 		t.Error("negative id should miss")
@@ -47,7 +68,7 @@ func TestRankSourcesFacade(t *testing.T) {
 
 func TestRankContributorsFacade(t *testing.T) {
 	c := testCorpus(t)
-	ranked := c.RankContributors()
+	ranked := allContributors(t, c)
 	if len(ranked) != 90 {
 		t.Fatalf("ranked = %d", len(ranked))
 	}
@@ -172,7 +193,11 @@ func TestCrawlRoundTrip(t *testing.T) {
 	if len(records) != 8 {
 		t.Fatalf("crawled %d sources", len(records))
 	}
-	ranked := c.AssessRecords(records)
+	res, err := QueryRecords(records, c.DI, Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranked := res.Items
 	if len(ranked) != 8 {
 		t.Fatalf("assessed %d", len(ranked))
 	}

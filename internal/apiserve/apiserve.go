@@ -85,7 +85,7 @@ type Snapshot interface {
 	// Version is the round's monotonic snapshot token.
 	Version() int64
 	// ShardCount is the engine sharding the round was assessed under
-	// (1 = the single-matrix engine). Cursor tokens are tagged with it;
+	// (1 = one shard, the default). Cursor tokens are tagged with it;
 	// a token minted under a different sharding answers 410 Gone.
 	ShardCount() int
 	QuerySources(q quality.Query) (*quality.QueryResult, error)
@@ -858,8 +858,8 @@ func EncodeQuery(q quality.Query) url.Values {
 		v.Set("limit", strconv.Itoa(q.Limit))
 	}
 	if q.After != nil {
-		// A re-encoded query carries no snapshot context; tag for the
-		// unsharded engine (the tag does not affect CanonicalKey, which is
+		// A re-encoded query carries no snapshot context; tag for one
+		// shard, the default (the tag does not affect CanonicalKey, which is
 		// what the FuzzBindQuery round-trip pins).
 		v.Set("cursor", EncodeCursor(*q.After, 1))
 	}

@@ -10,7 +10,7 @@ package apiserve
 // Version 2 tags the token with the shard count of the engine that minted
 // it. The resume position itself is shard-agnostic — (key, ID, Pos) means
 // the same thing under any sharding, because the scatter-gather merge is
-// bit-identical to the unsharded ranking — but a token minted under one
+// bit-identical at every shard count — but a token minted under one
 // shard layout and replayed against another is evidence the client is
 // resuming a walk across a corpus rebuild, so the serving layer fails it
 // closed with 410 Gone instead of silently continuing (the same contract
@@ -46,7 +46,7 @@ var cursorEncoding = base64.RawURLEncoding.Strict()
 
 // EncodeCursor renders a resume cursor as its opaque wire token, tagged
 // with the shard count of the snapshot that minted it (values below 1
-// encode as 1, the unsharded engine).
+// encode as 1, the default single shard).
 func EncodeCursor(c quality.Cursor, shards int) string {
 	if shards < 1 {
 		shards = 1

@@ -53,7 +53,7 @@ type AssessorOptions struct {
 	// dirty shards, not the corpus (DESIGN.md section 11). Benchmarks stay
 	// corpus-global via a two-phase gather, so every output — assessments,
 	// rankings, query windows, cursors — is bit-identical for any value.
-	// 0 or 1 selects the single-matrix engine (today's behaviour).
+	// Values below 2 mean one shard (the default).
 	Shards int
 	// ExtraSourceMeasures extends the Table 1 catalogue with caller-
 	// defined measures — the paper's "extension towards new kinds of
@@ -114,7 +114,7 @@ type SourceAssessor struct {
 	DI         DomainOfInterest
 	opts       AssessorOptions
 	measures   []SourceMeasure
-	engine     engineAPI[SourceRecord]
+	engine     *shardedEngine[SourceRecord]
 	benchmarks map[string]Benchmark
 }
 
@@ -136,18 +136,9 @@ func NewSourceAssessor(corpus []*SourceRecord, di DomainOfInterest, opts *Assess
 		infos[i] = measureInfo{id: m.ID, dimension: m.Dimension, attribute: m.Attribute, higherIsBetter: m.HigherIsBetter, timeSensitive: m.TimeSensitive}
 		evals[i] = m.Eval
 	}
-	a := &SourceAssessor{DI: di, opts: o, measures: measures}
 	ident := func(r *SourceRecord) (int, string) { return r.ID, r.Name }
-	if o.Shards > 1 {
-		a.engine = newShardedEngine(corpus, di, o, infos, evals, ident, noteSourceRoute)
-	} else {
-		a.engine = newMatrixEngine(corpus, di, o, infos, evals, ident)
-	}
-	a.benchmarks = make(map[string]Benchmark, len(measures))
-	for i, m := range measures {
-		a.benchmarks[m.ID] = a.engine.benchmarkAt(i)
-	}
-	return a
+	engine := newShardedEngine(corpus, di, o, infos, evals, ident, noteSourceRoute)
+	return &SourceAssessor{DI: di, opts: o, measures: measures, engine: engine, benchmarks: engine.benchmarkMap()}
 }
 
 // Benchmark exposes the derived normalisation interval of a measure.
@@ -196,23 +187,18 @@ func (a *SourceAssessor) Rank(records []*SourceRecord) []*Assessment {
 // NewSourceAssessor over the same records, and the receiver stays valid
 // for concurrent readers of the pre-advance snapshot.
 func (a *SourceAssessor) UpdateRows(corpus []*SourceRecord, dirtyRows []int, epochMoved bool) *SourceAssessor {
-	na := &SourceAssessor{DI: a.DI, opts: a.opts, measures: a.measures}
-	na.engine = a.engine.update(corpus, dirtyRows, epochMoved)
-	na.benchmarks = make(map[string]Benchmark, len(a.measures))
-	for i, m := range a.measures {
-		na.benchmarks[m.ID] = na.engine.benchmarkAt(i)
-	}
-	return na
+	engine := a.engine.update(corpus, dirtyRows, epochMoved)
+	return &SourceAssessor{DI: a.DI, opts: a.opts, measures: a.measures, engine: engine, benchmarks: engine.benchmarkMap()}
 }
 
 // ShardCount reports how many shards the assessor's engine partitions the
-// corpus into (1 for the single-matrix engine).
-func (a *SourceAssessor) ShardCount() int { return a.engine.shardCount() }
+// corpus into.
+func (a *SourceAssessor) ShardCount() int { return a.engine.plan.Shards() }
 
 // SpineStats reports the standing-spine evaluation work this assessor has
 // performed since it was derived: full scans, incremental repairs, and
 // clean-shard carries. The dirty-shard concurrency tests pin these.
-func (a *SourceAssessor) SpineStats() SpineStats { return a.engine.spineStats().stats() }
+func (a *SourceAssessor) SpineStats() SpineStats { return a.engine.counters.stats() }
 
 // RepairSpine derives the current round's spine for q from prev — built by
 // this assessor's predecessor over the previous round's records — by
@@ -233,7 +219,7 @@ type ContributorAssessor struct {
 	DI         DomainOfInterest
 	opts       AssessorOptions
 	measures   []ContributorMeasure
-	engine     engineAPI[ContributorRecord]
+	engine     *shardedEngine[ContributorRecord]
 	benchmarks map[string]Benchmark
 }
 
@@ -254,18 +240,9 @@ func NewContributorAssessor(corpus []*ContributorRecord, di DomainOfInterest, op
 		infos[i] = measureInfo{id: m.ID, dimension: m.Dimension, attribute: m.Attribute, higherIsBetter: m.HigherIsBetter, timeSensitive: m.TimeSensitive}
 		evals[i] = m.Eval
 	}
-	a := &ContributorAssessor{DI: di, opts: o, measures: measures}
 	ident := func(r *ContributorRecord) (int, string) { return r.ID, r.Name }
-	if o.Shards > 1 {
-		a.engine = newShardedEngine(corpus, di, o, infos, evals, ident, noteContributorRoute)
-	} else {
-		a.engine = newMatrixEngine(corpus, di, o, infos, evals, ident)
-	}
-	a.benchmarks = make(map[string]Benchmark, len(measures))
-	for i, m := range measures {
-		a.benchmarks[m.ID] = a.engine.benchmarkAt(i)
-	}
-	return a
+	engine := newShardedEngine(corpus, di, o, infos, evals, ident, noteContributorRoute)
+	return &ContributorAssessor{DI: di, opts: o, measures: measures, engine: engine, benchmarks: engine.benchmarkMap()}
 }
 
 // Benchmark exposes the derived normalisation interval of a measure.
@@ -315,22 +292,17 @@ func (a *ContributorAssessor) Rank(records []*ContributorRecord) []*Assessment {
 // UpdateRows derives a new assessor for an incrementally advanced
 // contributor population; see SourceAssessor.UpdateRows.
 func (a *ContributorAssessor) UpdateRows(corpus []*ContributorRecord, dirtyRows []int, epochMoved bool) *ContributorAssessor {
-	na := &ContributorAssessor{DI: a.DI, opts: a.opts, measures: a.measures}
-	na.engine = a.engine.update(corpus, dirtyRows, epochMoved)
-	na.benchmarks = make(map[string]Benchmark, len(a.measures))
-	for i, m := range a.measures {
-		na.benchmarks[m.ID] = na.engine.benchmarkAt(i)
-	}
-	return na
+	engine := a.engine.update(corpus, dirtyRows, epochMoved)
+	return &ContributorAssessor{DI: a.DI, opts: a.opts, measures: a.measures, engine: engine, benchmarks: engine.benchmarkMap()}
 }
 
 // ShardCount reports how many shards the assessor's engine partitions the
-// corpus into (1 for the single-matrix engine).
-func (a *ContributorAssessor) ShardCount() int { return a.engine.shardCount() }
+// corpus into.
+func (a *ContributorAssessor) ShardCount() int { return a.engine.plan.Shards() }
 
 // SpineStats reports the standing-spine evaluation work this assessor has
 // performed since it was derived; see SourceAssessor.SpineStats.
-func (a *ContributorAssessor) SpineStats() SpineStats { return a.engine.spineStats().stats() }
+func (a *ContributorAssessor) SpineStats() SpineStats { return a.engine.counters.stats() }
 
 // RepairSpine derives the current round's contributor spine from prev via
 // the dirty rows of the producing UpdateRows; see

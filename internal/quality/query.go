@@ -600,11 +600,8 @@ func (e *matrixEngine[R]) scanMatches(records []*R, rowOff int, q Query, rq *res
 }
 
 // scanPlan is the resolved pagination prelude of one rankTopK execution:
-// how the scan bounds its candidate collection and how the collected
-// ranking is clipped into the requested window afterwards. Deriving it
-// once — and sharing the derivation between the single-matrix engine and
-// the sharded scatter-gather plan — is what keeps the two plans'
-// windowing arithmetic provably identical.
+// how each shard's scan bounds its candidate collection and how the merged
+// ranking is clipped into the requested window afterwards.
 type scanPlan struct {
 	// start is the rank index of the window's first item: the clamped
 	// offset, or the cursor's Pos on a resumed page.
@@ -683,32 +680,6 @@ func clipWindow(cands []leanCand, q Query, p scanPlan) []leanCand {
 	return cands
 }
 
-// rankTopK executes a query over the engine: one lean pass evaluates
-// scope, predicates and sort key per record straight from the cached
-// matrix, a bounded heap keeps the best candidates when the query carries
-// a selection bound, and only the final window is materialized — in
-// parallel, with the requested projection. A resume cursor (q.After) makes
-// the pass skip everything at or before the cursor's ranked position, so a
-// keyset-paginated page N+1 costs exactly one lean pass plus one page of
-// materializations, never the prefix.
-func (e *matrixEngine[R]) rankTopK(records []*R, q Query, keep func(*R) bool, spamIdx []int) (*QueryResult, error) {
-	rq, err := e.resolveQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	if rq.unmatchable {
-		return &QueryResult{Items: []*Assessment{}}, nil
-	}
-	p := planScan(q)
-	cands, total := e.scanMatches(records, 0, q, rq, keep, spamIdx, p.after, p.bound, p.collect)
-
-	// Rank the survivors best-first (k log k — tiny in the bounded case).
-	sort.Slice(cands, func(i, j int) bool { return candWorse(cands[j], cands[i]) })
-
-	cands = clipWindow(cands, q, p)
-	return e.finishWindow(records, cands, p.start, total, q), nil
-}
-
 // Spine is the fully ranked candidate list of one (scope, predicates,
 // sort) evaluation over a record set: every match, best first, before any
 // TopK/pagination windowing. Build it once per assessment round per
@@ -716,11 +687,11 @@ func (e *matrixEngine[R]) rankTopK(records []*R, q Query, keep func(*R) bool, sp
 type Spine struct {
 	cands []leanCand
 	total int
-	// parts and totals are the per-shard decomposition of a spine built by
-	// the sharded engine: parts[s] holds shard s's ranked candidates
-	// (cands is their k-way merge) and totals[s] its match count. The next
-	// assessment round carries clean shards' parts forward untouched and
-	// repairs only the dirty ones. Nil on single-matrix spines.
+	// parts and totals are the per-shard decomposition of the spine:
+	// parts[s] holds shard s's ranked candidates (cands is their k-way
+	// merge, aliasing parts[s] when only one shard matched) and totals[s]
+	// its match count. The next assessment round carries clean shards'
+	// parts forward untouched and repairs only the dirty ones.
 	parts  [][]leanCand
 	totals []int
 }
@@ -728,53 +699,12 @@ type Spine struct {
 // Total counts the matches in the spine.
 func (sp *Spine) Total() int { return sp.total }
 
-// spine runs the lean pass unbounded and fully ranks the matches.
-func (e *matrixEngine[R]) spine(records []*R, q Query, keep func(*R) bool, spamIdx []int) (*Spine, error) {
-	rq, err := e.resolveQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	if rq.unmatchable {
-		return &Spine{}, nil
-	}
-	e.counters.scans.Add(1)
-	cands, total := e.scanMatches(records, 0, q, rq, keep, spamIdx, nil, 0, true)
-	sort.Slice(cands, func(i, j int) bool { return candWorse(cands[j], cands[i]) })
-	return &Spine{cands: cands, total: total}, nil
-}
-
-// repairSpine derives the current round's spine for q from the previous
-// round's instead of re-scanning the corpus — the LastDelta carry-forward:
-// the rows the engine's producing update dirtied are dropped from the
-// carried ranking, re-evaluated against the current matrix, and the
-// survivors re-inserted at their ranked positions, at O(prev + dirty·log)
-// instead of O(corpus) cost. It refuses (ok false) whenever a carried key
-// could be stale: a from-scratch engine, a tick that moved the observation
-// instant (every time-sensitive value shifted), or bitwise-moved
-// benchmarks (every normalized value shifted). prev must be a spine for
-// the same scope/predicates/sort built against this engine's predecessor;
-// records must be the current corpus in construction order. The result is
-// bit-identical to a fresh spine scan — pinned by the repaired-vs-fresh
-// equivalence test.
-func (e *matrixEngine[R]) repairSpine(records []*R, prev *Spine, q Query, keep func(*R) bool, spamIdx []int) (*Spine, bool) {
-	if prev == nil || e.fresh || e.lastEpochMoved || e.benchChanged {
-		return nil, false
-	}
-	rq, err := e.resolveQuery(q)
-	if err != nil || rq.unmatchable {
-		return nil, false
-	}
-	e.counters.repairs.Add(1)
-	cands := e.repairCands(records, 0, e.lastDirty, prev.cands, q, rq, keep, spamIdx)
-	return &Spine{cands: cands, total: len(cands)}, true
-}
-
-// repairCands is the shared core of spine repair: drop the dirty rows'
-// carried candidates, re-evaluate the dirty records against the current
-// matrix, and re-insert the survivors at their ranked positions. rowOff is
-// the engine's global record-range start (0 for the single-matrix engine,
-// the shard's range start for a shard member); dirtyLocal indexes records
-// relative to it, while prev, records and the result all use global rows.
+// repairCands is one shard's spine repair: drop the dirty rows' carried
+// candidates, re-evaluate the dirty records against the current matrix,
+// and re-insert the survivors at their ranked positions, at
+// O(prev + dirty·log) instead of O(shard) cost. rowOff is the shard's
+// global record-range start; dirtyLocal indexes records relative to it,
+// while prev, records and the result all use global rows.
 func (e *matrixEngine[R]) repairCands(records []*R, rowOff int, dirtyLocal []int, prev []leanCand, q Query, rq *resolvedQuery, keep func(*R) bool, spamIdx []int) []leanCand {
 	dirty := make(map[int]bool, len(dirtyLocal))
 	for _, c := range dirtyLocal {
@@ -805,22 +735,9 @@ func (e *matrixEngine[R]) repairCands(records []*R, rowOff int, dirtyLocal []int
 	return cands
 }
 
-// window slices q's page out of a ranked spine: offset indexes directly,
-// a cursor binary-searches its strict ranked position, and only the page
-// is materialized. Results are bit-identical to rankTopK over the same
-// records and query.
-func (e *matrixEngine[R]) window(records []*R, sp *Spine, q Query) (*QueryResult, error) {
-	cands, start, err := sliceSpineWindow(sp, q)
-	if err != nil {
-		return nil, err
-	}
-	return e.finishWindow(records, cands, start, sp.total, q), nil
-}
-
-// sliceSpineWindow locates q's page inside a ranked spine — shared,
-// engine-independent arithmetic: offset indexes directly, a cursor
-// binary-searches its strict ranked position, TopK and Limit bound the
-// page end.
+// sliceSpineWindow locates q's page inside a ranked spine: offset indexes
+// directly, a cursor binary-searches its strict ranked position, TopK and
+// Limit bound the page end.
 func sliceSpineWindow(sp *Spine, q Query) (cands []leanCand, start int, err error) {
 	if q.After != nil && (math.IsNaN(q.After.Key) || q.After.ID < 0) {
 		return nil, 0, fmt.Errorf("quality: invalid resume cursor")
@@ -866,22 +783,9 @@ func sliceSpineWindow(sp *Spine, q Query) (cands []leanCand, start int, err erro
 	return sp.cands[idx:end], start, nil
 }
 
-// finishWindow materializes the windowed candidates — in parallel, with
-// the requested projection — and derives the resume cursor of the next
-// page.
-func (e *matrixEngine[R]) finishWindow(records []*R, cands []leanCand, start, total int, q Query) *QueryResult {
-	items := make([]*Assessment, len(cands))
-	e.forEachChunk(len(cands), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			items[j] = e.assessProject(records[cands[j].row], q.Fields)
-		}
-	})
-	return windowResult(items, cands, start, total, q)
-}
-
 // windowResult assembles the QueryResult envelope around a materialized
-// page and derives the next page's resume cursor — shared by the
-// single-matrix and sharded engines so both emit byte-identical envelopes.
+// page and derives the next page's resume cursor — the one envelope
+// rankTopK and window both emit.
 func windowResult(items []*Assessment, cands []leanCand, start, total int, q Query) *QueryResult {
 	effTotal := total
 	if q.TopK > 0 && q.TopK < effTotal {

@@ -690,3 +690,69 @@ func TestQueryExtremeWindowValuesDoNotPanic(t *testing.T) {
 		t.Fatal("saturated walk position must not emit a resume cursor")
 	}
 }
+
+// TestEmptyCorpus pins every read and update path of an assessor built
+// over zero records — the state an empty crawl hands to QueryRecords — at
+// one shard and at several: reads answer empty, the update and spine
+// carry succeed, and an off-corpus record assesses against the degenerate
+// all-zero benchmarks (every normalized value 0.5).
+func TestEmptyCorpus(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			opts := &AssessorOptions{Shards: shards}
+			a := NewSourceAssessor(nil, defaultDI(), opts)
+			// shard.NewPlan clamps the shard count to the record count only
+			// for non-empty corpora: zero records keep the requested plan.
+			if got := a.ShardCount(); got != shards {
+				t.Fatalf("ShardCount %d, want %d", got, shards)
+			}
+			for _, q := range []Query{{}, {TopK: 5, Limit: 2}, {Kinds: []string{"blog"}, Sort: SortKey{By: SortByDimension, Dimension: Time}}} {
+				res, err := a.Query(nil, q)
+				if err != nil || len(res.Items) != 0 || res.Total != 0 || res.Next != nil {
+					t.Fatalf("Query(%+v): %+v, %v; want an empty result", q, res, err)
+				}
+			}
+			sp, err := a.Spine(nil, Query{})
+			if err != nil || sp.Total() != 0 {
+				t.Fatalf("Spine: total %v, %v; want 0", sp, err)
+			}
+			if res, err := a.Window(nil, sp, Query{Limit: 3}); err != nil || len(res.Items) != 0 || res.Next != nil {
+				t.Fatalf("Window: %+v, %v; want an empty page", res, err)
+			}
+			if got := a.Rank(nil); len(got) != 0 {
+				t.Fatalf("Rank: %d items, want 0", len(got))
+			}
+
+			next := a.UpdateRows(nil, nil, false)
+			if next.ShardCount() != a.ShardCount() {
+				t.Fatalf("UpdateRows changed the shard count: %d -> %d", a.ShardCount(), next.ShardCount())
+			}
+			rsp, ok := next.RepairSpine(nil, sp, Query{})
+			if !ok || rsp.Total() != 0 {
+				t.Fatalf("RepairSpine: ok %v, spine %+v; want an empty carry", ok, rsp)
+			}
+			if got, want := next.SpineStats(), (SpineStats{Carries: int64(next.ShardCount())}); got != want {
+				t.Fatalf("SpineStats after the carry: %+v, want %+v", got, want)
+			}
+
+			ca := NewContributorAssessor(nil, defaultDI(), opts)
+			res, err := ca.Query(nil, Query{MinSpamResistance: 0.5})
+			if err != nil || len(res.Items) != 0 || res.Total != 0 {
+				t.Fatalf("contributor MinSpamResistance query: %+v, %v; want an empty result", res, err)
+			}
+
+			as := a.Assess(fixtureSourceRecord())
+			if len(as.Normalized) == 0 {
+				t.Fatal("off-corpus Assess defined no measure")
+			}
+			for id, n := range as.Normalized {
+				if n != 0.5 {
+					t.Errorf("off-corpus %s normalized to %v, want 0.5 (degenerate benchmark)", id, n)
+				}
+			}
+			if as.Score != 0.5 {
+				t.Errorf("off-corpus score %v, want 0.5", as.Score)
+			}
+		})
+	}
+}

@@ -1,50 +1,80 @@
 package quality
 
-// The sharded scatter-gather engine: the corpus is partitioned into
-// contiguous record-range shards (internal/shard plans the ranges and
-// carries the routing metadata), each owning its own measure matrix,
-// ranked spine parts and incremental-update path. Reads become
-// scatter-gather plans — per-shard bounded scans merged k-way into the
-// global ranking — and a tick's update cost concentrates on the shards its
-// delta actually touched.
+// The sharded scatter-gather engine is the one assessment engine behind
+// SourceAssessor and ContributorAssessor, at every shard count: the
+// corpus is partitioned into contiguous record-range shards
+// (internal/shard plans the ranges and carries the routing metadata), each
+// a plain measure matrix (matrix.go) with its own ranked spine parts.
+// Reads become scatter-gather plans — per-shard bounded scans merged k-way
+// into the global ranking — and a tick's update cost concentrates on the
+// shards its delta actually touched. The coordinator owns everything
+// corpus-wide: the benchmark ledger, the update provenance that licenses
+// spine carries, and the spine counters.
 //
-// The correctness contract is bit-identity with the single-matrix engine,
-// and it rests on three facts:
+// The correctness contract is bit-identity across shard counts, and it
+// rests on three facts:
 //
 //  1. Benchmarks are corpus-global. Shard matrices are filled without
 //     benchmarks; a second phase gathers every measure's defined values
-//     across the shards in global record order — the exact sequence the
-//     unsharded construction feeds sort.Float64s — into one ledger of
-//     sorted columns, and every shard engine shares the ledger's benchmark
-//     slice. Normalized values are therefore bitwise the same numbers.
+//     across the shards in global record order — the same sequence
+//     whatever the partition — into one ledger of sorted columns, and
+//     every shard engine shares the ledger's benchmark slice. Normalized
+//     values are therefore bitwise the same numbers.
 //  2. The candidate order (key desc, ID asc) is a strict total order, so
 //     the k-way merge of per-shard ranked lists is deterministic and equal
 //     to ranking the union; a per-shard bound of k keeps every candidate
 //     the global top k can need.
-//  3. The pagination arithmetic — scan prelude, window clipping, cursor
-//     derivation — is the same code (planScan, clipWindow, windowResult,
-//     sliceSpineWindow) both engines call.
+//  3. Every read finishes through the same pagination arithmetic — scan
+//     prelude, window clipping, cursor derivation (planScan, clipWindow,
+//     windowResult, sliceSpineWindow) — whatever the shard count.
 //
 // The randomized cross-shard equivalence suite at the repo root pins all
 // of this at shard counts {1, 2, 7, 16}.
 
 import (
 	"sort"
+	"sync/atomic"
 
 	"github.com/informing-observers/informer/internal/parallel"
 	"github.com/informing-observers/informer/internal/shard"
 	"github.com/informing-observers/informer/internal/stats"
 )
 
-// benchLedger is the corpus-global normalisation state of a sharded
-// engine: one ascending-sorted column of defined values per measure (the
-// same slice a single-matrix engine would retain) and the benchmarks read
-// from it. It is repaired incrementally on update — batch remove+insert
-// from the dirty rows' old and new values — so maintaining corpus-global
-// benchmarks never costs a corpus-wide re-evaluation.
+// benchLedger is the corpus-global normalisation state of the engine: one
+// ascending-sorted column of defined values per measure and the
+// benchmarks read from it. It is repaired incrementally on update — batch
+// remove+insert from the dirty rows' old and new values — so maintaining
+// corpus-global benchmarks never costs a corpus-wide re-evaluation.
 type benchLedger struct {
 	sorted     [][]float64
 	benchmarks []Benchmark
+}
+
+// SpineStats counts the standing-spine evaluation work an assessor has
+// performed since it was derived — the observability hook behind the
+// dirty-shard evaluation pins: a tick that dirties one shard of N must
+// cost one Repair (or Scan) plus N-1 Carries, never N Scans.
+type SpineStats struct {
+	// Scans counts full shard scans (fresh spine evaluations, one per
+	// shard actually scanned — routed-out shards never count).
+	Scans int64
+	// Repairs counts per-shard spine repairs: dirty rows re-evaluated and
+	// re-inserted into the carried ranked order instead of re-scanning.
+	Repairs int64
+	// Carries counts per-shard spines reused untouched from the previous
+	// round (clean shard, benchmarks unchanged).
+	Carries int64
+}
+
+// spineCounters is the atomic backing store of SpineStats; the
+// coordinator holds one per derivation behind a pointer (atomic types must
+// not be copied).
+type spineCounters struct {
+	scans, repairs, carries atomic.Int64
+}
+
+func (c *spineCounters) stats() SpineStats {
+	return SpineStats{Scans: c.scans.Load(), Repairs: c.repairs.Load(), Carries: c.carries.Load()}
 }
 
 // noteSourceRoute records a source record's routing identity — ID, kind,
@@ -67,10 +97,11 @@ func noteContributorRoute(rt *shard.Router, s int, r *ContributorRecord) {
 	}
 }
 
-// shardedEngine implements engineAPI over a sharded corpus. Records keep
-// their global construction order; shard s owns the contiguous row range
+// shardedEngine is the assessment engine over a sharded corpus (one shard
+// when AssessorOptions.Shards is below 2). Records keep their global
+// construction order; shard s owns the contiguous row range
 // plan.Bounds(s). All candidate rows, cursors and totals are global, so
-// results interoperate freely with single-matrix ones.
+// results interoperate freely across shard counts.
 //
 //informer:snapshot
 type shardedEngine[R any] struct {
@@ -85,18 +116,21 @@ type shardedEngine[R any] struct {
 	engines []*matrixEngine[R] // one per shard; benchmarks slice shared from the ledger
 	router  *shard.Router
 	ledger  *benchLedger
-	// col routes a record ID to its global row. It is keyed by ID, not
-	// pointer, because it only picks the shard engine that serves a
-	// record — the shard's own pointer-keyed map still decides between
-	// matrix read and direct evaluation, and every shard normalizes
-	// against the same global benchmarks, so routing can never change a
-	// result. ID→row never changes while the corpus keeps its shape, so
-	// shape-preserving updates share the map instead of rebuilding it.
+	// col routes a record ID to its global row (nil on one shard, where
+	// there is nothing to route). It is keyed by ID, not pointer, because
+	// it only picks the shard engine that serves a record — the shard's
+	// own pointer-keyed map still decides between matrix read and direct
+	// evaluation, and every shard normalizes against the same global
+	// benchmarks, so routing can never change a result. ID→row never
+	// changes while the corpus keeps its shape, so shape-preserving
+	// updates share the map instead of rebuilding it.
 	col map[int]int
 
-	// Update provenance for spine carry/repair, mirroring matrixEngine's:
-	// dirtyLocal[s] holds the producing update's dirty rows local to shard
-	// s (nil slices for clean shards).
+	// Update provenance for spine carry/repair: a from-scratch engine is
+	// fresh and can never carry a spine forward; lastEpochMoved and
+	// benchChanged record whether the producing update moved the
+	// observation instant or any benchmark bitwise; dirtyLocal[s] holds
+	// its dirty rows local to shard s (nil slices for clean shards).
 	fresh          bool
 	lastEpochMoved bool
 	benchChanged   bool
@@ -131,12 +165,12 @@ func newShardedEngine[R any](
 	// the worker pool per shard, so the shard loop stays sequential.
 	for sh := 0; sh < ns; sh++ {
 		lo, hi := s.plan.Bounds(sh)
-		s.engines[sh] = newMatrixEngineNoBench(corpus[lo:hi], di, opts, infos, evals, ident)
+		s.engines[sh] = newMatrixEngine(corpus[lo:hi], di, opts, infos, evals, ident)
 	}
 	// Phase 2: corpus-global gather — per measure, defined values across
 	// shards in global record order, sorted once, benchmarks read from the
-	// sort. Identical input sequence to the unsharded construction ⇒
-	// identical column ⇒ identical benchmarks.
+	// sort. The input sequence is the same for every partition ⇒ identical
+	// column ⇒ identical benchmarks.
 	nm := len(infos)
 	led := &benchLedger{sorted: make([][]float64, nm), benchmarks: make([]Benchmark, nm)}
 	parallel.ForEachChunk(nm, opts.Workers, func(mlo, mhi int) {
@@ -148,14 +182,18 @@ func newShardedEngine[R any](
 	for _, eng := range s.engines {
 		eng.benchmarks = led.benchmarks
 	}
-	// Routing metadata and the global ID→row map.
+	// Routing metadata and, past one shard, the global ID→row map.
 	rt := shard.NewRouter(ns)
-	s.col = make(map[int]int, len(corpus))
+	if ns > 1 {
+		s.col = make(map[int]int, len(corpus))
+	}
 	for sh := 0; sh < ns; sh++ {
 		lo, hi := s.plan.Bounds(sh)
 		for row := lo; row < hi; row++ {
-			id, _ := ident(corpus[row])
-			s.col[id] = row
+			if s.col != nil {
+				id, _ := ident(corpus[row])
+				s.col[id] = row
+			}
 			note(rt, sh, corpus[row])
 		}
 	}
@@ -165,7 +203,7 @@ func newShardedEngine[R any](
 
 // gatherColumn collects measure m's defined values across the shard
 // engines in global record order and sorts them — the corpus-global
-// column a single matrix would have produced.
+// column, independent of the partition.
 func gatherColumn[R any](engines []*matrixEngine[R], m, n int, opts AssessorOptions) ([]float64, Benchmark) {
 	values := make([]float64, 0, n)
 	for _, eng := range engines {
@@ -180,10 +218,46 @@ func gatherColumn[R any](engines []*matrixEngine[R], m, n int, opts AssessorOpti
 	return values, benchmarkFromPresorted(values, opts)
 }
 
+// benchmarkFromPresorted derives a Benchmark from an ascending-sorted value
+// slice.
+func benchmarkFromPresorted(values []float64, opts AssessorOptions) Benchmark {
+	if len(values) == 0 {
+		return Benchmark{}
+	}
+	if opts.PlainMinMax {
+		return Benchmark{Lo: values[0], Hi: values[len(values)-1]}
+	}
+	q := stats.SortedQuantiles(values, opts.BenchmarkLoQ, opts.BenchmarkHiQ)
+	return Benchmark{Lo: q[0], Hi: q[1]}
+}
+
+// benchmarksEqual reports bitwise equality of two benchmark slices — the
+// gate for carrying ranked spines across ticks: any benchmark movement
+// shifts every normalized value, so a carried ranking would be stale.
+func benchmarksEqual(a, b []Benchmark) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// resortDenominator bounds the ledger's batch repair: past nRecords /
+// resortDenominator dirty records, re-gathering and re-sorting the whole
+// column is cheaper than merging the dirty values into it.
+const resortDenominator = 8
+
 // shardOf routes a record to the engine owning its row; off-corpus records
 // fall back to shard 0, whose direct-evaluation path normalizes against
 // the same shared global benchmarks as every other shard.
 func (s *shardedEngine[R]) shardOf(r *R) *matrixEngine[R] {
+	if s.col == nil {
+		return s.engines[0] // one shard
+	}
 	id, _ := s.ident(r)
 	if row, ok := s.col[id]; ok {
 		return s.engines[s.plan.Of(row)]
@@ -216,13 +290,16 @@ func (s *shardedEngine[R]) rank(records []*R) []*Assessment {
 	return out
 }
 
-func (s *shardedEngine[R]) benchmarkAt(m int) Benchmark { return s.ledger.benchmarks[m] }
+// benchmarkMap keys the ledger's benchmarks by measure ID.
+func (s *shardedEngine[R]) benchmarkMap() map[string]Benchmark {
+	out := make(map[string]Benchmark, len(s.infos))
+	for m := range s.infos {
+		out[s.infos[m].id] = s.ledger.benchmarks[m]
+	}
+	return out
+}
 
 func (s *shardedEngine[R]) measurePos(id string) int { return s.engines[0].measurePos(id) }
-
-func (s *shardedEngine[R]) shardCount() int { return s.plan.Shards() }
-
-func (s *shardedEngine[R]) spineStats() *spineCounters { return s.counters }
 
 // candBetter is MergeK's order: a ranks strictly before b.
 func candBetter(a, b leanCand) bool { return candWorse(b, a) }
@@ -233,6 +310,9 @@ func candBetter(a, b leanCand) bool { return candWorse(b, a) }
 // global strict order, and the shared clipping/materialization arithmetic
 // finishes the window. A per-shard bound of `bound` loses nothing: any
 // candidate in the global best `bound` is in its own shard's best `bound`.
+// A resume cursor (q.After) makes every scan skip everything at or before
+// the cursor's ranked position, so a keyset-paginated page N+1 costs one
+// lean pass plus one page of materializations, never the prefix.
 func (s *shardedEngine[R]) rankTopK(records []*R, q Query, keep func(*R) bool, spamIdx []int) (*QueryResult, error) {
 	rq, err := s.engines[0].resolveQuery(q)
 	if err != nil {
@@ -307,14 +387,18 @@ func (s *shardedEngine[R]) window(records []*R, sp *Spine, q Query) (*QueryResul
 // ranked parts are carried forward untouched (a map lookup, not a scan)
 // and only dirty shards repair — drop dirty rows, re-evaluate them,
 // re-insert. A tick dirtying one shard of N costs one repair and N-1
-// carries; the SpineStats counters record exactly that.
+// carries; the SpineStats counters record exactly that. It refuses (ok
+// false) whenever a carried key could be stale: a from-scratch engine, a
+// moved observation instant or bitwise-moved benchmarks. prev must be a
+// spine for the same scope/predicates/sort built by this engine's
+// predecessor; the result is bit-identical to a fresh spine.
 func (s *shardedEngine[R]) repairSpine(records []*R, prev *Spine, q Query, keep func(*R) bool, spamIdx []int) (*Spine, bool) {
 	ns := s.plan.Shards()
 	if prev == nil || s.fresh || s.lastEpochMoved || s.benchChanged {
 		return nil, false
 	}
 	if len(prev.parts) != ns || len(prev.totals) != ns {
-		return nil, false // unsharded or differently-sharded spine: no carry
+		return nil, false // differently-sharded spine: no carry
 	}
 	rq, err := s.engines[0].resolveQuery(q)
 	if err != nil || rq.unmatchable {
@@ -360,7 +444,7 @@ func (s *shardedEngine[R]) finishWindow(records []*R, cands []leanCand, start, t
 // concurrent readers of the previous snapshot never see a mutation.
 //
 //informer:mutates fills the derived successor coordinator before it is published
-func (s *shardedEngine[R]) update(corpus []*R, dirty []int, epochMoved bool) engineAPI[R] {
+func (s *shardedEngine[R]) update(corpus []*R, dirty []int, epochMoved bool) *shardedEngine[R] {
 	n := s.plan.Len()
 	if len(corpus) != n {
 		// Population changed shape: rebuild from scratch (same knobs).
@@ -389,7 +473,7 @@ func (s *shardedEngine[R]) update(corpus []*R, dirty []int, epochMoved bool) eng
 		cur[sh] = s.engines[sh]
 		if len(split[sh]) > 0 || epochMoved {
 			lo, hi := s.plan.Bounds(sh)
-			ne.engines[sh] = s.engines[sh].updateRowsNoBench(corpus[lo:hi], split[sh], epochMoved)
+			ne.engines[sh] = s.engines[sh].updateMatrix(corpus[lo:hi], split[sh], epochMoved)
 			cur[sh] = ne.engines[sh]
 		}
 	}

@@ -362,8 +362,7 @@ var sourceMeasures = []SourceMeasure{
 		// DESIGN.md section 14): not one of the paper's original 19, but it
 		// flows through the same columnar/benchmark/sorted-column pipeline
 		// as every Table 1 measure, so it is queryable, sortable, and
-		// standing-query-filterable in both the single-matrix and sharded
-		// engines.
+		// standing-query-filterable at every shard count.
 		ID:             "src.originality",
 		Description:    "share of the source's indexed comments that are not near-duplicates of earlier material on other sources",
 		Dimension:      Accuracy,

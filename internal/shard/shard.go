@@ -10,9 +10,9 @@
 // partitioning, merging and routing logic stays independently testable.
 // Correctness contract (pinned by the cross-shard equivalence suite at the
 // repo root): for any plan, scatter-gather over the shards is bit-identical
-// to the unsharded evaluation, because shards are contiguous subranges of
-// the global record order and the merge preserves the global strict
-// ranking order.
+// to evaluating the whole record range as one, because shards are
+// contiguous subranges of the global record order and the merge preserves
+// the global strict ranking order.
 //
 //informer:deterministic
 package shard
@@ -96,7 +96,9 @@ func (p Plan) SplitRows(rows []int) [][]int {
 // (0 = all). Lists must each already be sorted by less; ties across lists
 // cannot occur when less is a strict total order, which the quality
 // engine's (key desc, ID asc) candidate order guarantees — so the merge is
-// deterministic for any shard count.
+// deterministic for any shard count. With a single non-empty list the
+// result aliases its prefix, capped at its length so an append cannot
+// write into the list; callers must treat the result as read-only.
 func MergeK[T any](lists [][]T, less func(a, b T) bool, limit int) []T {
 	total := 0
 	live := 0
@@ -109,15 +111,15 @@ func MergeK[T any](lists [][]T, less func(a, b T) bool, limit int) []T {
 	if limit <= 0 || limit > total {
 		limit = total
 	}
-	out := make([]T, 0, limit)
 	if live == 1 {
-		// Single contributing list: the merge is a bounded copy.
+		// Single contributing list: the merge is its bounded prefix.
 		for _, l := range lists {
 			if len(l) > 0 {
-				return append(out, l[:limit]...)
+				return l[:limit:limit]
 			}
 		}
 	}
+	out := make([]T, 0, limit)
 	heads := make([]int, len(lists))
 	for len(out) < limit {
 		best := -1

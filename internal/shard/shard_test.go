@@ -4,8 +4,8 @@ package shard
 // arithmetic (coverage, contiguity, Of/SplitRows inverses), the k-way
 // merge against a reference sort, and router pruning soundness (a pruned
 // shard never holds a matching record). The end-to-end guarantee — that
-// scatter-gather over these pieces is bit-identical to the unsharded
-// engine — is pinned by the equivalence suite at the repo root.
+// scatter-gather over these pieces is bit-identical at every shard
+// count — is pinned by the equivalence suite at the repo root.
 
 import (
 	"math/rand"
@@ -114,6 +114,25 @@ func TestMergeKAgainstSort(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d limit %d: MergeK %v, want %v (lists %v)", trial, limit, got, want, lists)
 			}
+		}
+	}
+
+	// A single contributing list is not copied: the result aliases its
+	// prefix, capped at its length so an append reallocates instead of
+	// writing into the list.
+	only := []int{2, 4, 6, 8}
+	for _, limit := range []int{0, 1, 3, len(only), len(only) + 5} {
+		got := MergeK([][]int{nil, only, {}}, less, limit)
+		want := len(only)
+		if limit > 0 && limit < want {
+			want = limit
+		}
+		if len(got) != want || cap(got) != len(got) || &got[0] != &only[0] {
+			t.Fatalf("limit %d: single-list merge len %d cap %d, want an alias of len=cap=%d", limit, len(got), cap(got), want)
+		}
+		grown := append(got, 99)
+		if grown[len(grown)-1] != 99 || !reflect.DeepEqual(only, []int{2, 4, 6, 8}) {
+			t.Fatalf("limit %d: append through the merge result wrote into the list: %v", limit, only)
 		}
 	}
 }

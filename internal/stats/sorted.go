@@ -3,11 +3,13 @@ package stats
 import "sort"
 
 // Sorted-slice repair primitives for incremental quantile maintenance.
-// The quality matrix keeps one sorted column of observed values per
-// measure; when a handful of corpus records change, the column is repaired
-// with SortedRemove + SortedInsert instead of being re-sorted, and the
-// benchmarks are re-read from the repaired slice with SortedQuantiles.
-// Both operations preserve the invariant that the slice holds exactly the
+// The quality engine's benchmark ledger keeps one sorted column of
+// observed values per measure; when a handful of corpus records change,
+// the column is repaired with SortedBatchRepair instead of being
+// re-sorted, and the benchmarks are re-read from the repaired slice with
+// SortedQuantiles. SortedRemove and SortedInsert are the single-value
+// forms (and the reference the batch repair is tested against). All
+// three preserve the invariant that the slice holds exactly the
 // multiset of observed values in ascending order — the same array a full
 // sort of the multiset would produce — so incrementally maintained
 // quantiles are bit-identical to recomputed ones.

@@ -189,8 +189,7 @@ type Registry struct {
 
 	mu      sync.Mutex
 	groups  map[string]*group
-	last    Snapshot      // last published round (nil before the first)
-	changed chan struct{} // lazily created; rotated on every publish
+	last    Snapshot // last published round (nil before the first)
 	closed  bool
 	closeCh chan struct{}
 	pumping bool
@@ -325,12 +324,6 @@ func (r *Registry) publishLocked(snap Snapshot) {
 	}
 	first := r.last == nil
 	r.last = snap
-	// Rotate the change-notification channel: everyone who grabbed it
-	// before this publication wakes now.
-	if r.changed != nil {
-		close(r.changed)
-		r.changed = nil
-	}
 	if first {
 		return // baseline round: groups cannot predate it
 	}
@@ -389,20 +382,6 @@ func (r *Registry) publishLocked(snap Snapshot) {
 	}
 }
 
-// Changed returns a channel that is closed when a round newer than the
-// current one is published — the rotating change-notification the watch
-// long-poll historically got from the corpus itself. Grab the channel,
-// then read the provider; a publication between the two closes the grabbed
-// channel, so none can be missed.
-func (r *Registry) Changed() <-chan struct{} {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.changed == nil {
-		r.changed = make(chan struct{})
-	}
-	return r.changed
-}
-
 // Stats reports the registry's counters; see Stats.
 func (r *Registry) Stats() Stats {
 	r.mu.Lock()
@@ -424,10 +403,6 @@ func (r *Registry) Close() {
 	}
 	r.closed = true
 	close(r.closeCh)
-	if r.changed != nil {
-		close(r.changed)
-		r.changed = nil
-	}
 	for _, g := range r.groups {
 		for s := range g.subs {
 			s.closed = true

@@ -314,31 +314,6 @@ func TestEvaluationErrorKeepsBaseline(t *testing.T) {
 	}
 }
 
-func TestChangedRotatesPerPublish(t *testing.T) {
-	src := newSource(&stubSnap{version: 1, items: window(1)})
-	r := New(src.snapshot, Options{})
-	defer r.Close()
-	r.Publish(src.snapshot())
-
-	ch := r.Changed()
-	select {
-	case <-ch:
-		t.Fatal("changed channel closed before any publication")
-	default:
-	}
-	next := &stubSnap{version: 2, items: window(1)}
-	src.swap(next)
-	r.Publish(next)
-	select {
-	case <-ch:
-	default:
-		t.Fatal("publication must close the grabbed channel")
-	}
-	if ch2 := r.Changed(); ch2 == ch {
-		t.Fatal("a fresh channel must be handed out after rotation")
-	}
-}
-
 func TestPumpWakeDriven(t *testing.T) {
 	src := newSource(&stubSnap{version: 1, items: window(1, 2)})
 	r := New(src.snapshot, Options{Wake: src.changed})

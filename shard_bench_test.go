@@ -99,7 +99,7 @@ func shardBenchConfigs(b *testing.B) []struct {
 
 // BenchmarkQueryTopKSharded measures the scatter-gather top-k serving
 // path: per-shard bounded heaps merged k-way, bit-identical to the
-// unsharded plan. ns/shard is the acceptance metric — per-shard cost at
+// one-shard plan. ns/shard is the acceptance metric — per-shard cost at
 // 100k/50 must stay within ~2x the 2000-source single-shard ns/op.
 func BenchmarkQueryTopKSharded(b *testing.B) {
 	for _, cfg := range shardBenchConfigs(b) {

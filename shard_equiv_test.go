@@ -1,12 +1,12 @@
 package informer
 
-// The PR's acceptance pin: the sharded scatter-gather engine is
-// bit-identical to the unsharded one, for every query plan. A seeded
+// The sharding acceptance pin: the scatter-gather engine answers
+// bit-identically at every shard count, for every query plan. A seeded
 // random suite draws ~200 queries spanning scopes, predicates, sorts,
 // top-k bounds, windows and projections and requires the same bytes from
-// three plans — the direct rankTopK path (unsharded vs scatter-gather),
-// and the facade's spine-cache path (cached spine + window slice) — at
-// shard counts {1, 2, 7, 16}. On top of that: chained-cursor walks vs
+// three plans — the direct rankTopK path (one-shard baseline vs N-shard
+// scatter-gather), and the facade's spine-cache path (cached spine +
+// window slice) — at shard counts {1, 2, 7, 16}. On top of that: chained-cursor walks vs
 // deprecated offset walks page by page, a window sweep straddling every
 // shard boundary, and the carried-spine repair path vs a fresh scan.
 
@@ -22,13 +22,14 @@ import (
 )
 
 // equivShardCounts are the shard layouts the suite compares against the
-// unsharded baseline: the degenerate 1 (the single-matrix engine via the
-// sharded construction path must also agree), a boundary-poor 2, a
-// boundary-rich prime 7, and 16 (more shards than some query windows).
+// FromWorld baseline: the degenerate 1 (FromWorldSharded's explicit
+// one-shard path must agree with the default construction), a
+// boundary-poor 2, a boundary-rich prime 7, and 16 (more shards than some
+// query windows).
 var equivShardCounts = []int{1, 2, 7, 16}
 
 // buildEquivCorpora assesses one generated world under every shard count,
-// plus the unsharded baseline. All corpora share the immutable world.
+// plus the FromWorld baseline. All corpora share the immutable world.
 func buildEquivCorpora(t *testing.T, seed int64, nSources, nUsers int) (*Corpus, map[int]*Corpus) {
 	t.Helper()
 	world := webgen.Generate(webgen.Config{Seed: seed, NumSources: nSources, NumUsers: nUsers, CommentText: true})
@@ -175,7 +176,7 @@ func requireSameResult(t *testing.T, label string, want, got *QueryResult) {
 }
 
 // TestCrossShardEquivalenceRandomized is the randomized acceptance suite:
-// ~200 seeded-random queries, each executed on the unsharded baseline and
+// ~200 seeded-random queries, each executed on the FromWorld baseline and
 // at every shard count, across both record populations and both plans.
 func TestCrossShardEquivalenceRandomized(t *testing.T) {
 	base, sharded := buildEquivCorpora(t, 7001, 90, 240)
@@ -197,10 +198,10 @@ func TestCrossShardEquivalenceRandomized(t *testing.T) {
 		}
 		q := randomQuery(rng, ids, contributors)
 		label := fmt.Sprintf("trial %d (contributors=%v) %+v", trial, contributors, q)
-		want := queryPlans(t, base, q, contributors, label+" [unsharded]")
+		want := queryPlans(t, base, q, contributors, label+" [baseline]")
 		for _, ns := range equivShardCounts {
 			got := queryPlans(t, sharded[ns], q, contributors, fmt.Sprintf("%s [shards=%d]", label, ns))
-			requireSameResult(t, fmt.Sprintf("%s [shards=%d vs unsharded]", label, ns), want, got)
+			requireSameResult(t, fmt.Sprintf("%s [shards=%d vs baseline]", label, ns), want, got)
 		}
 	}
 }
@@ -240,7 +241,7 @@ func queryFor(c *Corpus, q Query, contributors bool) (*QueryResult, error) {
 // TestCrossShardCursorWalks pins pagination arithmetic across shard
 // counts: a chained-cursor walk and a deprecated offset walk visit the
 // same rows in the same windows on every engine, and both equal the
-// unsharded engine's pages byte for byte.
+// baseline engine's pages byte for byte.
 func TestCrossShardCursorWalks(t *testing.T) {
 	base, sharded := buildEquivCorpora(t, 7003, 70, 180)
 	queries := []Query{

@@ -31,18 +31,23 @@ import (
 
 // raceWorld builds the corpus the concurrency tests share: 80 sources on
 // 4 shards, the same configuration the evaluation-count calibration below
-// was probed under.
+// was probed under. The IDs returned are shard 2's.
 func raceWorld(seed int64) (*Corpus, []int, shard.Plan) {
-	world := webgen.Generate(webgen.Config{Seed: seed, NumSources: 80, NumUsers: 200, CommentText: true})
-	c := FromWorldSharded(world, DomainOfInterest{}, seed, 4)
+	c, p := raceWorldSharded(seed, 4)
 	recs := c.SourceRecords()
-	p := shard.NewPlan(len(recs), 4)
 	lo, hi := p.Bounds(2)
 	ids := make([]int, 0, hi-lo)
 	for _, r := range recs[lo:hi] {
 		ids = append(ids, r.ID)
 	}
 	return c, ids, p
+}
+
+// raceWorldSharded is raceWorld's corpus on the given shard count.
+func raceWorldSharded(seed int64, shards int) (*Corpus, shard.Plan) {
+	world := webgen.Generate(webgen.Config{Seed: seed, NumSources: 80, NumUsers: 200, CommentText: true})
+	c := FromWorldSharded(world, DomainOfInterest{}, seed, shards)
+	return c, shard.NewPlan(len(c.SourceRecords()), shards)
 }
 
 // pinnedWalk pages through q with keyset cursors against one pinned
@@ -239,12 +244,36 @@ func TestShardedConcurrentWalksAndSubscribers(t *testing.T) {
 //     the bit-identity fallback: every shard of every spine is re-scanned,
 //     Scans = Q*4.
 //
+// The same three ticks run on one shard, where the whole corpus is the
+// one part: the content-free tick carries it (Carries = Q), the calibrated
+// single-source tick repairs it (Repairs = Q), and the all-churn tick
+// re-scans it (Scans = Q).
+//
 // The registry side is pinned too: however the shards evaluate, one
 // subscriber group costs exactly one standing-query evaluation per tick.
 func TestShardedTickEvaluationCounts(t *testing.T) {
-	c, _, p := raceWorld(7009)
+	const nq = 2 // standing queries evaluated per round
+	for _, tc := range []struct {
+		shards                              int
+		contentFree, singleSource, allChurn quality.SpineStats
+	}{
+		{4, quality.SpineStats{Carries: nq * 4}, quality.SpineStats{Repairs: nq * 1, Carries: nq * 3}, quality.SpineStats{Scans: nq * 4}},
+		{1, quality.SpineStats{Carries: nq}, quality.SpineStats{Repairs: nq}, quality.SpineStats{Scans: nq}},
+	} {
+		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
+			tickEvaluationCounts(t, tc.shards, tc.contentFree, tc.singleSource, tc.allChurn)
+		})
+	}
+}
+
+// tickEvaluationCounts runs TestShardedTickEvaluationCounts' three ticks
+// on one shard count.
+func tickEvaluationCounts(t *testing.T, shards int, contentFree, singleSource, allChurn quality.SpineStats) {
+	// churnRow is the source the calibrated seed 9008 churns: row 7 of
+	// shard 2 under the 4-shard plan.
+	const churnRow = 80/4*2 + 7
+	c, p := raceWorldSharded(7009, shards)
 	recs := c.SourceRecords()
-	lo, _ := p.Bounds(2)
 	rowOf := make(map[int]int, len(recs))
 	for i, r := range recs {
 		rowOf[r.ID] = i
@@ -254,7 +283,6 @@ func TestShardedTickEvaluationCounts(t *testing.T) {
 		NewQuery().ScoresOnly().Build(),
 		NewQuery().SortByDimension(quality.Time).TopK(30).Build(),
 	}
-	const nq = 2
 	evalAll := func() {
 		t.Helper()
 		for _, q := range queries {
@@ -302,10 +330,11 @@ func TestShardedTickEvaluationCounts(t *testing.T) {
 		}
 	}
 
-	tick("content-free tick", 9100, []int{}, nil,
-		quality.SpineStats{Carries: nq * 4})
-	tick("single-shard tick", 9008, []int{recs[lo+7].ID}, []int{2},
-		quality.SpineStats{Repairs: nq * 1, Carries: nq * 3})
-	tick("every-shard tick", 9200, nil, []int{0, 1, 2, 3},
-		quality.SpineStats{Scans: nq * 4})
+	every := make([]int, shards)
+	for s := range every {
+		every[s] = s
+	}
+	tick("content-free tick", 9100, []int{}, nil, contentFree)
+	tick("single-shard tick", 9008, []int{recs[churnRow].ID}, []int{p.Of(churnRow)}, singleSource)
+	tick("every-shard tick", 9200, nil, every, allChurn)
 }

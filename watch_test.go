@@ -226,7 +226,7 @@ func TestCursorWalkLargeCorpusEquivalence(t *testing.T) {
 
 	// Reference: filter the materialized full ranking and keep the slice.
 	var want []*Assessment
-	for _, a := range c.RankSources() {
+	for _, a := range allSources(t, c) {
 		if a.Score >= 0.5 {
 			want = append(want, a)
 		}
