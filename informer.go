@@ -64,6 +64,7 @@ import (
 	"github.com/informing-observers/informer/internal/correlate"
 	"github.com/informing-observers/informer/internal/crawler"
 	"github.com/informing-observers/informer/internal/deliver"
+	"github.com/informing-observers/informer/internal/ingest"
 	"github.com/informing-observers/informer/internal/mashup"
 	"github.com/informing-observers/informer/internal/quality"
 	"github.com/informing-observers/informer/internal/search"
@@ -207,10 +208,10 @@ type Corpus struct {
 	state     atomic.Pointer[assessState]
 	advanceMu sync.Mutex // serialises writers (Advance, Ingest, DrainTick)
 
-	// ingestState buffers per-source ingestion ticks (Ingest) between
-	// assessment drains (DrainTick); nil until the first Ingest. Guarded
-	// by advanceMu; see ingestion.go.
-	ingestState *ingestion
+	// pending buffers per-source ingestion ticks (Ingest) between
+	// assessment drains (DrainTick); its frontier is the world the next
+	// tick departs from. Guarded by advanceMu; see ingestion.go.
+	pending *ingest.Accumulator
 
 	// correlator is the correlation engine's writer-owned dedup index
 	// (internal/correlate), active only when the world carries comment
@@ -378,7 +379,7 @@ func FromWorldSharded(world *World, di DomainOfInterest, seed int64, shards int)
 		counts = ix.Counts
 	}
 	env := services.NewEnvCorrelated(world, panel, di, opts, counts)
-	c := &Corpus{DI: di, seed: seed, correlator: ix}
+	c := &Corpus{DI: di, seed: seed, correlator: ix, pending: ingest.NewAccumulator()}
 	c.state.Store(&assessState{world: world, panel: panel, env: env, seed: seed, version: 1, stories: stories})
 	c.subs = subscribe.New(func() subscribe.Snapshot { return apiSnapshot{c.state.Load()} }, subscribe.Options{})
 	return c
@@ -782,7 +783,7 @@ func (c *Corpus) Advance(days int, seed int64) *Corpus {
 	c.advanceMu.Lock()
 	defer c.advanceMu.Unlock()
 	cur := c.state.Load()
-	from := c.ingestFrontier(cur)
+	from := c.pending.Frontier(cur.world)
 	world, delta := webgen.Advance(from, days, seed)
 	if world == from {
 		// Zero-delta tick: publish any pending ingestion as-is, else keep
@@ -790,8 +791,8 @@ func (c *Corpus) Advance(days int, seed int64) *Corpus {
 		c.drainLocked(cur)
 		return c
 	}
-	if c.ingestState != nil && !c.ingestState.acc.Empty() {
-		if err := c.ingestState.acc.Add(from, world, delta); err != nil {
+	if !c.pending.Empty() {
+		if err := c.pending.Add(from, world, delta); err != nil {
 			panic("informer: ingestion frontier moved under the writer lock: " + err.Error())
 		}
 		c.drainLocked(cur)
@@ -815,10 +816,10 @@ func (c *Corpus) AdvanceSameDay(seed int64, onlySources []int) *Corpus {
 	c.advanceMu.Lock()
 	defer c.advanceMu.Unlock()
 	cur := c.state.Load()
-	from := c.ingestFrontier(cur)
+	from := c.pending.Frontier(cur.world)
 	world, delta := webgen.AdvanceSameDay(from, seed, onlySources)
-	if c.ingestState != nil && !c.ingestState.acc.Empty() {
-		if err := c.ingestState.acc.Add(from, world, delta); err != nil {
+	if !c.pending.Empty() {
+		if err := c.pending.Add(from, world, delta); err != nil {
 			panic("informer: ingestion frontier moved under the writer lock: " + err.Error())
 		}
 		c.drainLocked(cur)

@@ -1,43 +1,6 @@
 package informer
 
-import (
-	"github.com/informing-observers/informer/internal/ingest"
-	"github.com/informing-observers/informer/internal/webgen"
-)
-
-// ingestion is the corpus' unpublished per-source ingestion state: the
-// pending-delta accumulator (internal/ingest) plus the ID cursor threaded
-// through the per-source ticks. Guarded by advanceMu like every other
-// writer-side structure; readers never see it — they keep serving the
-// last published snapshot until DrainTick.
-type ingestion struct {
-	acc *ingest.Accumulator
-	// cursor supplies fresh discussion/comment IDs to AdvanceSource
-	// without re-scanning the world per poll. cursorWorld is the world the
-	// cursor is synced with: whenever the next tick departs from any other
-	// world (a global Advance intervened, or the cursor is fresh), the
-	// cursor is re-scanned before use.
-	cursor      *webgen.IDCursor
-	cursorWorld *webgen.World
-}
-
-// ing lazily builds the ingestion state. Callers hold advanceMu.
-func (c *Corpus) ing() *ingestion {
-	if c.ingestState == nil {
-		c.ingestState = &ingestion{acc: ingest.NewAccumulator()}
-	}
-	return c.ingestState
-}
-
-// ingestFrontier returns the world the next ingestion or global tick must
-// depart from: the accumulator's unpublished frontier, or the published
-// world when nothing is pending. Callers hold advanceMu.
-func (c *Corpus) ingestFrontier(cur *assessState) *World {
-	if c.ingestState == nil {
-		return cur.world
-	}
-	return c.ingestState.acc.Frontier(cur.world)
-}
+import "github.com/informing-observers/informer/internal/webgen"
 
 // Ingest runs one per-source ingestion tick: the chosen source generates
 // fresh activity (webgen.AdvanceSource — same-day, copy-on-write,
@@ -52,27 +15,18 @@ func (c *Corpus) ingestFrontier(cur *assessState) *World {
 // The returned delta describes just this tick (empty when the source drew
 // no activity) — the adaptive poll scheduler's feedback signal. It is
 // never mutated by later folds.
-//
-//informer:mutates re-syncs the ID cursor's world pointer under advanceMu; worlds stay immutable
 func (c *Corpus) Ingest(sourceID int, seed int64) *Delta {
 	c.advanceMu.Lock()
 	defer c.advanceMu.Unlock()
-	cur := c.state.Load()
-	ing := c.ing()
-	from := ing.acc.Frontier(cur.world)
-	if ing.cursorWorld != from {
-		ing.cursor = webgen.NewIDCursor(from)
-		ing.cursorWorld = from
-	}
-	world, delta := webgen.AdvanceSource(from, sourceID, seed, ing.cursor)
+	from := c.pending.Frontier(c.state.Load().world)
+	world, delta := webgen.AdvanceSource(from, sourceID, seed, nil)
 	if world == from {
 		return delta // quiet poll: nothing to buffer
 	}
-	if err := ing.acc.Add(from, world, delta); err != nil {
+	if err := c.pending.Add(from, world, delta); err != nil {
 		// Unreachable: from IS the accumulator's frontier under advanceMu.
 		panic("informer: ingestion frontier moved under the writer lock: " + err.Error())
 	}
-	ing.cursorWorld = world
 	return delta
 }
 
@@ -83,10 +37,7 @@ func (c *Corpus) Ingest(sourceID int, seed int64) *Delta {
 func (c *Corpus) PendingIngest() (ticks, comments int) {
 	c.advanceMu.Lock()
 	defer c.advanceMu.Unlock()
-	if c.ingestState == nil {
-		return 0, 0
-	}
-	return c.ingestState.acc.Ticks(), c.ingestState.acc.PendingComments()
+	return c.pending.Ticks(), c.pending.PendingComments()
 }
 
 // DrainTick drains the pending-delta accumulator into exactly one
@@ -110,10 +61,10 @@ func (c *Corpus) DrainTick() (ticks int, published bool) {
 
 // drainLocked publishes the pending span, if any. Callers hold advanceMu.
 func (c *Corpus) drainLocked(cur *assessState) (int, bool) {
-	if c.ingestState == nil || c.ingestState.acc.Empty() {
+	if c.pending.Empty() {
 		return 0, false
 	}
-	world, delta, n := c.ingestState.acc.Drain()
+	world, delta, n := c.pending.Drain()
 	c.publishAdvance(cur, world, delta)
 	return n, true
 }

@@ -56,8 +56,12 @@ func buildSourceRecord(s *webgen.Source, w *webgen.World, panel *analytics.Panel
 	return r
 }
 
+// buildDiscussionStats allocates one flat slice for all of a source's
+// comment stats; each discussion gets a full-capped sub-slice of it, so an
+// append can never bleed into a neighbour.
 func buildDiscussionStats(s *webgen.Source) []DiscussionStat {
 	out := make([]DiscussionStat, 0, len(s.Discussions))
+	flat := make([]CommentStat, 0, s.CommentCount())
 	for _, d := range s.Discussions {
 		ds := DiscussionStat{
 			Category: d.Category,
@@ -65,8 +69,9 @@ func buildDiscussionStats(s *webgen.Source) []DiscussionStat {
 			Open:     d.Open,
 			TagCount: len(d.Tags),
 		}
+		lo := len(flat)
 		for _, c := range d.Comments {
-			ds.Comments = append(ds.Comments, CommentStat{
+			flat = append(flat, CommentStat{
 				AuthorID:  c.UserID,
 				Posted:    c.Posted,
 				TagCount:  len(c.Tags),
@@ -74,6 +79,9 @@ func buildDiscussionStats(s *webgen.Source) []DiscussionStat {
 				Feedbacks: c.Feedbacks,
 				Reads:     c.Reads,
 			})
+		}
+		if hi := len(flat); hi > lo {
+			ds.Comments = flat[lo:hi:hi]
 		}
 		out = append(out, ds)
 	}

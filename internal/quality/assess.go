@@ -150,10 +150,21 @@ func (a *SourceAssessor) Benchmark(id string) (Benchmark, bool) {
 // BenchmarksEqual reports whether this assessor's normalisation intervals
 // are bitwise identical to prev's. When true, any record whose raw
 // observations did not change assesses to exactly the same result under
-// both assessors — the licence for reusing a clean row's Assessment by
-// reference across an Advance (and likewise an influencer roster entry).
+// both assessors — the licence for carrying a clean row's score across an
+// Advance (and likewise an influencer roster entry).
 func (a *SourceAssessor) BenchmarksEqual(prev *SourceAssessor) bool {
 	return benchmarkMapsEqual(a.benchmarks, prev.benchmarks)
+}
+
+// Scores returns every corpus record's Assess(r).Score, bitwise, in row
+// order, allocating only the returned slice.
+func (a *SourceAssessor) Scores() []float64 {
+	return a.engine.scores()
+}
+
+// ScoreAt returns Scores()[row] without allocating.
+func (a *SourceAssessor) ScoreAt(row int) float64 {
+	return a.engine.scoreAt(row)
 }
 
 // Assess returns the full Table 1 evaluation of the record. Corpus records

@@ -278,6 +278,26 @@ func (e *matrixEngine[R]) assess(r *R) *Assessment {
 	return e.assessProject(r, ProjectFull)
 }
 
+// scoreAt is the score-only kernel of matrix column c: assessProject's
+// normalise, weight and accumulate loop in the same order, so it is
+// bitwise equal to assessProject(e.recs[c], …).Score, with no allocation.
+func (e *matrixEngine[R]) scoreAt(c int) float64 {
+	var wSum, wTotal float64
+	for m := range e.infos {
+		if !e.present[m][c] {
+			continue
+		}
+		n := e.benchmarks[m].Normalize(e.vals[m][c], e.infos[m].higherIsBetter)
+		w := e.weights[m]
+		wSum += w * n
+		wTotal += w
+	}
+	if wTotal > 0 {
+		return wSum / wTotal
+	}
+	return 0
+}
+
 // assessProject is assess with a projection: ProjectScores skips the
 // per-measure Raw/Normalized maps (the query serving path).
 func (e *matrixEngine[R]) assessProject(r *R, fields Projection) *Assessment {

@@ -290,6 +290,22 @@ func (s *shardedEngine[R]) rank(records []*R) []*Assessment {
 	return out
 }
 
+// scores runs the score kernel over every row.
+func (s *shardedEngine[R]) scores() []float64 {
+	out := make([]float64, s.plan.Len())
+	for row := range out {
+		out[row] = s.scoreAt(row)
+	}
+	return out
+}
+
+// scoreAt runs the score kernel on one global row.
+func (s *shardedEngine[R]) scoreAt(row int) float64 {
+	sh := s.plan.Of(row)
+	lo, _ := s.plan.Bounds(sh)
+	return s.engines[sh].scoreAt(row - lo)
+}
+
 // benchmarkMap keys the ledger's benchmarks by measure ID.
 func (s *shardedEngine[R]) benchmarkMap() map[string]Benchmark {
 	out := make(map[string]Benchmark, len(s.infos))

@@ -1,15 +1,16 @@
 package services
 
-// Satellite pin: Env.Advance's score join stops rebuilding unchanged
-// per-record assessments at sparse churn. When the tick kept the epoch
-// still and the repaired engine's benchmarks are bitwise unchanged, clean
-// rows' Assessments (and so their Raw/Normalized maps) ride into the next
-// Env by reference — only the dirty rows are re-assessed. The test scans
-// a fixed seed range for a sparse tick whose licence engages and pins
-// pointer identity; it fails loudly if no seed engages, so the fast path
-// cannot silently rot into never firing.
+// Satellite pin: at sparse churn Env.Advance re-scores only the dirty rows.
+// When the tick kept the epoch still and the repaired engine's benchmarks
+// are bitwise unchanged, the previous score join is cloned and only dirty
+// rows run the score kernel; the result must equal a from-scratch NewEnv
+// over the same world and panel, bit for bit. The test scans a fixed seed
+// range for a sparse tick whose licence engages and whose dirty rows'
+// scores actually move; it fails loudly if no seed qualifies, so the fast
+// path cannot silently rot into never firing.
 
 import (
+	"math"
 	"testing"
 
 	"github.com/informing-observers/informer/internal/analytics"
@@ -17,7 +18,7 @@ import (
 	"github.com/informing-observers/informer/internal/webgen"
 )
 
-func TestAdvanceReusesCleanAssessments(t *testing.T) {
+func TestAdvanceCarriesCleanScores(t *testing.T) {
 	engaged := false
 	for seed := int64(1); seed <= 20 && !engaged; seed++ {
 		world := webgen.Generate(webgen.Config{
@@ -31,40 +32,42 @@ func TestAdvanceReusesCleanAssessments(t *testing.T) {
 		// the epoch still and usually leaves the corpus-wide benchmark
 		// quantiles untouched.
 		w2, delta := webgen.AdvanceSameDay(world, seed+500, []int{0, 1})
-		ne := env.Advance(w2, panel.Refresh(w2), delta)
+		p2 := panel.Refresh(w2)
+		ne := env.Advance(w2, p2, delta)
 
 		if delta.EpochMoved() || !ne.Sources.BenchmarksEqual(env.Sources) {
 			continue // licence did not engage under this seed; try the next
 		}
-		dirty := map[int]bool{}
+		if len(delta.DirtySourceIDs()) == len(ne.SourceRecords) {
+			continue // no clean row to carry
+		}
+		fresh := NewEnv(w2, p2, di)
+		moved := false
 		for _, id := range delta.DirtySourceIDs() {
-			dirty[id] = true
+			moved = moved || fresh.SourceScores[id] != env.SourceScores[id]
 		}
-		clean := 0
-		for row, a := range ne.sourceAssessments {
-			if dirty[env.SourceRecords[row].ID] {
-				continue
-			}
-			clean++
-			if a != env.sourceAssessments[row] {
-				t.Fatalf("seed %d: clean row %d re-assessed (licence held: epoch still, benchmarks equal)", seed, row)
-			}
-		}
-		if clean == 0 {
-			continue // every row dirty; nothing to pin under this seed
+		if !moved {
+			continue // no dirty row's score moved, so a skipped re-score would pass
 		}
 		engaged = true
 
-		// The reused snapshot must still be correct: scores equal a full
-		// re-assessment.
-		fresh := ne.Sources.AssessAll(ne.SourceRecords)
-		for i, a := range fresh {
-			if got := ne.sourceAssessments[i]; got.Score != a.Score || got.ID != a.ID {
-				t.Fatalf("seed %d: reused assessment diverges on row %d: %v vs %v", seed, i, got.Score, a.Score)
+		if len(ne.SourceScores) != len(fresh.SourceScores) {
+			t.Fatalf("seed %d: %d advanced scores, %d from scratch", seed, len(ne.SourceScores), len(fresh.SourceScores))
+		}
+		for id, want := range fresh.SourceScores {
+			got, ok := ne.SourceScores[id]
+			if !ok || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d: source %d scores %v after Advance, %v from scratch", seed, id, got, want)
+			}
+		}
+		// The previous environment keeps serving its own snapshot.
+		for id, want := range NewEnv(world, panel, di).SourceScores {
+			if got := env.SourceScores[id]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d: Advance mutated the previous join at source %d", seed, id)
 			}
 		}
 	}
 	if !engaged {
-		t.Fatal("no seed in 1..20 produced a sparse tick with equal benchmarks and clean rows; the reuse fast path never engaged")
+		t.Fatal("no seed in 1..20 produced a sparse tick with equal benchmarks, clean rows and a moved dirty score; the carry path never engaged")
 	}
 }

@@ -16,6 +16,7 @@ package services
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -55,12 +56,6 @@ type Env struct {
 	// contribIx keeps the per-user activity aggregation incremental
 	// across Advance ticks.
 	contribIx *quality.ContributorIndex
-
-	// sourceAssessments caches the per-row source assessments backing
-	// SourceScores, row-aligned with SourceRecords, so a sparse-churn
-	// Advance can reuse clean rows' assessment maps by reference instead
-	// of rebuilding every map only to read one float from it.
-	sourceAssessments []*quality.Assessment
 }
 
 // NewEnv assesses the world once and returns the shared environment.
@@ -96,11 +91,7 @@ func NewEnvCorrelated(world *webgen.World, panel *analytics.Panel, di quality.Do
 		}
 	}
 	env.Sources = quality.NewSourceAssessor(env.SourceRecords, di, opts)
-	env.sourceAssessments = env.Sources.AssessAll(env.SourceRecords)
-	env.SourceScores = make(map[int]float64, len(env.SourceRecords))
-	for _, a := range env.sourceAssessments {
-		env.SourceScores[a.ID] = a.Score
-	}
+	env.SourceScores = scoreMap(env.SourceRecords, env.Sources.Scores())
 	env.contribIx = quality.NewContributorIndex(world)
 	env.ContributorRecords = env.contribIx.Records()
 	env.Contributors = quality.NewContributorAssessor(env.ContributorRecords, di, opts)
@@ -111,7 +102,9 @@ func NewEnvCorrelated(world *webgen.World, panel *analytics.Panel, di quality.Do
 // records of the delta's dirty sources and contributors are rebuilt or
 // additively updated, the assessors repair their measure matrices via
 // UpdateRows instead of re-evaluating the corpus, and the source-score
-// join is re-read from the updated assessor. The delta may span several
+// join is re-read from the updated assessor's score kernel: only the dirty
+// rows when the epoch held still and the benchmarks came out bitwise
+// unchanged, every row otherwise. The delta may span several
 // coalesced ticks (webgen.Delta.Merge) — dirty sets union and the epoch
 // flag composes, so one repair over the spanning delta equals repairing
 // each tick in turn. Every derived number is bit-identical to NewEnv over
@@ -146,32 +139,32 @@ func (env *Env) Advance(world *webgen.World, panel *analytics.Panel, delta *webg
 		srcReEval = true
 	}
 	ne.Sources = env.Sources.UpdateRows(records, dirtyRows, srcReEval)
-	// Score join. At sparse churn, a clean row's full Assessment is
-	// unchanged — its raw observations did not move and, when the repaired
-	// benchmarks come out bitwise identical, neither did its
-	// normalisation — so the cached assessment is reused by reference and
-	// only dirty rows re-assess (served from the repaired matrix). Any
-	// doubt (epoch moved, benchmarks shifted, row count changed) falls
-	// back to the full rebuild.
-	ne.SourceScores = make(map[int]float64, len(records))
-	if !srcReEval && len(env.sourceAssessments) == len(records) && ne.Sources.BenchmarksEqual(env.Sources) {
-		as := make([]*quality.Assessment, len(records))
-		copy(as, env.sourceAssessments)
+	// Score join. When the epoch held still and the repaired benchmarks
+	// are bitwise unchanged, a clean row's score cannot have moved, so the
+	// previous join is cloned and only dirty rows re-score. Any doubt
+	// (epoch moved, benchmarks shifted, row count changed) re-scores all.
+	if !srcReEval && len(env.SourceScores) == len(records) && ne.Sources.BenchmarksEqual(env.Sources) {
+		ne.SourceScores = maps.Clone(env.SourceScores)
 		for _, row := range dirtyRows {
-			as[row] = ne.Sources.Assess(records[row])
+			ne.SourceScores[records[row].ID] = ne.Sources.ScoreAt(row)
 		}
-		ne.sourceAssessments = as
 	} else {
-		ne.sourceAssessments = ne.Sources.AssessAll(records)
-	}
-	for _, a := range ne.sourceAssessments {
-		ne.SourceScores[a.ID] = a.Score
+		ne.SourceScores = scoreMap(records, ne.Sources.Scores())
 	}
 	ix, contribDirty := env.contribIx.Apply(world, delta)
 	ne.contribIx = ix
 	ne.ContributorRecords = ix.Records()
 	ne.Contributors = env.Contributors.UpdateRows(ne.ContributorRecords, contribDirty, delta.EpochMoved())
 	return ne
+}
+
+// scoreMap keys row-aligned scores by source ID.
+func scoreMap(records []*quality.SourceRecord, scores []float64) map[int]float64 {
+	out := make(map[int]float64, len(records))
+	for row, r := range records {
+		out[r.ID] = scores[row]
+	}
+	return out
 }
 
 // Register adds all domain component types to the registry.

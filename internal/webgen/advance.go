@@ -140,25 +140,8 @@ func Advance(w *World, days int, seed int64) (*World, *Delta) {
 		dirtyContributors: map[int]bool{},
 	}
 
-	nextDiscID, nextComID := 0, 0
-	for _, s := range w.Sources {
-		for _, d := range s.Discussions {
-			if d.ID >= nextDiscID {
-				nextDiscID = d.ID + 1
-			}
-			for _, c := range d.Comments {
-				if c.ID >= nextComID {
-					nextComID = c.ID + 1
-				}
-			}
-		}
-	}
-
-	userWeights := make([]float64, len(w.Users))
-	for i, u := range w.Users {
-		userWeights[i] = math.Exp(u.Activity)
-	}
-	userTable := newCumulative(userWeights)
+	ids := w.ids
+	userTable := w.users
 	cats := w.Categories
 	churn := w.Config.ChurnScale
 	if churn == 0 {
@@ -176,6 +159,7 @@ func Advance(w *World, days int, seed int64) (*World, *Delta) {
 		Categories: w.Categories,
 		Users:      w.Users,
 		Sources:    make([]*Source, len(w.Sources)),
+		users:      w.users,
 	}
 	nw.Config.End = newEnd
 
@@ -187,7 +171,7 @@ func Advance(w *World, days int, seed int64) (*World, *Delta) {
 			cat := cats[rng.Intn(len(cats))]
 			opened := oldEnd.Add(time.Duration(rng.Float64() * float64(span)))
 			d := &Discussion{
-				ID:       nextDiscID,
+				ID:       ids.NextDiscussionID,
 				SourceID: s.ID,
 				OpenerID: userTable.pick(rng),
 				Title:    tg.Title(cat),
@@ -196,11 +180,11 @@ func Advance(w *World, days int, seed int64) (*World, *Delta) {
 				Open:     true,
 				Tags:     tg.Tags(cat, 1+rng.Intn(3)),
 			}
-			nextDiscID++
+			ids.NextDiscussionID++
 			delta.dirtyContributors[d.OpenerID] = true
 			nCom := poissonish(rng, churn*w.Config.MeanComments*math.Exp(0.5*s.Latent.Participation)*0.5)
 			for c := 0; c < nCom; c++ {
-				com := newAdvanceComment(rng, w, userTable, &nextComID, opened, newEnd.Sub(opened))
+				com := newAdvanceComment(rng, w, userTable, &ids.NextCommentID, opened, newEnd.Sub(opened))
 				if w.Config.CommentText {
 					com.Body = tg.Comment(cat, com.Polarity, 0)
 					// Donors come from the pre-tick world: stable, fully
@@ -230,7 +214,7 @@ func Advance(w *World, days int, seed int64) (*World, *Delta) {
 			nd.Comments = make([]*Comment, len(d.Comments), len(d.Comments)+extra)
 			copy(nd.Comments, d.Comments)
 			for c := 0; c < extra; c++ {
-				com := newAdvanceComment(rng, w, userTable, &nextComID, oldEnd, span)
+				com := newAdvanceComment(rng, w, userTable, &ids.NextCommentID, oldEnd, span)
 				if w.Config.CommentText && d.Category != "" {
 					com.Body = tg.Comment(d.Category, com.Polarity, 0)
 					maybeSyndicate(w, rng, tg, s.ID, com)
@@ -274,6 +258,7 @@ func Advance(w *World, days int, seed int64) (*World, *Delta) {
 			nw.MaxOpenDiscussions = n
 		}
 	}
+	nw.ids = ids
 	return nw, delta
 }
 
@@ -308,21 +293,8 @@ func AdvanceSameDay(w *World, seed int64, onlySources []int) (*World, *Delta) {
 		}
 	}
 
-	nextComID := 0
-	for _, s := range w.Sources {
-		for _, d := range s.Discussions {
-			for _, c := range d.Comments {
-				if c.ID >= nextComID {
-					nextComID = c.ID + 1
-				}
-			}
-		}
-	}
-	userWeights := make([]float64, len(w.Users))
-	for i, u := range w.Users {
-		userWeights[i] = math.Exp(u.Activity)
-	}
-	userTable := newCumulative(userWeights)
+	ids := w.ids
+	userTable := w.users
 	churn := w.Config.ChurnScale
 	if churn == 0 {
 		churn = 1
@@ -334,6 +306,7 @@ func AdvanceSameDay(w *World, seed int64, onlySources []int) (*World, *Delta) {
 		Users:              w.Users,
 		Sources:            make([]*Source, len(w.Sources)),
 		MaxOpenDiscussions: w.MaxOpenDiscussions, // no discussion opens or closes
+		users:              w.users,
 	}
 	for si, s := range w.Sources {
 		if only != nil && !only[s.ID] {
@@ -360,7 +333,7 @@ func AdvanceSameDay(w *World, seed int64, onlySources []int) (*World, *Delta) {
 			nd.Comments = make([]*Comment, len(d.Comments), len(d.Comments)+extra)
 			copy(nd.Comments, d.Comments)
 			for c := 0; c < extra; c++ {
-				com := newAdvanceComment(rng, w, userTable, &nextComID, from, end.Sub(from))
+				com := newAdvanceComment(rng, w, userTable, &ids.NextCommentID, from, end.Sub(from))
 				if w.Config.CommentText && d.Category != "" {
 					com.Body = tg.Comment(d.Category, com.Polarity, 0)
 					maybeSyndicate(w, rng, tg, s.ID, com)
@@ -391,6 +364,7 @@ func AdvanceSameDay(w *World, seed int64, onlySources []int) (*World, *Delta) {
 		nw.Sources[si] = ns
 		delta.dirtySources[s.ID] = true
 	}
+	nw.ids = ids
 	return nw, delta
 }
 

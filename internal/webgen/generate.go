@@ -21,9 +21,14 @@ func Generate(cfg Config) *World {
 	w := &World{Config: cfg, Categories: append([]string(nil), cfg.Categories...)}
 
 	genUsers(w, rng, tg)
+	weights := make([]float64, len(w.Users))
+	for i, u := range w.Users {
+		weights[i] = math.Exp(u.Activity)
+	}
+	w.users = newCumulative(weights)
 	genSources(w, rng, tg)
 	genLinkGraph(w, rng)
-	genContent(w, rng, tg)
+	w.ids = genContent(w, rng, tg)
 
 	for _, s := range w.Sources {
 		if n := s.OpenDiscussions(); n > w.MaxOpenDiscussions {
@@ -170,7 +175,9 @@ var locationCoords = map[string]GeoPoint{
 	"pisa":     {43.7228, 10.4017},
 }
 
-func genContent(w *World, rng *rand.Rand, tg *textgen.Generator) {
+// genContent fills every source's discussions and comments, minting IDs
+// sequentially from zero, and returns the resulting ID frontier.
+func genContent(w *World, rng *rand.Rand, tg *textgen.Generator) IDCursor {
 	cfg := w.Config
 	cats := cfg.Categories
 	days := w.Days()
@@ -206,11 +213,7 @@ func genContent(w *World, rng *rand.Rand, tg *textgen.Generator) {
 			catTables[ci] = newCumulative(catWeights[ci])
 		}
 	}
-	allWeights := make([]float64, len(w.Users))
-	for i, u := range w.Users {
-		allWeights[i] = math.Exp(u.Activity)
-	}
-	allTable := newCumulative(allWeights)
+	allTable := w.users
 
 	discID, comID := 0, 0
 	for _, s := range w.Sources {
@@ -312,6 +315,7 @@ func genContent(w *World, rng *rand.Rand, tg *textgen.Generator) {
 			s.Discussions = append(s.Discussions, disc)
 		}
 	}
+	return IDCursor{NextDiscussionID: discID, NextCommentID: comID}
 }
 
 // maybeSyndicate replaces a freshly generated comment body with a copy of

@@ -9,35 +9,20 @@ import (
 	"github.com/informing-observers/informer/internal/textgen"
 )
 
-// IDCursor carries the next free discussion and comment IDs across a run
-// of per-source ticks, so each AdvanceSource call stays O(one source)
-// instead of re-scanning the whole world for the ID frontier. NewIDCursor
-// scans once; AdvanceSource advances the cursor in place as it mints IDs.
-// Any tick NOT threaded through the cursor (Advance, AdvanceSameDay)
-// invalidates it — re-scan with NewIDCursor afterwards, or the next
-// AdvanceSource would mint duplicate IDs.
+// IDCursor is an ID frontier: the next free discussion and comment IDs.
+// Every World carries its own and each tick mints from its input world's,
+// so a cursor threaded through AdvanceSource (which writes the advanced
+// frontier back) never goes stale, whatever ticks intervene.
 type IDCursor struct {
 	NextDiscussionID int
 	NextCommentID    int
 }
 
-// NewIDCursor scans the world once and returns a cursor positioned just
-// past its highest discussion and comment IDs.
+// NewIDCursor returns a cursor positioned just past the world's highest
+// discussion and comment IDs.
 func NewIDCursor(w *World) *IDCursor {
-	cur := &IDCursor{}
-	for _, s := range w.Sources {
-		for _, d := range s.Discussions {
-			if d.ID >= cur.NextDiscussionID {
-				cur.NextDiscussionID = d.ID + 1
-			}
-			for _, c := range d.Comments {
-				if c.ID >= cur.NextCommentID {
-					cur.NextCommentID = c.ID + 1
-				}
-			}
-		}
-	}
-	return cur
+	cur := w.ids
+	return &cur
 }
 
 // Clone returns an independent copy of the delta: the slices and dirty
@@ -132,10 +117,10 @@ func (d *Delta) Merge(next *Delta) {
 // delta for a single UpdateRows repair.
 //
 // Like Advance it is copy-on-write (the input world keeps serving
-// concurrent readers) and deterministic per seed. cur, when non-nil,
-// supplies and receives the ID frontier so a run of polls never re-scans
-// the world; a nil cursor falls back to an internal scan. An unknown
-// sourceID returns the input world unchanged with an empty delta.
+// concurrent readers) and deterministic per seed. IDs are minted from the
+// input world's frontier; cur, when non-nil, receives the advanced one.
+// An unknown sourceID returns the input world unchanged with an empty
+// delta.
 //
 //informer:mutates copy-on-write tick fills the successor world before it is published
 func AdvanceSource(w *World, sourceID int, seed int64, cur *IDCursor) (*World, *Delta) {
@@ -155,18 +140,12 @@ func AdvanceSource(w *World, sourceID int, seed int64, cur *IDCursor) (*World, *
 	if si < 0 {
 		return w, delta
 	}
-	if cur == nil {
-		cur = NewIDCursor(w)
-	}
+	ids := w.ids
 	s := w.Sources[si]
 
 	rng := rand.New(rand.NewSource(seed))
 	tg := textgen.NewFromRand(rng)
-	userWeights := make([]float64, len(w.Users))
-	for i, u := range w.Users {
-		userWeights[i] = math.Exp(u.Activity)
-	}
-	userTable := newCumulative(userWeights)
+	userTable := w.users
 	cats := w.Categories
 	churn := w.Config.ChurnScale
 	if churn == 0 {
@@ -186,7 +165,7 @@ func AdvanceSource(w *World, sourceID int, seed int64, cur *IDCursor) (*World, *
 		cat := cats[rng.Intn(len(cats))]
 		opened := from.Add(time.Duration(rng.Float64() * float64(span)))
 		d := &Discussion{
-			ID:       cur.NextDiscussionID,
+			ID:       ids.NextDiscussionID,
 			SourceID: s.ID,
 			OpenerID: userTable.pick(rng),
 			Title:    tg.Title(cat),
@@ -195,11 +174,11 @@ func AdvanceSource(w *World, sourceID int, seed int64, cur *IDCursor) (*World, *
 			Open:     true,
 			Tags:     tg.Tags(cat, 1+rng.Intn(3)),
 		}
-		cur.NextDiscussionID++
+		ids.NextDiscussionID++
 		delta.dirtyContributors[d.OpenerID] = true
 		nCom := poissonish(rng, churn*w.Config.MeanComments*math.Exp(0.5*s.Latent.Participation)*0.5)
 		for c := 0; c < nCom; c++ {
-			com := newAdvanceComment(rng, w, userTable, &cur.NextCommentID, opened, end.Sub(opened))
+			com := newAdvanceComment(rng, w, userTable, &ids.NextCommentID, opened, end.Sub(opened))
 			if w.Config.CommentText {
 				com.Body = tg.Comment(cat, com.Polarity, 0)
 				maybeSyndicate(w, rng, tg, s.ID, com)
@@ -231,7 +210,7 @@ func AdvanceSource(w *World, sourceID int, seed int64, cur *IDCursor) (*World, *
 		nd.Comments = make([]*Comment, len(d.Comments), len(d.Comments)+extra)
 		copy(nd.Comments, d.Comments)
 		for c := 0; c < extra; c++ {
-			com := newAdvanceComment(rng, w, userTable, &cur.NextCommentID, cfrom, end.Sub(cfrom))
+			com := newAdvanceComment(rng, w, userTable, &ids.NextCommentID, cfrom, end.Sub(cfrom))
 			if w.Config.CommentText && d.Category != "" {
 				com.Body = tg.Comment(d.Category, com.Polarity, 0)
 				maybeSyndicate(w, rng, tg, s.ID, com)
@@ -246,6 +225,9 @@ func AdvanceSource(w *World, sourceID int, seed int64, cur *IDCursor) (*World, *
 		grown[di] = nd
 	}
 
+	if cur != nil {
+		*cur = ids
+	}
 	if len(newDiscs) == 0 && len(grown) == 0 {
 		return w, delta
 	}
@@ -267,6 +249,8 @@ func AdvanceSource(w *World, sourceID int, seed int64, cur *IDCursor) (*World, *
 		Users:              w.Users,
 		Sources:            make([]*Source, len(w.Sources)),
 		MaxOpenDiscussions: w.MaxOpenDiscussions,
+		ids:                ids,
+		users:              w.users,
 	}
 	copy(nw.Sources, w.Sources)
 	nw.Sources[si] = ns

@@ -101,7 +101,7 @@ func TestAdvanceSourceUnknownIDIsNoop(t *testing.T) {
 }
 
 // TestAdvanceSourceCursorMatchesScan pins that threading one IDCursor
-// through a run of polls mints exactly the IDs an internal re-scan would.
+// through a run of polls mints exactly the IDs a nil cursor would.
 func TestAdvanceSourceCursorMatchesScan(t *testing.T) {
 	a := Generate(Config{Seed: 83, NumSources: 20, NumUsers: 60})
 	b := Generate(Config{Seed: 83, NumSources: 20, NumUsers: 60})
@@ -118,6 +118,88 @@ func TestAdvanceSourceCursorMatchesScan(t *testing.T) {
 	for id := range aIDs {
 		if !bIDs[id] {
 			t.Fatalf("comment ID %d minted only with the cursor", id)
+		}
+	}
+}
+
+// scanIDFrontier is the reference ID frontier: one past the highest
+// discussion and comment ID found by walking the whole world.
+func scanIDFrontier(w *World) IDCursor {
+	var cur IDCursor
+	for _, s := range w.Sources {
+		for _, d := range s.Discussions {
+			if d.ID >= cur.NextDiscussionID {
+				cur.NextDiscussionID = d.ID + 1
+			}
+			for _, c := range d.Comments {
+				if c.ID >= cur.NextCommentID {
+					cur.NextCommentID = c.ID + 1
+				}
+			}
+		}
+	}
+	return cur
+}
+
+// TestIDFrontierMatchesScan pins the ID frontier each world carries: after
+// Generate and after every kind of tick, NewIDCursor reads exactly what a
+// full scan finds, a cursor threaded through AdvanceSource receives the
+// same frontier even when other ticks intervened, and every minted ID
+// stays unique.
+func TestIDFrontierMatchesScan(t *testing.T) {
+	w := Generate(Config{Seed: 98, NumSources: 30, NumUsers: 90, CommentText: true, SyndicationRate: 0.2})
+	if got, want := *NewIDCursor(w), scanIDFrontier(w); got != want {
+		t.Fatalf("generated world: frontier %+v, scan %+v", got, want)
+	}
+	cur := NewIDCursor(w)
+	rng := rand.New(rand.NewSource(98))
+	threaded := 0
+	for i := 0; i < 40; i++ {
+		var step string
+		switch i % 5 {
+		case 0:
+			step = "Advance"
+			w, _ = Advance(w, 1+rng.Intn(2), rng.Int63())
+		case 1:
+			step = "AdvanceSameDay(nil)"
+			w, _ = AdvanceSameDay(w, rng.Int63(), nil)
+		case 2:
+			step = "AdvanceSameDay(restricted)"
+			w, _ = AdvanceSameDay(w, rng.Int63(), []int{w.Sources[rng.Intn(len(w.Sources))].ID})
+		case 3:
+			step = "AdvanceSource(nil)"
+			w, _ = AdvanceSource(w, w.Sources[rng.Intn(len(w.Sources))].ID, rng.Int63(), nil)
+		case 4:
+			step = "AdvanceSource(cursor)"
+			var d *Delta
+			w, d = AdvanceSource(w, w.Sources[rng.Intn(len(w.Sources))].ID, rng.Int63(), cur)
+			if !d.Empty() {
+				threaded++
+			}
+			if want := scanIDFrontier(w); *cur != want {
+				t.Fatalf("step %d %s: threaded cursor %+v, scan %+v", i, step, *cur, want)
+			}
+		}
+		if got, want := *NewIDCursor(w), scanIDFrontier(w); got != want {
+			t.Fatalf("step %d %s: frontier %+v, scan %+v", i, step, got, want)
+		}
+	}
+	if threaded == 0 {
+		t.Fatal("no threaded-cursor poll drew activity; the cursor path went unexercised")
+	}
+	discIDs, comIDs := map[int]bool{}, map[int]bool{}
+	for _, s := range w.Sources {
+		for _, d := range s.Discussions {
+			if discIDs[d.ID] {
+				t.Fatalf("duplicate discussion ID %d", d.ID)
+			}
+			discIDs[d.ID] = true
+			for _, c := range d.Comments {
+				if comIDs[c.ID] {
+					t.Fatalf("duplicate comment ID %d", c.ID)
+				}
+				comIDs[c.ID] = true
+			}
 		}
 	}
 }
@@ -220,11 +302,9 @@ func TestMergeMatchesReplay(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0: // day-moving tick
 				w, d = Advance(w, 1+rng.Intn(3), rng.Int63())
-				cur = NewIDCursor(w) // global tick mints IDs outside the cursor
 			case 1: // same-day world-wide tick
 				w, d = AdvanceSameDay(w, rng.Int63(), nil)
-				cur = NewIDCursor(w) // non-cursor tick invalidates the cursor
-			default: // per-source polls, biased hot
+			default: // per-source polls, biased hot; the cursor is never re-synced
 				id := w.Sources[rng.Intn(1+len(w.Sources)/4)].ID
 				w, d = AdvanceSource(w, id, rng.Int63(), cur)
 			}

@@ -127,7 +127,9 @@ type User struct {
 	Breadth   float64 // number of categories the user touches
 }
 
-// World is the full synthetic corpus.
+// World is the full synthetic corpus. Worlds come from Generate or a tick
+// (Advance, AdvanceSameDay, AdvanceSource); a World assembled by hand
+// lacks the tick state below and must not be ticked.
 //
 //informer:snapshot
 type World struct {
@@ -139,6 +141,13 @@ type World struct {
 	// source, the paper's normalisation base for "number of open
 	// discussions compared to largest Web blog/forum".
 	MaxOpenDiscussions int
+
+	// Tick state, set by Generate and carried by every tick so no tick
+	// re-derives it from the whole world: the ID frontier (one past the
+	// highest discussion and comment ID) and the activity-weighted user
+	// table authors are drawn from.
+	ids   IDCursor
+	users *cumulative
 }
 
 // Config controls world generation.
