@@ -508,6 +508,56 @@ func BenchmarkWatchFanout(b *testing.B) {
 	}
 }
 
+// dailyWatchQueries are the eight standing queries of the daily-watch
+// observer workload (its /api/v1 forms in the comments), which rank on
+// five distinct axes: score, time, liveliness, authority, dependability.
+func dailyWatchQueries() []Query {
+	return []Query{
+		NewQuery().TopK(10).MinScore(0.5).Build(),                               // k=10&min_score=0.5
+		NewQuery().TopK(20).MinScore(0.4).SortByDimension(quality.Time).Build(), // k=20&min_score=0.4&sort=dim.time
+		NewQuery().TopK(10).Categories("place").Build(),                         // k=10&category=place
+		NewQuery().TopK(10).Categories("people").MinScore(0.3).Build(),          // k=10&category=people&min_score=0.3
+		NewQuery().TopK(25).SortByAttribute(quality.Liveliness).Build(),         // k=25&sort=att.liveliness
+		NewQuery().TopK(10).MinDimension(quality.Authority, 0.5).Build(),        // k=10&min_dim.authority=0.5
+		NewQuery().TopK(15).SortByDimension(quality.Dependability).Build(),      // k=15&sort=dim.dependability
+		NewQuery().TopK(50).Build(),                                             // k=50
+	}
+}
+
+// BenchmarkEpochSpines measures one epoch-moving round of the assessment
+// layer at web scale: an UpdateRows over 2000 sources whose observation
+// instant moved (every time-sensitive measure re-evaluated, every
+// benchmark re-derived), then the eight daily-watch standing spines built
+// from scratch on the derived assessor — nothing can carry across an
+// epoch move. Each spine is a full scan; spine-scans/op reports them.
+func BenchmarkEpochSpines(b *testing.B) {
+	world := webgen.Generate(webgen.Config{Seed: 91, NumSources: 2000, ChurnScale: 0.27})
+	panel := analytics.Build(world, 92)
+	nworld, delta := webgen.Advance(world, 1, 93)
+	if !delta.EpochMoved() {
+		b.Fatal("a one-day advance must move the epoch")
+	}
+	di := quality.DomainOfInterest{Categories: world.Categories}
+	records := quality.SourceRecordsFromWorld(world, panel)
+	base := quality.NewSourceAssessor(records, di, nil)
+	next, dirty := quality.UpdateSourceRecordsFromWorld(records, nworld, panel.Refresh(nworld), delta.DirtySourceIDs())
+	queries := dailyWatchQueries()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var scans int64
+	for i := 0; i < b.N; i++ {
+		a := base.UpdateRows(next, dirty, true)
+		for _, q := range queries {
+			if _, err := a.Spine(next, q); err != nil {
+				b.Fatal(err)
+			}
+		}
+		scans += a.SpineStats().Scans
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(scans)/float64(b.N), "spine-scans/op")
+}
+
 // BenchmarkAdvanceRebuild is the non-incremental baseline for
 // BenchmarkAdvanceIncremental: identical world and churn, but each tick
 // re-assesses the corpus from scratch via FromWorld (the pre-incremental

@@ -157,7 +157,9 @@ func (a *SourceAssessor) BenchmarksEqual(prev *SourceAssessor) bool {
 }
 
 // Scores returns every corpus record's Assess(r).Score, bitwise, in row
-// order, allocating only the returned slice.
+// order: a copy of the score axis columns, which the first call builds
+// and score-ranked scans of the same assessor share. Once they are built
+// it allocates only the returned slice.
 func (a *SourceAssessor) Scores() []float64 {
 	return a.engine.scores()
 }

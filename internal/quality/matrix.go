@@ -66,6 +66,9 @@ type matrixEngine[R any] struct {
 	// allocates columns only for the measures it really moved.
 	vals    [][]float64
 	present [][]bool
+	// axes caches the per-axis score and average columns full scans read
+	// (axes.go), built lazily against benchmarks.
+	axes *axisColumns
 }
 
 // newMatrixEngine fills the matrix only: shard members get their
@@ -113,6 +116,7 @@ func newMatrixEngine[R any](
 	}
 	e.dimOff, e.nDims = -int(minDim), int(maxDim-minDim)+1
 	e.attOff, e.nAtts = -int(minAtt), int(maxAtt-minAtt)+1
+	e.axes = newAxisColumns(e.nDims, e.nAtts)
 	for c, r := range corpus {
 		e.col[r] = c
 	}
@@ -204,6 +208,7 @@ func (e *matrixEngine[R]) derive(corpus []*R) *matrixEngine[R] {
 		recs:     corpus,
 		vals:     append([][]float64(nil), e.vals...),
 		present:  append([][]bool(nil), e.present...),
+		axes:     newAxisColumns(e.nDims, e.nAtts),
 	}
 	ne.col = e.shareOrRebuildCol(corpus)
 	return ne
@@ -250,8 +255,11 @@ func (e *matrixEngine[R]) shareOrRebuildCol(corpus []*R) map[*R]int {
 // the current round's record pointers: matrix and weights are shared (the
 // shard's content did not change, so they are still exact), the
 // record→column map is shared or rebuilt depending on whether the pointers
-// actually moved, and the corpus-global benchmark slice swapped in. The receiver keeps serving readers of the previous snapshot
-// untouched.
+// actually moved, and the corpus-global benchmark slice swapped in. The
+// axis columns are shared too when that slice is the parent's own — the
+// ledger keeps its identity exactly when no benchmark moved — and start
+// empty otherwise. The receiver keeps serving readers of the previous
+// snapshot untouched.
 //
 //informer:mutates fills the derived successor engine before it is published
 func (e *matrixEngine[R]) remap(corpus []*R, benchmarks []Benchmark) *matrixEngine[R] {
@@ -260,6 +268,9 @@ func (e *matrixEngine[R]) remap(corpus []*R, benchmarks []Benchmark) *matrixEngi
 	ne.benchmarks = benchmarks
 	ne.recs = corpus
 	ne.col = e.shareOrRebuildCol(corpus)
+	if len(benchmarks) > 0 && &benchmarks[0] != &e.benchmarks[0] {
+		ne.axes = newAxisColumns(e.nDims, e.nAtts)
+	}
 	return ne
 }
 

@@ -22,9 +22,11 @@ package quality
 // results report the resume cursor of the next page in QueryResult.Next.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 )
 
 // Projection selects how much of each Assessment a query materializes.
@@ -408,33 +410,62 @@ func candWorse(a, b leanCand) bool {
 	return a.id > b.id
 }
 
-// axisThreshold is a resolved per-axis predicate (dense index + bar).
+// candCmp is candWorse as a best-first three-way comparison for
+// slices.SortFunc: -1 when a ranks before b, 1 when after. Keys that
+// compare neither way (NaN) tie without the ID break, as in candWorse.
+func candCmp(a, b leanCand) int {
+	switch {
+	case a.key > b.key:
+		return -1
+	case a.key < b.key:
+		return 1
+	case a.key != b.key:
+		return 0
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// axisThreshold is a resolved per-axis predicate: the slot of its axis in
+// resolvedQuery.axes (the axis itself while resolving) and the bar.
 type axisThreshold struct {
 	idx int
 	v   float64
 }
 
-// measureThreshold is a resolved per-measure predicate (catalogue position
-// + bar).
-type measureThreshold struct {
-	m int
-	v float64
-}
-
 // resolvedQuery holds a Query's predicate and sort targets resolved against
 // the engine's catalogue — the once-per-execution part of the lean scan.
+// Every target is a slot: axes lists the distinct ranking axes the
+// predicates and the sort key read, measures the catalogue positions of
+// the MinMeasure bars followed by the MinSpamResistance measures.
 type resolvedQuery struct {
-	minMeasure       []measureThreshold
-	minDim, minAtt   []axisThreshold
-	sortDim, sortAtt int
+	axes     []int
+	preds    []axisThreshold // slots into axes
+	sortSlot int
+	measures []int
+	// minMeasure[i] is the bar on measures[i]; measures past it feed the
+	// minSpam average.
+	minMeasure []float64
+	minSpam    float64
 	// unmatchable flags a per-axis predicate on an axis absent from the
 	// catalogue: no record can ever clear it.
 	unmatchable bool
 }
 
+// slot returns axis a's slot in rq.axes, adding it on first use.
+func (rq *resolvedQuery) slot(a int) int {
+	for j, x := range rq.axes {
+		if x == a {
+			return j
+		}
+	}
+	rq.axes = append(rq.axes, a)
+	return len(rq.axes) - 1
+}
+
 // resolveQuery resolves predicate and sort targets against the catalogue.
-func (e *matrixEngine[R]) resolveQuery(q Query) (*resolvedQuery, error) {
-	rq := &resolvedQuery{sortDim: -1, sortAtt: -1}
+// spamIdx lists the measures behind MinSpamResistance (nil when unset).
+func (e *matrixEngine[R]) resolveQuery(q Query, spamIdx []int) (*resolvedQuery, error) {
+	rq := &resolvedQuery{minSpam: q.MinSpamResistance}
 	if len(q.MinMeasure) > 0 {
 		ids := make([]string, 0, len(q.MinMeasure))
 		for id := range q.MinMeasure {
@@ -446,39 +477,50 @@ func (e *matrixEngine[R]) resolveQuery(q Query) (*resolvedQuery, error) {
 			if m < 0 {
 				return nil, fmt.Errorf("quality: unknown measure %q in query", id)
 			}
-			rq.minMeasure = append(rq.minMeasure, measureThreshold{m, q.MinMeasure[id]})
+			rq.measures = append(rq.measures, m)
+			rq.minMeasure = append(rq.minMeasure, q.MinMeasure[id])
 		}
 	}
+	if q.MinSpamResistance > 0 {
+		rq.measures = append(rq.measures, spamIdx...)
+	}
+	rq.preds = append(rq.preds, axisThreshold{rq.slot(scoreAxis), q.MinScore})
+	var bars []axisThreshold // per-axis bars by axis, then by slot
 	for d, v := range q.MinDimension {
 		idx := int(d) + e.dimOff
 		if idx < 0 || idx >= e.nDims {
 			rq.unmatchable = true // dimension absent from the catalogue
 			continue
 		}
-		rq.minDim = append(rq.minDim, axisThreshold{idx, v})
+		bars = append(bars, axisThreshold{e.dimAxis(idx), v})
 	}
-	sort.Slice(rq.minDim, func(i, j int) bool { return rq.minDim[i].idx < rq.minDim[j].idx })
 	for at, v := range q.MinAttribute {
 		idx := int(at) + e.attOff
 		if idx < 0 || idx >= e.nAtts {
 			rq.unmatchable = true
 			continue
 		}
-		rq.minAtt = append(rq.minAtt, axisThreshold{idx, v})
+		bars = append(bars, axisThreshold{e.attAxis(idx), v})
 	}
-	sort.Slice(rq.minAtt, func(i, j int) bool { return rq.minAtt[i].idx < rq.minAtt[j].idx })
+	sort.Slice(bars, func(i, j int) bool { return bars[i].idx < bars[j].idx })
+	for _, th := range bars {
+		rq.preds = append(rq.preds, axisThreshold{rq.slot(th.idx), th.v})
+	}
 	switch q.Sort.By {
 	case SortByScore:
+		rq.sortSlot = rq.slot(scoreAxis)
 	case SortByDimension:
-		rq.sortDim = int(q.Sort.Dimension) + e.dimOff
-		if rq.sortDim < 0 || rq.sortDim >= e.nDims {
+		idx := int(q.Sort.Dimension) + e.dimOff
+		if idx < 0 || idx >= e.nDims {
 			return nil, fmt.Errorf("quality: sort dimension %s not in catalogue", q.Sort.Dimension)
 		}
+		rq.sortSlot = rq.slot(e.dimAxis(idx))
 	case SortByAttribute:
-		rq.sortAtt = int(q.Sort.Attribute) + e.attOff
-		if rq.sortAtt < 0 || rq.sortAtt >= e.nAtts {
+		idx := int(q.Sort.Attribute) + e.attOff
+		if idx < 0 || idx >= e.nAtts {
 			return nil, fmt.Errorf("quality: sort attribute %s not in catalogue", q.Sort.Attribute)
 		}
+		rq.sortSlot = rq.slot(e.attAxis(idx))
 	default:
 		return nil, fmt.Errorf("quality: unknown sort key %d", q.Sort.By)
 	}
@@ -491,74 +533,52 @@ func (e *matrixEngine[R]) resolveQuery(q Query) (*resolvedQuery, error) {
 	return rq, nil
 }
 
-// evalCand evaluates one record against the resolved scope and predicates
-// using buf as scratch. When the record matches, its ranked candidate —
-// sort key, record ID, row index — is returned with ok true. This is the
-// per-record body of every scan, repair and re-evaluation path, so each of
-// them filters and ranks with bit-identical arithmetic.
-func (e *matrixEngine[R]) evalCand(r *R, row int, q Query, rq *resolvedQuery, keep func(*R) bool, spamIdx []int, buf *leanBuf) (leanCand, bool) {
-	if keep != nil && !keep(r) {
-		return leanCand{}, false
-	}
-	e.leanEval(r, buf)
-	if buf.score < q.MinScore {
-		return leanCand{}, false
-	}
-	for _, th := range rq.minDim {
-		if buf.dimCnt[th.idx] == 0 || buf.dimSum[th.idx]/buf.dimCnt[th.idx] < th.v {
-			return leanCand{}, false
+// match is the one predicate and sort-key function of every scan, repair
+// and re-evaluation: it decides row v against the resolved predicates and
+// returns its sort key. Column scans and leanEval fill v with bitwise the
+// same numbers, so every path filters and ranks identically.
+func (rq *resolvedQuery) match(v *rowAxes) (key float64, ok bool) {
+	for _, th := range rq.preds {
+		if !v.axisOK[th.idx] || v.axis[th.idx] < th.v {
+			return 0, false
 		}
 	}
-	for _, th := range rq.minAtt {
-		if buf.attCnt[th.idx] == 0 || buf.attSum[th.idx]/buf.attCnt[th.idx] < th.v {
-			return leanCand{}, false
+	for j, bar := range rq.minMeasure {
+		if !v.normOK[j] || v.norm[j] < bar {
+			return 0, false
 		}
 	}
-	for _, th := range rq.minMeasure {
-		if !buf.def[th.m] || buf.norm[th.m] < th.v {
-			return leanCand{}, false
-		}
-	}
-	if q.MinSpamResistance > 0 {
+	if rq.minSpam > 0 {
 		var sum float64
 		n := 0
-		for _, m := range spamIdx {
-			if buf.def[m] {
-				sum += buf.norm[m]
+		for j := len(rq.minMeasure); j < len(rq.measures); j++ {
+			if v.normOK[j] {
+				sum += v.norm[j]
 				n++
 			}
 		}
-		if n == 0 || sum/float64(n) < q.MinSpamResistance {
-			return leanCand{}, false
+		if n == 0 || sum/float64(n) < rq.minSpam {
+			return 0, false
 		}
 	}
-	key := buf.score
-	switch {
-	case rq.sortDim >= 0:
-		key = 0
-		if buf.dimCnt[rq.sortDim] > 0 {
-			key = buf.dimSum[rq.sortDim] / buf.dimCnt[rq.sortDim]
-		}
-	case rq.sortAtt >= 0:
-		key = 0
-		if buf.attCnt[rq.sortAtt] > 0 {
-			key = buf.attSum[rq.sortAtt] / buf.attCnt[rq.sortAtt]
-		}
+	if v.axisOK[rq.sortSlot] {
+		key = v.axis[rq.sortSlot]
 	}
-	id, _ := e.ident(r)
-	return leanCand{key: key, id: id, row: row}, true
+	return key, true
 }
 
-// scanMatches is the lean pass shared by rankTopK and spine: predicates
-// and sort keys straight off the cached matrix, no maps, no Assessment
-// structs. Every match counts toward total; when collect is set, the
-// candidates ranking strictly after the after-bound are kept — all of
-// them when bound == 0, the best `bound` through a min-heap otherwise.
-// rowOff shifts stored row indices: a shard engine scanning its local
-// record slice passes its global range start so candidates carry global
-// rows and merge directly into the corpus-wide ranking.
-func (e *matrixEngine[R]) scanMatches(records []*R, rowOff int, q Query, rq *resolvedQuery, keep func(*R) bool, spamIdx []int, after *leanCand, bound int, collect bool) ([]leanCand, int) {
-	buf := e.newLeanBuf()
+// scanMatches is the lean pass shared by rankTopK and spine: scope,
+// predicates and sort keys read off the axis columns for the engine's own
+// records (leanEval for any other), no maps, no Assessment structs. Every
+// match counts toward total; when collect is set, the candidates ranking
+// strictly after the after-bound are kept — all of them when bound == 0,
+// the best `bound` through a min-heap otherwise. rowOff shifts stored row
+// indices: a shard engine scanning its local record slice passes its
+// global range start so candidates carry global rows and merge directly
+// into the corpus-wide ranking. built counts the axis columns the scan
+// builds.
+func (e *matrixEngine[R]) scanMatches(records []*R, rowOff int, rq *resolvedQuery, keep func(*R) bool, built *atomic.Int64, after *leanCand, bound int, collect bool) ([]leanCand, int) {
+	rr := e.newRowReader(rq, built)
 	var cands []leanCand
 	if collect && bound > 0 {
 		capHint := bound
@@ -569,7 +589,7 @@ func (e *matrixEngine[R]) scanMatches(records []*R, rowOff int, q Query, rq *res
 	}
 	total := 0
 	for i, r := range records {
-		c, ok := e.evalCand(r, rowOff+i, q, rq, keep, spamIdx, buf)
+		c, ok := rr.cand(r, i, rowOff+i, keep)
 		if !ok {
 			continue
 		}
@@ -705,7 +725,7 @@ func (sp *Spine) Total() int { return sp.total }
 // O(prev + dirty·log) instead of O(shard) cost. rowOff is the shard's
 // global record-range start; dirtyLocal indexes records relative to it,
 // while prev, records and the result all use global rows.
-func (e *matrixEngine[R]) repairCands(records []*R, rowOff int, dirtyLocal []int, prev []leanCand, q Query, rq *resolvedQuery, keep func(*R) bool, spamIdx []int) []leanCand {
+func (e *matrixEngine[R]) repairCands(records []*R, rowOff int, dirtyLocal []int, prev []leanCand, rq *resolvedQuery, keep func(*R) bool) []leanCand {
 	dirty := make(map[int]bool, len(dirtyLocal))
 	for _, c := range dirtyLocal {
 		dirty[rowOff+c] = true
@@ -717,13 +737,13 @@ func (e *matrixEngine[R]) repairCands(records []*R, rowOff int, dirtyLocal []int
 			cands = append(cands, c)
 		}
 	}
-	buf := e.newLeanBuf()
+	rr := e.newRowReader(rq, nil) // leanEval only: building a column is O(shard)
 	for _, c0 := range dirtyLocal {
 		row := rowOff + c0
 		if row < 0 || row >= len(records) {
 			continue
 		}
-		c, ok := e.evalCand(records[row], row, q, rq, keep, spamIdx, buf)
+		c, ok := rr.cand(records[row], c0, row, keep)
 		if !ok {
 			continue
 		}

@@ -1,6 +1,9 @@
 package quality
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // CommentStat is the per-comment observation a measure can see.
 type CommentStat struct {
@@ -84,15 +87,23 @@ func (r *SourceRecord) TotalComments() int {
 	return n
 }
 
-// DistinctCommenters counts distinct comment authors.
+// DistinctCommenters counts distinct comment authors: every author ID in
+// one slice, sorted, counted by runs.
 func (r *SourceRecord) DistinctCommenters() int {
-	seen := map[int]bool{}
+	ids := make([]int, 0, r.TotalComments())
 	for _, d := range r.Discussions {
 		for _, c := range d.Comments {
-			seen[c.AuthorID] = true
+			ids = append(ids, c.AuthorID)
 		}
 	}
-	return len(seen)
+	slices.Sort(ids)
+	n := 0
+	for i, id := range ids {
+		if i == 0 || id != ids[i-1] {
+			n++
+		}
+	}
+	return n
 }
 
 // ContributorRecord is the raw observation of one contributor, aggregated

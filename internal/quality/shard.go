@@ -32,6 +32,7 @@ package quality
 // of this at shard counts {1, 2, 7, 16}.
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -64,17 +65,21 @@ type SpineStats struct {
 	// Carries counts per-shard spines reused untouched from the previous
 	// round (clean shard, benchmarks unchanged).
 	Carries int64
+	// Columns counts axis columns built (one per shard and ranking axis
+	// first read by a scan or Scores). Columns a shard shares with its
+	// predecessor are never rebuilt, and repairs never build any.
+	Columns int64
 }
 
 // spineCounters is the atomic backing store of SpineStats; the
 // coordinator holds one per derivation behind a pointer (atomic types must
 // not be copied).
 type spineCounters struct {
-	scans, repairs, carries atomic.Int64
+	scans, repairs, carries, columns atomic.Int64
 }
 
 func (c *spineCounters) stats() SpineStats {
-	return SpineStats{Scans: c.scans.Load(), Repairs: c.repairs.Load(), Carries: c.carries.Load()}
+	return SpineStats{Scans: c.scans.Load(), Repairs: c.repairs.Load(), Carries: c.carries.Load(), Columns: c.columns.Load()}
 }
 
 // noteSourceRoute records a source record's routing identity — ID, kind,
@@ -290,11 +295,12 @@ func (s *shardedEngine[R]) rank(records []*R) []*Assessment {
 	return out
 }
 
-// scores runs the score kernel over every row.
+// scores copies every shard's score column into one row-ordered slice.
 func (s *shardedEngine[R]) scores() []float64 {
 	out := make([]float64, s.plan.Len())
-	for row := range out {
-		out[row] = s.scoreAt(row)
+	for sh, eng := range s.engines {
+		lo, _ := s.plan.Bounds(sh)
+		copy(out[lo:], eng.axisColumn(scoreAxis, &s.counters.columns).v)
 	}
 	return out
 }
@@ -330,7 +336,7 @@ func candBetter(a, b leanCand) bool { return candWorse(b, a) }
 // the cursor's ranked position, so a keyset-paginated page N+1 costs one
 // lean pass plus one page of materializations, never the prefix.
 func (s *shardedEngine[R]) rankTopK(records []*R, q Query, keep func(*R) bool, spamIdx []int) (*QueryResult, error) {
-	rq, err := s.engines[0].resolveQuery(q)
+	rq, err := s.engines[0].resolveQuery(q, spamIdx)
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +344,7 @@ func (s *shardedEngine[R]) rankTopK(records []*R, q Query, keep func(*R) bool, s
 		return &QueryResult{Items: []*Assessment{}}, nil
 	}
 	p := planScan(q)
-	parts, totals := s.scatter(records, q, rq, keep, spamIdx, p, nil)
+	parts, totals := s.scatter(records, q, rq, keep, p, nil)
 	merged := shard.MergeK(parts, candBetter, p.bound)
 	merged = clipWindow(merged, q, p)
 	return s.finishWindow(records, merged, p.start, sum(totals), q), nil
@@ -348,7 +354,7 @@ func (s *shardedEngine[R]) rankTopK(records []*R, q Query, keep func(*R) bool, s
 // Shards the router proves scope-incompatible are skipped: they cannot
 // contain a match, so they contribute zero candidates and zero total.
 // scanned, when non-nil, gets a counter bump per shard actually scanned.
-func (s *shardedEngine[R]) scatter(records []*R, q Query, rq *resolvedQuery, keep func(*R) bool, spamIdx []int, p scanPlan, onScan func(sh int)) (parts [][]leanCand, totals []int) {
+func (s *shardedEngine[R]) scatter(records []*R, q Query, rq *resolvedQuery, keep func(*R) bool, p scanPlan, onScan func(sh int)) (parts [][]leanCand, totals []int) {
 	ns := s.plan.Shards()
 	parts = make([][]leanCand, ns)
 	totals = make([]int, ns)
@@ -361,10 +367,10 @@ func (s *shardedEngine[R]) scatter(records []*R, q Query, rq *resolvedQuery, kee
 				onScan(sh)
 			}
 			rlo, rhi := s.plan.Bounds(sh)
-			cands, total := s.engines[sh].scanMatches(records[rlo:rhi], rlo, q, rq, keep, spamIdx, p.after, p.bound, p.collect)
+			cands, total := s.engines[sh].scanMatches(records[rlo:rhi], rlo, rq, keep, &s.counters.columns, p.after, p.bound, p.collect)
 			// The bounded heap is heap-ordered; rank it best-first for the
 			// merge (k log k per shard).
-			sort.Slice(cands, func(i, j int) bool { return candWorse(cands[j], cands[i]) })
+			slices.SortFunc(cands, candCmp)
 			parts[sh], totals[sh] = cands, total
 		}
 	})
@@ -375,7 +381,7 @@ func (s *shardedEngine[R]) scatter(records []*R, q Query, rq *resolvedQuery, kee
 // and keeps the per-shard decomposition on the Spine so the next round can
 // carry clean shards and repair dirty ones.
 func (s *shardedEngine[R]) spine(records []*R, q Query, keep func(*R) bool, spamIdx []int) (*Spine, error) {
-	rq, err := s.engines[0].resolveQuery(q)
+	rq, err := s.engines[0].resolveQuery(q, spamIdx)
 	if err != nil {
 		return nil, err
 	}
@@ -383,7 +389,7 @@ func (s *shardedEngine[R]) spine(records []*R, q Query, keep func(*R) bool, spam
 		return &Spine{}, nil
 	}
 	p := scanPlan{collect: true}
-	parts, totals := s.scatter(records, q, rq, keep, spamIdx, p, func(int) { s.counters.scans.Add(1) })
+	parts, totals := s.scatter(records, q, rq, keep, p, func(int) { s.counters.scans.Add(1) })
 	merged := shard.MergeK(parts, candBetter, 0)
 	return &Spine{cands: merged, total: sum(totals), parts: parts, totals: totals}, nil
 }
@@ -416,7 +422,7 @@ func (s *shardedEngine[R]) repairSpine(records []*R, prev *Spine, q Query, keep 
 	if len(prev.parts) != ns || len(prev.totals) != ns {
 		return nil, false // differently-sharded spine: no carry
 	}
-	rq, err := s.engines[0].resolveQuery(q)
+	rq, err := s.engines[0].resolveQuery(q, spamIdx)
 	if err != nil || rq.unmatchable {
 		return nil, false
 	}
@@ -429,7 +435,7 @@ func (s *shardedEngine[R]) repairSpine(records []*R, prev *Spine, q Query, keep 
 			continue
 		}
 		rlo, _ := s.plan.Bounds(sh)
-		parts[sh] = s.engines[sh].repairCands(records, rlo, s.dirtyLocal[sh], prev.parts[sh], q, rq, keep, spamIdx)
+		parts[sh] = s.engines[sh].repairCands(records, rlo, s.dirtyLocal[sh], prev.parts[sh], rq, keep)
 		totals[sh] = len(parts[sh])
 		s.counters.repairs.Add(1)
 	}

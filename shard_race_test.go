@@ -242,12 +242,15 @@ func TestShardedConcurrentWalksAndSubscribers(t *testing.T) {
 //     Repairs = Q, Carries = Q*3;
 //   - a tick churning every source moves benchmark anchors, which forces
 //     the bit-identity fallback: every shard of every spine is re-scanned,
-//     Scans = Q*4.
+//     Scans = Q*4, reading freshly built axis columns: the standing
+//     queries rank by score and by the time dimension, so each shard
+//     builds exactly those two columns once, Columns = 2*4, however many
+//     spines read them. Carries and repairs build none.
 //
 // The same three ticks run on one shard, where the whole corpus is the
 // one part: the content-free tick carries it (Carries = Q), the calibrated
 // single-source tick repairs it (Repairs = Q), and the all-churn tick
-// re-scans it (Scans = Q).
+// re-scans it (Scans = Q, Columns = 2).
 //
 // The registry side is pinned too: however the shards evaluate, one
 // subscriber group costs exactly one standing-query evaluation per tick.
@@ -257,8 +260,8 @@ func TestShardedTickEvaluationCounts(t *testing.T) {
 		shards                              int
 		contentFree, singleSource, allChurn quality.SpineStats
 	}{
-		{4, quality.SpineStats{Carries: nq * 4}, quality.SpineStats{Repairs: nq * 1, Carries: nq * 3}, quality.SpineStats{Scans: nq * 4}},
-		{1, quality.SpineStats{Carries: nq}, quality.SpineStats{Repairs: nq}, quality.SpineStats{Scans: nq}},
+		{4, quality.SpineStats{Carries: nq * 4}, quality.SpineStats{Repairs: nq * 1, Carries: nq * 3}, quality.SpineStats{Scans: nq * 4, Columns: 2 * 4}},
+		{1, quality.SpineStats{Carries: nq}, quality.SpineStats{Repairs: nq}, quality.SpineStats{Scans: nq, Columns: 2}},
 	} {
 		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
 			tickEvaluationCounts(t, tc.shards, tc.contentFree, tc.singleSource, tc.allChurn)
