@@ -5,6 +5,7 @@ import (
 
 	"github.com/informing-observers/informer/internal/analytics"
 	"github.com/informing-observers/informer/internal/crawler"
+	"github.com/informing-observers/informer/internal/parallel"
 	"github.com/informing-observers/informer/internal/social"
 	"github.com/informing-observers/informer/internal/webgen"
 )
@@ -26,11 +27,15 @@ func panelStat(m analytics.Metrics) PanelStat {
 // in-memory world plus its analytics panel. The paper's large statistical
 // experiments use this path ("manual inspection or automated crawling");
 // SourceRecordsFromSnapshot is the genuinely crawled equivalent.
+// Records are built in parallel, each into its own position, so the result
+// does not depend on scheduling.
 func SourceRecordsFromWorld(w *webgen.World, panel *analytics.Panel) []*SourceRecord {
-	records := make([]*SourceRecord, 0, len(w.Sources))
-	for _, s := range w.Sources {
-		records = append(records, buildSourceRecord(s, w, panel))
-	}
+	records := make([]*SourceRecord, len(w.Sources))
+	parallel.ForEachChunk(len(records), 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			records[i] = buildSourceRecord(w.Sources[i], w, panel)
+		}
+	})
 	return records
 }
 
@@ -53,6 +58,7 @@ func buildSourceRecord(s *webgen.Source, w *webgen.World, panel *analytics.Panel
 		MaxOpenDiscussions: w.MaxOpenDiscussions,
 	}
 	r.Discussions = buildDiscussionStats(s)
+	r.IndexDiscussions()
 	return r
 }
 
@@ -94,18 +100,20 @@ func buildDiscussionStats(s *webgen.Source) []DiscussionStat {
 // readers) with its observation metadata refreshed — ObservedAt,
 // WindowDays, MaxOpenDiscussions and the panel join, the inputs that move
 // with the timeline for every source — while only the records of dirty
-// sources rebuild their discussion statistics. The result is bit-identical
-// to SourceRecordsFromWorld over the advanced world; the second return
-// value lists the row indices of the dirty records, ready for
-// SourceAssessor.UpdateRows.
+// sources rebuild their discussion statistics and extend their carried
+// author sets with the comments past the old record's. The result is
+// bit-identical to SourceRecordsFromWorld over the advanced world; the
+// second return value lists the row indices of the dirty records, ready
+// for SourceAssessor.UpdateRows.
 func UpdateSourceRecordsFromWorld(old []*SourceRecord, w *webgen.World, panel *analytics.Panel, dirtySourceIDs []int) ([]*SourceRecord, []int) {
 	rowByID := make(map[int]int, len(old))
 	for i, r := range old {
 		rowByID[r.ID] = i
 	}
 	records := make([]*SourceRecord, len(old))
+	slab := make([]SourceRecord, len(old)) // one allocation for every copy
 	for i, r := range old {
-		nr := new(SourceRecord)
+		nr := &slab[i]
 		*nr = *r
 		m, _ := panel.BySource(nr.ID)
 		nr.Panel = panelStat(m)
@@ -120,7 +128,9 @@ func UpdateSourceRecordsFromWorld(old []*SourceRecord, w *webgen.World, panel *a
 		if !ok {
 			continue // source unknown to this corpus (defensive)
 		}
-		records[row].Discussions = buildDiscussionStats(w.Source(id))
+		r := records[row]
+		r.Discussions = buildDiscussionStats(w.Source(id))
+		r.extendIndex(old[row])
 		dirtyRows = append(dirtyRows, row)
 	}
 	return records, dirtyRows
@@ -132,11 +142,7 @@ func UpdateSourceRecordsFromWorld(old []*SourceRecord, w *webgen.World, panel *a
 // for per-day rates.
 func SourceRecordsFromSnapshot(snap *crawler.Snapshot, panel *analytics.Panel, observedAt time.Time, windowDays float64) []*SourceRecord {
 	maxOpen := 0
-	type pre struct {
-		rec  *SourceRecord
-		open int
-	}
-	pres := make([]pre, 0, len(snap.Sources))
+	records := make([]*SourceRecord, 0, len(snap.Sources))
 	for _, sc := range snap.Sources {
 		r := &SourceRecord{
 			ID:              sc.Info.ID,
@@ -152,16 +158,12 @@ func SourceRecordsFromSnapshot(snap *crawler.Snapshot, panel *analytics.Panel, o
 		if m, ok := panel.ByHost(sc.Info.Host); ok {
 			r.Panel = panelStat(m)
 		}
-		open := 0
 		for _, d := range sc.Discussions {
 			ds := DiscussionStat{
 				Category: d.Category,
 				Opened:   d.Opened,
 				Open:     d.Open,
 				TagCount: len(d.Tags),
-			}
-			if d.Open {
-				open++
 			}
 			for _, c := range d.Comments {
 				ds.Comments = append(ds.Comments, CommentStat{
@@ -175,15 +177,14 @@ func SourceRecordsFromSnapshot(snap *crawler.Snapshot, panel *analytics.Panel, o
 			}
 			r.Discussions = append(r.Discussions, ds)
 		}
-		if open > maxOpen {
-			maxOpen = open
+		r.IndexDiscussions()
+		if r.open > maxOpen {
+			maxOpen = r.open
 		}
-		pres = append(pres, pre{rec: r, open: open})
+		records = append(records, r)
 	}
-	records := make([]*SourceRecord, 0, len(pres))
-	for _, p := range pres {
-		p.rec.MaxOpenDiscussions = maxOpen
-		records = append(records, p.rec)
+	for _, r := range records {
+		r.MaxOpenDiscussions = maxOpen
 	}
 	return records
 }
@@ -264,8 +265,9 @@ func (ix *ContributorIndex) Apply(w *webgen.World, delta *webgen.Delta) (*Contri
 		records: make([]*ContributorRecord, len(ix.records)),
 		touched: append([]map[int]bool(nil), ix.touched...),
 	}
+	slab := make([]ContributorRecord, len(ix.records)) // one allocation for every copy
 	for i, r := range ix.records {
-		nr := new(ContributorRecord)
+		nr := &slab[i]
 		*nr = *r
 		nr.ObservedAt = w.Config.End
 		nix.records[i] = nr

@@ -172,7 +172,7 @@ func TestBenchmarkNormalize(t *testing.T) {
 func fixtureSourceRecord() *SourceRecord {
 	obs := time.Date(2011, 10, 1, 0, 0, 0, 0, time.UTC)
 	day := func(d int) time.Time { return obs.AddDate(0, 0, -d) }
-	return &SourceRecord{
+	r := &SourceRecord{
 		ID:   1,
 		Name: "fixture",
 		Host: "fixture.test",
@@ -206,6 +206,8 @@ func fixtureSourceRecord() *SourceRecord {
 		WindowDays:         180,
 		MaxOpenDiscussions: 10,
 	}
+	r.IndexDiscussions()
+	return r
 }
 
 func evalSource(t *testing.T, id string, r *SourceRecord, di *DomainOfInterest) (float64, bool) {

@@ -65,18 +65,83 @@ type SourceRecord struct {
 	// carries no comment text or no correlation index runs.
 	CorrelatedComments int
 	DuplicateComments  int
+
+	// authors is the ascending set of distinct comment authors and open
+	// the number of open discussions: statistics carried with the record
+	// so that a measure reads them instead of re-deriving them from every
+	// comment. IndexDiscussions derives both; UpdateSourceRecordsFromWorld
+	// extends a dirty row's copies with its new discussions and comments.
+	authors []int32
+	open    int
 }
 
-// OpenDiscussions counts open discussion threads.
-func (r *SourceRecord) OpenDiscussions() int {
-	n := 0
+// IndexDiscussions derives the statistics the record carries — its
+// distinct comment authors and its open-discussion count — from
+// Discussions. Every record constructor calls it; a record assembled by
+// hand must call it once its Discussions are final.
+func (r *SourceRecord) IndexDiscussions() {
+	ids := make([]int32, 0, r.TotalComments())
+	r.open = 0
 	for _, d := range r.Discussions {
 		if d.Open {
-			n++
+			r.open++
+		}
+		for _, c := range d.Comments {
+			ids = append(ids, int32(c.AuthorID))
 		}
 	}
-	return n
+	slices.Sort(ids)
+	// The merge copies the set out, so the record does not keep the
+	// per-comment buffer alive.
+	r.authors = mergeAuthors(nil, slices.Compact(ids))
 }
+
+// extendIndex derives r's carried statistics from old's, for a record
+// whose Discussions extend old's: ticks only append, so every discussion
+// old knew keeps its position and its first comments, and only the
+// comments past old's per-discussion lengths — plus every discussion past
+// old's count — are new. Authors already in old's set cost a binary
+// search; the rest merge into a copy, and old's set is never written.
+func (r *SourceRecord) extendIndex(old *SourceRecord) {
+	r.open = old.open
+	var novel []int32
+	for i, d := range r.Discussions {
+		from := 0
+		if i < len(old.Discussions) {
+			from = len(old.Discussions[i].Comments)
+		} else if d.Open {
+			r.open++
+		}
+		for _, c := range d.Comments[from:] {
+			if _, known := slices.BinarySearch(old.authors, int32(c.AuthorID)); !known {
+				novel = append(novel, int32(c.AuthorID))
+			}
+		}
+	}
+	slices.Sort(novel)
+	r.authors = mergeAuthors(old.authors, slices.Compact(novel))
+}
+
+// mergeAuthors returns the union of two disjoint ascending author sets: a
+// itself when b is empty, otherwise a fresh exactly-sized slice.
+func mergeAuthors(a, b []int32) []int32 {
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]int32, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	out = append(out, a...)
+	return append(out, b...)
+}
+
+// OpenDiscussions returns the carried count of open discussion threads.
+func (r *SourceRecord) OpenDiscussions() int { return r.open }
 
 // TotalComments counts comments across all discussions.
 func (r *SourceRecord) TotalComments() int {
@@ -87,24 +152,8 @@ func (r *SourceRecord) TotalComments() int {
 	return n
 }
 
-// DistinctCommenters counts distinct comment authors: every author ID in
-// one slice, sorted, counted by runs.
-func (r *SourceRecord) DistinctCommenters() int {
-	ids := make([]int, 0, r.TotalComments())
-	for _, d := range r.Discussions {
-		for _, c := range d.Comments {
-			ids = append(ids, c.AuthorID)
-		}
-	}
-	slices.Sort(ids)
-	n := 0
-	for i, id := range ids {
-		if i == 0 || id != ids[i-1] {
-			n++
-		}
-	}
-	return n
-}
+// DistinctCommenters returns the size of the carried author set.
+func (r *SourceRecord) DistinctCommenters() int { return len(r.authors) }
 
 // ContributorRecord is the raw observation of one contributor, aggregated
 // across the sources (or the microblog stream) they participate in.

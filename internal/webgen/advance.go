@@ -121,7 +121,8 @@ func (d *Delta) ForEachNewComment(fn func(sourceID int, disc *Discussion, c *Com
 //
 // Advance is deterministic given the seed and preserves all generator
 // invariants: IDs stay globally unique, timestamps stay ordered within the
-// (new) timeline, and MaxOpenDiscussions is recomputed.
+// (new) timeline, and MaxOpenDiscussions follows the carried
+// open-discussion indexes.
 //
 //informer:mutates copy-on-write tick fills the successor world before it is published
 func Advance(w *World, days int, seed int64) (*World, *Delta) {
@@ -133,7 +134,6 @@ func Advance(w *World, days int, seed int64) (*World, *Delta) {
 	tg := textgen.NewFromRand(rng)
 	oldEnd := w.Config.End
 	newEnd := oldEnd.AddDate(0, 0, days)
-	span := newEnd.Sub(oldEnd)
 	delta := &Delta{
 		Days: days, OldEnd: oldEnd, NewEnd: newEnd,
 		dirtySources:      map[int]bool{},
@@ -141,19 +141,7 @@ func Advance(w *World, days int, seed int64) (*World, *Delta) {
 	}
 
 	ids := w.ids
-	userTable := w.users
-	cats := w.Categories
-	churn := w.Config.ChurnScale
-	if churn == 0 {
-		churn = 1
-	}
-
-	dailyRate := func(s *Source) float64 {
-		// New-discussion intensity mirrors the original generator's
-		// participation scaling, spread over the original timeline.
-		return churn * w.Config.MeanDiscussions * math.Exp(0.55*s.Latent.Participation) / w.Days()
-	}
-
+	churn := w.churn()
 	nw := &World{
 		Config:     w.Config,
 		Categories: w.Categories,
@@ -164,102 +152,145 @@ func Advance(w *World, days int, seed int64) (*World, *Delta) {
 	nw.Config.End = newEnd
 
 	for si, s := range w.Sources {
-		// New discussions for this window.
-		var newDiscs []*Discussion
-		nNew := poissonish(rng, dailyRate(s)*float64(days))
-		for i := 0; i < nNew; i++ {
-			cat := cats[rng.Intn(len(cats))]
-			opened := oldEnd.Add(time.Duration(rng.Float64() * float64(span)))
-			d := &Discussion{
-				ID:       ids.NextDiscussionID,
-				SourceID: s.ID,
-				OpenerID: userTable.pick(rng),
-				Title:    tg.Title(cat),
-				Category: cat,
-				Opened:   opened,
-				Open:     true,
-				Tags:     tg.Tags(cat, 1+rng.Intn(3)),
-			}
-			ids.NextDiscussionID++
-			delta.dirtyContributors[d.OpenerID] = true
-			nCom := poissonish(rng, churn*w.Config.MeanComments*math.Exp(0.5*s.Latent.Participation)*0.5)
-			for c := 0; c < nCom; c++ {
-				com := newAdvanceComment(rng, w, userTable, &ids.NextCommentID, opened, newEnd.Sub(opened))
-				if w.Config.CommentText {
-					com.Body = tg.Comment(cat, com.Polarity, 0)
-					// Donors come from the pre-tick world: stable, fully
-					// populated, and every donor ID precedes the copy's.
-					maybeSyndicate(w, rng, tg, s.ID, com)
-				}
-				delta.dirtyContributors[com.UserID] = true
-				d.Comments = append(d.Comments, com)
-			}
-			newDiscs = append(newDiscs, d)
-		}
-
+		// New discussions for this window. Their intensity mirrors the
+		// original generator's participation scaling, spread over the
+		// original timeline.
+		dailyRate := churn * w.Config.MeanDiscussions * math.Exp(0.55*s.Latent.Participation) / w.Days()
+		newDiscs := openDiscussions(rng, tg, w, s, poissonish(rng, dailyRate*float64(days)), oldEnd, newEnd, &ids, delta)
 		// Fresh comments on existing open discussions, concentrated on
-		// lively sources. Touched discussions are copied, never mutated, so
-		// the input world keeps serving concurrent readers.
-		var grown map[int]*Discussion // index in s.Discussions -> copy
-		for di, d := range s.Discussions {
-			if !d.Open || d.Opened.After(oldEnd) {
-				continue
-			}
-			extra := poissonish(rng, churn*0.2*math.Exp(0.5*s.Latent.Participation))
-			if extra == 0 {
-				continue
-			}
-			nd := &Discussion{}
-			*nd = *d
-			nd.Comments = make([]*Comment, len(d.Comments), len(d.Comments)+extra)
-			copy(nd.Comments, d.Comments)
-			for c := 0; c < extra; c++ {
-				com := newAdvanceComment(rng, w, userTable, &ids.NextCommentID, oldEnd, span)
-				if w.Config.CommentText && d.Category != "" {
-					com.Body = tg.Comment(d.Category, com.Polarity, 0)
-					maybeSyndicate(w, rng, tg, s.ID, com)
-				}
-				nd.Comments = append(nd.Comments, com)
-				delta.dirtyContributors[com.UserID] = true
-				delta.Comments = append(delta.Comments, DeltaComment{SourceID: s.ID, Discussion: nd, Comment: com})
-			}
-			if grown == nil {
-				grown = map[int]*Discussion{}
-			}
-			grown[di] = nd
-		}
+		// lively sources.
+		grown := growOpenDiscussions(rng, tg, w, s, churn*0.2*math.Exp(0.5*s.Latent.Participation),
+			oldEnd, oldEnd, newEnd, &ids.NextCommentID, delta)
 
-		if len(newDiscs) == 0 && len(grown) == 0 {
-			nw.Sources[si] = s // untouched: share the pointer
-			continue
+		ns := s // untouched: share the pointer
+		if len(newDiscs) > 0 || len(grown) > 0 {
+			ns = advancedSource(s, grown, newDiscs, delta)
 		}
-		ns := &Source{}
-		*ns = *s
-		ns.Discussions = make([]*Discussion, 0, len(s.Discussions)+len(newDiscs))
-		for di, d := range s.Discussions {
-			if nd, ok := grown[di]; ok {
-				ns.Discussions = append(ns.Discussions, nd)
-			} else {
-				ns.Discussions = append(ns.Discussions, d)
-			}
-		}
-		ns.Discussions = append(ns.Discussions, newDiscs...)
 		nw.Sources[si] = ns
-		delta.dirtySources[s.ID] = true
-		for _, d := range newDiscs {
-			delta.Discussions = append(delta.Discussions, d)
-			delta.discussionSources = append(delta.discussionSources, s.ID)
-		}
-	}
-
-	nw.MaxOpenDiscussions = 0
-	for _, s := range nw.Sources {
-		if n := s.OpenDiscussions(); n > nw.MaxOpenDiscussions {
+		if n := len(ns.open); n > nw.MaxOpenDiscussions {
 			nw.MaxOpenDiscussions = n
 		}
 	}
 	nw.ids = ids
 	return nw, delta
+}
+
+// churn is the tick intensity scale: Config.ChurnScale, 1 when unset.
+func (w *World) churn() float64 {
+	if w.Config.ChurnScale == 0 {
+		return 1
+	}
+	return w.Config.ChurnScale
+}
+
+// openDiscussions opens n new discussions on s, each opened uniformly
+// inside [from, until) with its initial comments posted before until, and
+// mints their IDs from ids.
+func openDiscussions(rng *rand.Rand, tg *textgen.Generator, w *World, s *Source, n int, from, until time.Time, ids *IDCursor, delta *Delta) []*Discussion {
+	var discs []*Discussion
+	for i := 0; i < n; i++ {
+		cat := w.Categories[rng.Intn(len(w.Categories))]
+		opened := from.Add(time.Duration(rng.Float64() * float64(until.Sub(from))))
+		d := &Discussion{
+			ID:       ids.NextDiscussionID,
+			SourceID: s.ID,
+			OpenerID: w.users.pick(rng),
+			Title:    tg.Title(cat),
+			Category: cat,
+			Opened:   opened,
+			Open:     true,
+			Tags:     tg.Tags(cat, 1+rng.Intn(3)),
+		}
+		ids.NextDiscussionID++
+		delta.dirtyContributors[d.OpenerID] = true
+		nCom := poissonish(rng, w.churn()*w.Config.MeanComments*math.Exp(0.5*s.Latent.Participation)*0.5)
+		for c := 0; c < nCom; c++ {
+			com := newAdvanceComment(rng, w, &ids.NextCommentID, opened, until.Sub(opened))
+			if w.Config.CommentText {
+				com.Body = tg.Comment(cat, com.Polarity, 0)
+				// Donors come from the pre-tick world: stable, fully
+				// populated, and every donor ID precedes the copy's.
+				maybeSyndicate(w, rng, tg, s.ID, com)
+			}
+			delta.dirtyContributors[com.UserID] = true
+			d.Comments = append(d.Comments, com)
+		}
+		discs = append(discs, d)
+	}
+	return discs
+}
+
+// grownDisc is a discussion a tick appended comments to: its position in
+// the source and the copy that replaces it.
+type grownDisc struct {
+	pos int32
+	d   *Discussion
+}
+
+// growOpenDiscussions draws poissonish(rate) fresh comments for every open
+// discussion of s opened by cutoff, posted inside [max(from, opened),
+// until]. It walks the open-discussion index, so a discussion the tick
+// leaves alone is never dereferenced. Touched discussions are copied,
+// never mutated, so the input world keeps serving concurrent readers; the
+// copies come back in ascending position.
+func growOpenDiscussions(rng *rand.Rand, tg *textgen.Generator, w *World, s *Source, rate float64, cutoff, from, until time.Time, nextComID *int, delta *Delta) []grownDisc {
+	var grown []grownDisc
+	for _, od := range s.open {
+		if od.opened.After(cutoff) {
+			continue
+		}
+		extra := poissonish(rng, rate)
+		if extra == 0 {
+			continue
+		}
+		d := s.Discussions[od.pos]
+		cfrom := from
+		if d.Opened.After(cfrom) {
+			cfrom = d.Opened
+		}
+		nd := &Discussion{}
+		*nd = *d
+		nd.Comments = make([]*Comment, len(d.Comments), len(d.Comments)+extra)
+		copy(nd.Comments, d.Comments)
+		for c := 0; c < extra; c++ {
+			com := newAdvanceComment(rng, w, nextComID, cfrom, until.Sub(cfrom))
+			if w.Config.CommentText && d.Category != "" {
+				com.Body = tg.Comment(d.Category, com.Polarity, 0)
+				maybeSyndicate(w, rng, tg, s.ID, com)
+			}
+			nd.Comments = append(nd.Comments, com)
+			delta.dirtyContributors[com.UserID] = true
+			delta.Comments = append(delta.Comments, DeltaComment{SourceID: s.ID, Discussion: nd, Comment: com})
+		}
+		grown = append(grown, grownDisc{pos: od.pos, d: nd})
+	}
+	return grown
+}
+
+// advancedSource returns the copy of s a tick publishes — grown
+// discussions replace their originals, newDiscs append and extend the
+// open-discussion index — and records it in delta. The index is copied,
+// never appended in place, since s keeps sharing it.
+func advancedSource(s *Source, grown []grownDisc, newDiscs []*Discussion, delta *Delta) *Source {
+	ns := &Source{}
+	*ns = *s
+	ns.Discussions = make([]*Discussion, len(s.Discussions), len(s.Discussions)+len(newDiscs))
+	copy(ns.Discussions, s.Discussions)
+	for _, g := range grown {
+		ns.Discussions[g.pos] = g.d
+	}
+	if len(newDiscs) > 0 {
+		ns.open = make([]openDisc, len(s.open), len(s.open)+len(newDiscs))
+		copy(ns.open, s.open)
+		for _, d := range newDiscs { // a tick opens discussions, never closed ones
+			ns.open = append(ns.open, openDisc{pos: int32(len(ns.Discussions)), opened: d.Opened})
+			ns.Discussions = append(ns.Discussions, d)
+			delta.Discussions = append(delta.Discussions, d)
+			delta.discussionSources = append(delta.discussionSources, s.ID)
+		}
+	}
+	delta.dirtySources[s.ID] = true
+	return ns
 }
 
 // AdvanceSameDay generates fresh comment activity WITHOUT moving the
@@ -294,12 +325,7 @@ func AdvanceSameDay(w *World, seed int64, onlySources []int) (*World, *Delta) {
 	}
 
 	ids := w.ids
-	userTable := w.users
-	churn := w.Config.ChurnScale
-	if churn == 0 {
-		churn = 1
-	}
-
+	churn := w.churn()
 	nw := &World{
 		Config:             w.Config,
 		Categories:         w.Categories,
@@ -308,61 +334,19 @@ func AdvanceSameDay(w *World, seed int64, onlySources []int) (*World, *Delta) {
 		MaxOpenDiscussions: w.MaxOpenDiscussions, // no discussion opens or closes
 		users:              w.users,
 	}
+	from := end.Add(-24 * time.Hour)
 	for si, s := range w.Sources {
+		nw.Sources[si] = s
 		if only != nil && !only[s.ID] {
-			nw.Sources[si] = s
 			continue
 		}
 		// Fresh comments on existing open discussions, posted within the
 		// final day of the unchanged window so timestamps stay ordered.
-		var grown map[int]*Discussion
-		for di, d := range s.Discussions {
-			if !d.Open || d.Opened.After(end) {
-				continue
-			}
-			extra := poissonish(rng, churn*0.2*math.Exp(0.5*s.Latent.Participation))
-			if extra == 0 {
-				continue
-			}
-			from := end.Add(-24 * time.Hour)
-			if d.Opened.After(from) {
-				from = d.Opened
-			}
-			nd := &Discussion{}
-			*nd = *d
-			nd.Comments = make([]*Comment, len(d.Comments), len(d.Comments)+extra)
-			copy(nd.Comments, d.Comments)
-			for c := 0; c < extra; c++ {
-				com := newAdvanceComment(rng, w, userTable, &ids.NextCommentID, from, end.Sub(from))
-				if w.Config.CommentText && d.Category != "" {
-					com.Body = tg.Comment(d.Category, com.Polarity, 0)
-					maybeSyndicate(w, rng, tg, s.ID, com)
-				}
-				nd.Comments = append(nd.Comments, com)
-				delta.dirtyContributors[com.UserID] = true
-				delta.Comments = append(delta.Comments, DeltaComment{SourceID: s.ID, Discussion: nd, Comment: com})
-			}
-			if grown == nil {
-				grown = map[int]*Discussion{}
-			}
-			grown[di] = nd
+		grown := growOpenDiscussions(rng, tg, w, s, churn*0.2*math.Exp(0.5*s.Latent.Participation),
+			end, from, end, &ids.NextCommentID, delta)
+		if len(grown) > 0 {
+			nw.Sources[si] = advancedSource(s, grown, nil, delta)
 		}
-		if len(grown) == 0 {
-			nw.Sources[si] = s
-			continue
-		}
-		ns := &Source{}
-		*ns = *s
-		ns.Discussions = make([]*Discussion, len(s.Discussions))
-		for di, d := range s.Discussions {
-			if nd, ok := grown[di]; ok {
-				ns.Discussions[di] = nd
-			} else {
-				ns.Discussions[di] = d
-			}
-		}
-		nw.Sources[si] = ns
-		delta.dirtySources[s.ID] = true
 	}
 	nw.ids = ids
 	return nw, delta
@@ -370,8 +354,8 @@ func AdvanceSameDay(w *World, seed int64, onlySources []int) (*World, *Delta) {
 
 // newAdvanceComment draws one fresh comment, posted uniformly inside
 // [from, from+window].
-func newAdvanceComment(rng *rand.Rand, w *World, userTable *cumulative, nextComID *int, from time.Time, window time.Duration) *Comment {
-	author := userTable.pick(rng)
+func newAdvanceComment(rng *rand.Rand, w *World, nextComID *int, from time.Time, window time.Duration) *Comment {
+	author := w.users.pick(rng)
 	u := w.Users[author]
 	com := &Comment{
 		ID:        *nextComID,

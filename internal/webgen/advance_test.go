@@ -279,3 +279,15 @@ func TestAdvanceSharesCleanDiscussions(t *testing.T) {
 		t.Skip("no discussion gained comments at this seed")
 	}
 }
+
+// BenchmarkWorldTick measures one daily Advance on the daily-watch world
+// (2000 sources at ~1% churn): the world-tick layer of a monitoring round
+// on its own, without the record refresh and assessment that follow it.
+func BenchmarkWorldTick(b *testing.B) {
+	w := Generate(Config{Seed: 91, NumSources: 2000, ChurnScale: 0.27})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Advance(w, 1, int64(9100+i))
+	}
+}

@@ -31,7 +31,7 @@ func Generate(cfg Config) *World {
 	w.ids = genContent(w, rng, tg)
 
 	for _, s := range w.Sources {
-		if n := s.OpenDiscussions(); n > w.MaxOpenDiscussions {
+		if n := len(s.open); n > w.MaxOpenDiscussions {
 			w.MaxOpenDiscussions = n
 		}
 	}
@@ -175,8 +175,9 @@ var locationCoords = map[string]GeoPoint{
 	"pisa":     {43.7228, 10.4017},
 }
 
-// genContent fills every source's discussions and comments, minting IDs
-// sequentially from zero, and returns the resulting ID frontier.
+// genContent fills every source's discussions, comments and
+// open-discussion index, minting IDs sequentially from zero, and returns
+// the resulting ID frontier.
 func genContent(w *World, rng *rand.Rand, tg *textgen.Generator) IDCursor {
 	cfg := w.Config
 	cats := cfg.Categories
@@ -311,6 +312,9 @@ func genContent(w *World, rng *rand.Rand, tg *textgen.Generator) IDCursor {
 					}
 				}
 				disc.Comments = append(disc.Comments, com)
+			}
+			if disc.Open {
+				s.open = append(s.open, openDisc{pos: int32(len(s.Discussions)), opened: opened})
 			}
 			s.Discussions = append(s.Discussions, disc)
 		}

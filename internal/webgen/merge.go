@@ -145,85 +145,19 @@ func AdvanceSource(w *World, sourceID int, seed int64, cur *IDCursor) (*World, *
 
 	rng := rand.New(rand.NewSource(seed))
 	tg := textgen.NewFromRand(rng)
-	userTable := w.users
-	cats := w.Categories
-	churn := w.Config.ChurnScale
-	if churn == 0 {
-		churn = 1
-	}
 	// One day's worth of new-discussion intensity, mirroring Advance's
 	// participation scaling spread over the original timeline.
-	dailyRate := churn * w.Config.MeanDiscussions * math.Exp(0.55*s.Latent.Participation) / w.Days()
+	dailyRate := w.churn() * w.Config.MeanDiscussions * math.Exp(0.55*s.Latent.Participation) / w.Days()
 	from := end.Add(-24 * time.Hour)
-	span := end.Sub(from)
 
 	// New discussions, backdated into the window's final day so timestamps
 	// stay ordered without moving the epoch.
-	var newDiscs []*Discussion
-	nNew := poissonish(rng, dailyRate)
-	for i := 0; i < nNew; i++ {
-		cat := cats[rng.Intn(len(cats))]
-		opened := from.Add(time.Duration(rng.Float64() * float64(span)))
-		d := &Discussion{
-			ID:       ids.NextDiscussionID,
-			SourceID: s.ID,
-			OpenerID: userTable.pick(rng),
-			Title:    tg.Title(cat),
-			Category: cat,
-			Opened:   opened,
-			Open:     true,
-			Tags:     tg.Tags(cat, 1+rng.Intn(3)),
-		}
-		ids.NextDiscussionID++
-		delta.dirtyContributors[d.OpenerID] = true
-		nCom := poissonish(rng, churn*w.Config.MeanComments*math.Exp(0.5*s.Latent.Participation)*0.5)
-		for c := 0; c < nCom; c++ {
-			com := newAdvanceComment(rng, w, userTable, &ids.NextCommentID, opened, end.Sub(opened))
-			if w.Config.CommentText {
-				com.Body = tg.Comment(cat, com.Polarity, 0)
-				maybeSyndicate(w, rng, tg, s.ID, com)
-			}
-			delta.dirtyContributors[com.UserID] = true
-			d.Comments = append(d.Comments, com)
-		}
-		newDiscs = append(newDiscs, d)
-	}
-
+	newDiscs := openDiscussions(rng, tg, w, s, poissonish(rng, dailyRate), from, end, &ids, delta)
 	// Fresh comments on this source's existing open discussions, posted
 	// within the final day of the unchanged window (AdvanceSameDay's shape,
 	// restricted to one source).
-	var grown map[int]*Discussion
-	for di, d := range s.Discussions {
-		if !d.Open || d.Opened.After(end) {
-			continue
-		}
-		extra := poissonish(rng, churn*0.2*math.Exp(0.5*s.Latent.Participation))
-		if extra == 0 {
-			continue
-		}
-		cfrom := from
-		if d.Opened.After(cfrom) {
-			cfrom = d.Opened
-		}
-		nd := &Discussion{}
-		*nd = *d
-		nd.Comments = make([]*Comment, len(d.Comments), len(d.Comments)+extra)
-		copy(nd.Comments, d.Comments)
-		for c := 0; c < extra; c++ {
-			com := newAdvanceComment(rng, w, userTable, &ids.NextCommentID, cfrom, end.Sub(cfrom))
-			if w.Config.CommentText && d.Category != "" {
-				com.Body = tg.Comment(d.Category, com.Polarity, 0)
-				maybeSyndicate(w, rng, tg, s.ID, com)
-			}
-			nd.Comments = append(nd.Comments, com)
-			delta.dirtyContributors[com.UserID] = true
-			delta.Comments = append(delta.Comments, DeltaComment{SourceID: s.ID, Discussion: nd, Comment: com})
-		}
-		if grown == nil {
-			grown = map[int]*Discussion{}
-		}
-		grown[di] = nd
-	}
+	grown := growOpenDiscussions(rng, tg, w, s, w.churn()*0.2*math.Exp(0.5*s.Latent.Participation),
+		end, from, end, &ids.NextCommentID, delta)
 
 	if cur != nil {
 		*cur = ids
@@ -231,18 +165,6 @@ func AdvanceSource(w *World, sourceID int, seed int64, cur *IDCursor) (*World, *
 	if len(newDiscs) == 0 && len(grown) == 0 {
 		return w, delta
 	}
-	ns := &Source{}
-	*ns = *s
-	ns.Discussions = make([]*Discussion, 0, len(s.Discussions)+len(newDiscs))
-	for di, d := range s.Discussions {
-		if nd, ok := grown[di]; ok {
-			ns.Discussions = append(ns.Discussions, nd)
-		} else {
-			ns.Discussions = append(ns.Discussions, d)
-		}
-	}
-	ns.Discussions = append(ns.Discussions, newDiscs...)
-
 	nw := &World{
 		Config:             w.Config,
 		Categories:         w.Categories,
@@ -253,15 +175,11 @@ func AdvanceSource(w *World, sourceID int, seed int64, cur *IDCursor) (*World, *
 		users:              w.users,
 	}
 	copy(nw.Sources, w.Sources)
+	ns := advancedSource(s, grown, newDiscs, delta)
 	nw.Sources[si] = ns
 	// Discussions never close, so only the polled source can raise the max.
-	if n := ns.OpenDiscussions(); n > nw.MaxOpenDiscussions {
+	if n := len(ns.open); n > nw.MaxOpenDiscussions {
 		nw.MaxOpenDiscussions = n
-	}
-	delta.dirtySources[s.ID] = true
-	for _, d := range newDiscs {
-		delta.Discussions = append(delta.Discussions, d)
-		delta.discussionSources = append(delta.discussionSources, s.ID)
 	}
 	return nw, delta
 }

@@ -1,7 +1,9 @@
 package webgen
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -201,6 +203,87 @@ func TestIDFrontierMatchesScan(t *testing.T) {
 				comIDs[c.ID] = true
 			}
 		}
+	}
+}
+
+// scanOpenIndex is the reference open-discussion index of s: every open
+// discussion, in position order, found by walking the source.
+func scanOpenIndex(s *Source) []openDisc {
+	var idx []openDisc
+	for pos, d := range s.Discussions {
+		if d.Open {
+			idx = append(idx, openDisc{pos: int32(pos), opened: d.Opened})
+		}
+	}
+	return idx
+}
+
+// checkOpenIndex fails unless every source's carried open-discussion index
+// and the world's MaxOpenDiscussions equal a full scan.
+func checkOpenIndex(t *testing.T, w *World, step string) {
+	t.Helper()
+	maxOpen := 0
+	for _, s := range w.Sources {
+		want := scanOpenIndex(s)
+		if len(s.open) != len(want) {
+			t.Fatalf("%s: source %d carries %d open entries, scan finds %d", step, s.ID, len(s.open), len(want))
+		}
+		for i := range want {
+			if s.open[i].pos != want[i].pos || !s.open[i].opened.Equal(want[i].opened) {
+				t.Fatalf("%s: source %d open entry %d = %+v, scan %+v", step, s.ID, i, s.open[i], want[i])
+			}
+		}
+		if n := s.OpenDiscussions(); n > maxOpen {
+			maxOpen = n
+		}
+	}
+	if w.MaxOpenDiscussions != maxOpen {
+		t.Fatalf("%s: MaxOpenDiscussions %d, scan %d", step, w.MaxOpenDiscussions, maxOpen)
+	}
+}
+
+// TestOpenIndexMatchesScan pins the open-discussion index each source
+// carries: after Generate and after every kind of tick — including a poll
+// that opens discussions followed by a day-moving tick that grows them —
+// the index and MaxOpenDiscussions equal a rescan, and the input world's
+// indexes are never written.
+func TestOpenIndexMatchesScan(t *testing.T) {
+	w := Generate(Config{Seed: 99, NumSources: 30, NumUsers: 90, ChurnScale: 15})
+	checkOpenIndex(t, w, "Generate")
+	rng := rand.New(rand.NewSource(99))
+	polledOpens := 0
+	for i := 0; i < 30; i++ {
+		before := make([][]openDisc, len(w.Sources))
+		for si, s := range w.Sources {
+			before[si] = append([]openDisc(nil), s.open...)
+		}
+		prev := w
+		var step string
+		switch i % 4 {
+		case 0:
+			step = "Advance"
+			w, _ = Advance(w, 1+rng.Intn(2), rng.Int63())
+		case 1:
+			step = "AdvanceSameDay(nil)"
+			w, _ = AdvanceSameDay(w, rng.Int63(), nil)
+		case 2:
+			step = "AdvanceSameDay(restricted)"
+			w, _ = AdvanceSameDay(w, rng.Int63(), []int{w.Sources[rng.Intn(len(w.Sources))].ID})
+		case 3:
+			step = "AdvanceSource"
+			var d *Delta
+			w, d = AdvanceSource(w, w.Sources[rng.Intn(len(w.Sources))].ID, rng.Int63(), nil)
+			polledOpens += len(d.Discussions)
+		}
+		checkOpenIndex(t, w, fmt.Sprintf("step %d %s", i, step))
+		for si, s := range prev.Sources {
+			if !slices.Equal(s.open, before[si]) {
+				t.Fatalf("step %d %s wrote source %d's index in the input world", i, step, s.ID)
+			}
+		}
+	}
+	if polledOpens == 0 {
+		t.Fatal("no poll opened a discussion; the poll index path went unexercised")
 	}
 }
 

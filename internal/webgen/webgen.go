@@ -113,6 +113,19 @@ type Source struct {
 	// Locations the source focuses on (used by domain-of-interest checks).
 	Locations   []string
 	Discussions []*Discussion
+
+	// open is the open-discussion index: one entry per open discussion,
+	// in ascending position in Discussions. Generate builds it and every
+	// tick carries it copy-on-write, appending the discussions it opens;
+	// discussions never close, so the index only grows and a tick walks
+	// it instead of dereferencing every discussion.
+	open []openDisc
+}
+
+// openDisc is one entry of a source's open-discussion index.
+type openDisc struct {
+	pos    int32 // position in Source.Discussions
+	opened time.Time
 }
 
 // User is a member of the global contributor pool shared by all sources.
@@ -128,8 +141,9 @@ type User struct {
 }
 
 // World is the full synthetic corpus. Worlds come from Generate or a tick
-// (Advance, AdvanceSameDay, AdvanceSource); a World assembled by hand
-// lacks the tick state below and must not be ticked.
+// (Advance, AdvanceSameDay, AdvanceSource); a World or Source assembled by
+// hand lacks the tick state below (and each source's open-discussion
+// index) and must not be ticked.
 //
 //informer:snapshot
 type World struct {
@@ -139,7 +153,8 @@ type World struct {
 	Users      []*User
 	// MaxOpenDiscussions is the open-discussion count of the largest
 	// source, the paper's normalisation base for "number of open
-	// discussions compared to largest Web blog/forum".
+	// discussions compared to largest Web blog/forum": the longest
+	// open-discussion index.
 	MaxOpenDiscussions int
 
 	// Tick state, set by Generate and carried by every tick so no tick

@@ -71,6 +71,7 @@ func syntheticSourceRecords(n int, seed int64) []*quality.SourceRecord {
 			}
 			r.Discussions = append(r.Discussions, disc)
 		}
+		r.IndexDiscussions()
 		recs[i] = r
 	}
 	return recs
