@@ -189,6 +189,9 @@ func TestIncrementalFoldMatchesRebuild(t *testing.T) {
 		if ls, fs := live.Stats(), fresh.Stats(); ls != fs {
 			t.Fatalf("tick %d: stats diverge: fold %+v rebuild %+v", tick, ls, fs)
 		}
+		if ls, ss := live.Stats(), scanStats(live); ls != ss {
+			t.Fatalf("tick %d: maintained stats %+v, a scan finds %+v", tick, ls, ss)
+		}
 		if !reflect.DeepEqual(cloneStories(live.Stories()), cloneStories(fresh.Stories())) {
 			t.Fatalf("tick %d: story sets diverge", tick)
 		}
@@ -200,6 +203,56 @@ func TestIncrementalFoldMatchesRebuild(t *testing.T) {
 			}
 		}
 	}
+}
+
+// scanStats derives Stats by walking every comment and both union-finds,
+// the reference for the counters insert maintains.
+func scanStats(ix *Index) Stats {
+	var s Stats
+	size := map[int32]int{}
+	for i := range ix.entries {
+		size[find(ix.storyParent, int32(i))]++
+		if !ix.entries[i].indexed {
+			continue
+		}
+		s.Indexed++
+		if ix.entries[i].dup {
+			s.Duplicates++
+		}
+		if find(ix.dupParent, int32(i)) == int32(i) {
+			s.MicroClusters++
+		}
+	}
+	for _, n := range size {
+		if n >= 2 {
+			s.StoryClusters++
+		}
+	}
+	return s
+}
+
+// TestDoubleInsertPanics pins the double-insert guard on the comment it
+// once missed: a text-less comment of source 0 leaves no signature and a
+// zero source, so only an explicit inserted flag can tell its entry is
+// occupied. Re-folding a delta of such comments must panic.
+func TestDoubleInsertPanics(t *testing.T) {
+	w := webgen.Generate(webgen.Config{Seed: 1207, NumSources: 8, ChurnScale: 12})
+	ix := NewIndex()
+	ix.Build(w)
+	var d *webgen.Delta
+	for seed := int64(1); d == nil || d.NewCommentCount() == 0; seed++ {
+		if seed > 64 {
+			t.Fatal("no poll of source 0 produced a comment")
+		}
+		w, d = webgen.AdvanceSource(w, 0, seed, nil)
+	}
+	ix.Fold(w, d)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("re-folding a delta of text-less source-0 comments did not panic")
+		}
+	}()
+	ix.Fold(w, d)
 }
 
 // TestStorySetCOWSharing pins the copy-on-write contract: a story no

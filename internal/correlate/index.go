@@ -2,13 +2,14 @@ package correlate
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"github.com/informing-observers/informer/internal/webgen"
 )
 
-// comEntry is the per-comment state the index keeps: the signature, the
-// comment's provenance, and its immutable duplicate verdict. A comment is
+// comEntry is the per-comment state the index keeps beside its signature
+// column: provenance and the immutable duplicate verdict. A comment is
 // a duplicate iff, at insertion time, some *earlier* (lower-ID) comment
 // from a *different* source sits within DupHamming of it — a source
 // quoting itself is not syndication. Comment IDs are append-only and
@@ -17,12 +18,12 @@ import (
 // and a verdict never changes once written; per-source counters can only
 // move for sources the tick dirtied.
 type comEntry struct {
-	sig     uint64
-	source  int32
-	disc    int32
-	posted  int64 // UnixNano
-	dup     bool
-	indexed bool
+	source   int32
+	disc     int32
+	posted   int64 // UnixNano
+	dup      bool
+	indexed  bool // carries a signature (has text)
+	inserted bool // seen by insert, with or without text
 }
 
 // edge is one story-tier candidate pair buffered for the batch merge.
@@ -45,12 +46,17 @@ type cluster struct {
 // exactly like the ingestion accumulator — and publishes immutable
 // StorySet snapshots for readers. It is NOT safe for concurrent use.
 type Index struct {
-	entries []comEntry                   // indexed by comment ID
-	buckets [numBands]map[uint16][]int32 // band value -> comment IDs, insertion order
+	entries []comEntry // indexed by comment ID
+	sigs    []uint64   // signature column, indexed by comment ID
+	// buckets[b][v] lists the comments whose band b equals v, in
+	// insertion order: one flat table of 1<<bandBits buckets per band.
+	buckets [numBands][][]int32
 
 	dupParent   []int32 // duplicate-tier union-find (micro-clusters)
 	storyParent []int32 // story-tier union-find (stories)
 	dupMerges   int
+
+	indexed, duplicates int // Stats counters, maintained by insert
 
 	pending []edge // story-tier-only edges awaiting the batch merge pass
 
@@ -73,7 +79,7 @@ func NewIndex() *Index {
 		stories:  emptyStorySet(),
 	}
 	for b := range ix.buckets {
-		ix.buckets[b] = map[uint16][]int32{}
+		ix.buckets[b] = make([][]int32, 1<<bandBits)
 	}
 	return ix
 }
@@ -86,19 +92,14 @@ type Stats struct {
 	StoryClusters int // story-tier components with >= 2 members
 }
 
-// Stats reports the current index statistics.
+// Stats reports the current index statistics in O(1).
 func (ix *Index) Stats() Stats {
-	s := Stats{StoryClusters: len(ix.clusters)}
-	for i := range ix.entries {
-		if ix.entries[i].indexed {
-			s.Indexed++
-			if ix.entries[i].dup {
-				s.Duplicates++
-			}
-		}
+	return Stats{
+		Indexed:       ix.indexed,
+		Duplicates:    ix.duplicates,
+		MicroClusters: ix.indexed - ix.dupMerges,
+		StoryClusters: len(ix.clusters),
 	}
-	s.MicroClusters = s.Indexed - ix.dupMerges
-	return s
 }
 
 // Counts reports a source's correlation counters: how many of its
@@ -173,13 +174,9 @@ func (ix *Index) fold(w *webgen.World, coms []newComment) *StorySet {
 	// grown ones), not global ID order; sort so insertion order — and with
 	// it every "earlier comment" verdict — matches a from-scratch Build.
 	sort.Slice(coms, func(i, j int) bool { return coms[i].id < coms[j].id })
-	if n := len(w.Sources); n > len(ix.corrBySource) {
-		ix.corrBySource = append(ix.corrBySource, make([]int, n-len(ix.corrBySource))...)
-		ix.dupBySource = append(ix.dupBySource, make([]int, n-len(ix.dupBySource))...)
-	}
-	seen := map[int32]struct{}{}
+	ix.growSources(len(w.Sources))
 	for _, nc := range coms {
-		ix.insert(nc, seen)
+		ix.insert(nc)
 	}
 	// Batch merge pass: fold the buffered loose-tier edges into the story
 	// union-find. Union order cannot influence the result — roots are
@@ -192,66 +189,80 @@ func (ix *Index) fold(w *webgen.World, coms []newComment) *StorySet {
 	return ix.stories
 }
 
+// growSources sizes the per-source counters for n sources.
+func (ix *Index) growSources(n int) {
+	if n > len(ix.corrBySource) {
+		ix.corrBySource = append(ix.corrBySource, make([]int, n-len(ix.corrBySource))...)
+		ix.dupBySource = append(ix.dupBySource, make([]int, n-len(ix.dupBySource))...)
+	}
+}
+
 // insert hashes one comment, probes the banded buckets for candidates,
 // writes the duplicate verdict and the union-find edges, and registers
-// the comment in the buckets. seen is a caller-owned scratch set, cleared
-// per insertion.
-func (ix *Index) insert(nc newComment, seen map[int32]struct{}) {
-	if int(nc.id) < len(ix.entries) && (ix.entries[nc.id].indexed || ix.entries[nc.id].source != 0 || ix.entries[nc.id].sig != 0) {
+// the comment in the buckets.
+func (ix *Index) insert(nc newComment) {
+	if int(nc.id) < len(ix.entries) && ix.entries[nc.id].inserted {
 		panic(fmt.Sprintf("correlate: comment %d inserted twice", nc.id))
 	}
 	for int(nc.id) >= len(ix.entries) {
 		ix.entries = append(ix.entries, comEntry{})
+		ix.sigs = append(ix.sigs, 0)
 		ix.dupParent = append(ix.dupParent, int32(len(ix.dupParent)))
 		ix.storyParent = append(ix.storyParent, int32(len(ix.storyParent)))
 	}
 	e := &ix.entries[nc.id]
-	e.source, e.disc, e.posted = nc.source, nc.disc, nc.posted
+	e.source, e.disc, e.posted, e.inserted = nc.source, nc.disc, nc.posted, true
 	if nc.body == "" {
 		return // nothing to correlate; stays un-indexed and uncounted
 	}
-	e.sig = Simhash(nc.body)
+	sig := Simhash(nc.body)
+	ix.sigs[nc.id] = sig
 	e.indexed = true
 
-	clear(seen)
 	for b := 0; b < numBands; b++ {
-		key := band(e.sig, b)
+		key := band(sig, b)
 		// Multi-probe: the exact band value plus every single-bit
 		// variation. Signatures register only under exact values, so two
 		// signatures whose band differs by <= 1 bit still meet — the
 		// probe set that makes duplicate-tier recall a pigeonhole
 		// guarantee (see the parameter block in simhash.go).
-		ix.probe(b, key, e, nc.id, seen)
+		table := ix.buckets[b]
+		ix.probe(b, table[key], sig, e, nc.id)
 		for bit := 0; bit < bandBits; bit++ {
-			ix.probe(b, key^(1<<uint(bit)), e, nc.id, seen)
+			ix.probe(b, table[key^(1<<uint(bit))], sig, e, nc.id)
 		}
 	}
 	for b := 0; b < numBands; b++ {
-		key := band(e.sig, b)
+		key := band(sig, b)
 		ix.buckets[b][key] = append(ix.buckets[b][key], nc.id)
 	}
+	ix.indexed++
 	ix.corrBySource[nc.source]++
 	if e.dup {
+		ix.duplicates++
 		ix.dupBySource[nc.source]++
 	}
 }
 
-// probe scans one band bucket for candidates of the comment being
-// inserted, writing duplicate verdicts and union-find edges for every
-// in-tier hit. seen dedupes candidates across the insertion's 68 probes.
-func (ix *Index) probe(b int, key uint16, e *comEntry, id int32, seen map[int32]struct{}) {
-	for _, cand := range ix.buckets[b][key] {
-		if _, dup := seen[cand]; dup {
+// probe scans one band-b bucket for candidates of the comment id (with
+// signature sig and entry e) being inserted, writing duplicate verdicts
+// and union-find edges for every in-tier hit. A candidate sits in one
+// bucket per band and the insertion probes 17 buckets per band, so it is
+// met in band b iff its signature's band b differs from sig's in at most
+// one bit; metEarlier skips candidates an earlier band already met, which
+// visits each candidate once, in the order of its first meeting.
+func (ix *Index) probe(b int, bucket []int32, sig uint64, e *comEntry, id int32) {
+	for _, cand := range bucket {
+		c := ix.sigs[cand]
+		if metEarlier(sig^c, b) {
 			continue
 		}
-		seen[cand] = struct{}{}
-		ce := &ix.entries[cand]
-		h := hamming(e.sig, ce.sig)
+		h := hamming(sig, c)
 		if h > StoryHamming {
 			continue
 		}
 		if h <= DupHamming {
-			if !e.dup && ce.source != e.source {
+			if !e.dup && ix.entries[cand].source != e.source {
 				e.dup = true
 			}
 			ix.dupUnion(id, cand)
@@ -260,6 +271,17 @@ func (ix *Index) probe(b int, key uint16, e *comEntry, id int32, seen map[int32]
 			ix.pending = append(ix.pending, edge{id, cand})
 		}
 	}
+}
+
+// metEarlier reports whether two signatures differing in x meet in some
+// band before b: that band of x has at most one bit set.
+func metEarlier(x uint64, b int) bool {
+	for i := 0; i < b; i++ {
+		if bits.OnesCount16(band(x, i)) <= 1 {
+			return true
+		}
+	}
+	return false
 }
 
 // find resolves a union-find root with path compression. The root of any

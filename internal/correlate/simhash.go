@@ -22,12 +22,17 @@
 //informer:deterministic
 package correlate
 
-import "strings"
+import (
+	"math/bits"
+	"strings"
+)
 
 // Simhash parameters. 64-bit signatures are cut into 4 bands of 16 bits
-// and candidate lookup is multi-probe: each band bucket is probed at its
-// exact value and at every single-bit variation (4 x 17 = 68 O(1) map
-// probes), while a signature registers only under its exact band values.
+// and candidate lookup is multi-probe: each band's flat bucket table is
+// read at the exact band value and at every single-bit variation (4 x 17
+// = 68 array reads), while a signature registers only under its exact
+// band values. A candidate is thus met in every band where it differs
+// from the probe in at most one bit, and is verified at the first.
 // By pigeonhole, two signatures within Hamming distance 7 have some band
 // differing in at most one bit, so the probe set finds every candidate
 // at the duplicate tier (<= 6) with guaranteed recall. The looser story
@@ -109,12 +114,9 @@ func Simhash(text string) uint64 {
 	}
 	var counts [64]int32
 	accumulate := func(h uint64) {
+		// +1 for a set bit, -1 for a clear one, without a branch per bit.
 		for b := 0; b < 64; b++ {
-			if h&(1<<uint(b)) != 0 {
-				counts[b]++
-			} else {
-				counts[b]--
-			}
+			counts[b] += int32(h>>uint(b)&1)*2 - 1
 		}
 	}
 	if len(words) < shingleSize {
@@ -134,15 +136,7 @@ func Simhash(text string) uint64 {
 }
 
 // hamming counts differing bits between two signatures.
-func hamming(a, b uint64) int {
-	x := a ^ b
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
+func hamming(a, b uint64) int { return bits.OnesCount64(a ^ b) }
 
 // band extracts the i-th 16-bit band of a signature.
 func band(sig uint64, i int) uint16 {

@@ -30,13 +30,10 @@ type Story struct {
 //
 //informer:snapshot
 type StorySet struct {
-	byID    map[int]*Story
 	ordered []*Story // Latest desc, ID asc
 }
 
-func emptyStorySet() *StorySet {
-	return &StorySet{byID: map[int]*Story{}}
-}
+func emptyStorySet() *StorySet { return &StorySet{} }
 
 // Len reports the number of stories.
 func (ss *StorySet) Len() int {
@@ -46,13 +43,16 @@ func (ss *StorySet) Len() int {
 	return len(ss.ordered)
 }
 
-// Story returns the story with the given id, if any.
+// Story returns the story with the given id, if any. It scans the
+// listing: the set keeps no by-ID index, since stories are served in
+// freshness order and no hot path looks one up by ID.
 func (ss *StorySet) Story(id int) (*Story, bool) {
-	if ss == nil {
-		return nil, false
+	for _, st := range ss.All() {
+		if st.ID == id {
+			return st, true
+		}
 	}
-	st, ok := ss.byID[id]
-	return st, ok
+	return nil, false
 }
 
 // All returns the stories ordered by freshness (Latest desc, ID asc).
@@ -134,51 +134,49 @@ func (ss *StorySet) Query(q StoryQuery) *StoryPage {
 
 // materialize publishes the next StorySet from the index's touched/dead
 // root bookkeeping, sharing untouched stories with prev, then resets the
-// bookkeeping. Member source sets are already sorted; the ordered slice
-// is fully re-sorted (story counts are small — hundreds, not hundreds of
-// thousands).
+// bookkeeping. Only the touched roots are rendered and sorted; they merge
+// into prev's listing minus every dead or touched ID, so a fold costs its
+// touched stories plus one linear pass, not a re-sort of every story.
 //
 //informer:mutates builds the successor snapshot before it is published
 func (ix *Index) materialize(prev *StorySet) *StorySet {
 	if len(ix.touched) == 0 && len(ix.dead) == 0 {
 		return prev
 	}
-	next := &StorySet{byID: make(map[int]*Story, len(prev.byID))}
-	for id, st := range prev.byID {
-		next.byID[id] = st
-	}
-	for r := range ix.dead {
-		delete(next.byID, int(r))
-	}
+	fresh := make([]*Story, 0, len(ix.touched))
 	for r := range ix.touched {
-		if ix.dead[r] {
-			continue
+		// Touched but single-source (e.g. a source near-duplicating
+		// itself) is a cluster, not a story.
+		if cl := ix.clusters[r]; !ix.dead[r] && cl != nil && len(cl.sources) >= 2 {
+			fresh = append(fresh, ix.buildStory(r, cl))
 		}
-		cl := ix.clusters[r]
-		if cl == nil || len(cl.sources) < 2 {
-			// Touched but single-source (e.g. a source near-duplicating
-			// itself): a cluster, not a story.
-			delete(next.byID, int(r))
-			continue
-		}
-		next.byID[int(r)] = ix.buildStory(r, cl)
 	}
-	next.ordered = make([]*Story, 0, len(next.byID))
-	for _, st := range next.byID {
+	// Map-range order above is scheduling-dependent; storyBefore is a
+	// total order, so no map order escapes.
+	sort.Slice(fresh, func(i, j int) bool { return storyBefore(fresh[i], fresh[j]) })
+	next := &StorySet{ordered: make([]*Story, 0, len(prev.ordered)+len(fresh))}
+	for _, st := range prev.ordered {
+		if r := int32(st.ID); ix.dead[r] || ix.touched[r] {
+			continue
+		}
+		for len(fresh) > 0 && storyBefore(fresh[0], st) {
+			next.ordered = append(next.ordered, fresh[0])
+			fresh = fresh[1:]
+		}
 		next.ordered = append(next.ordered, st)
 	}
-	// Map-range order above is scheduling-dependent; the sort below is
-	// total (Latest desc, then ID asc), so no map order escapes.
-	sort.Slice(next.ordered, func(i, j int) bool {
-		a, b := next.ordered[i], next.ordered[j]
-		if !a.Latest.Equal(b.Latest) {
-			return a.Latest.After(b.Latest)
-		}
-		return a.ID < b.ID
-	})
+	next.ordered = append(next.ordered, fresh...)
 	ix.touched = map[int32]bool{}
 	ix.dead = map[int32]bool{}
 	return next
+}
+
+// storyBefore is the listing order: Latest desc, then ID asc.
+func storyBefore(a, b *Story) bool {
+	if !a.Latest.Equal(b.Latest) {
+		return a.Latest.After(b.Latest)
+	}
+	return a.ID < b.ID
 }
 
 // buildStory renders a cluster rooted at r as its immutable Story. The
