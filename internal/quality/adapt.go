@@ -1,6 +1,7 @@
 package quality
 
 import (
+	"slices"
 	"time"
 
 	"github.com/informing-observers/informer/internal/analytics"
@@ -64,28 +65,15 @@ func buildSourceRecord(s *webgen.Source, w *webgen.World, panel *analytics.Panel
 
 // buildDiscussionStats allocates one flat slice for all of a source's
 // comment stats; each discussion gets a full-capped sub-slice of it, so an
-// append can never bleed into a neighbour.
+// append can never bleed into a neighbour. It serves from-scratch
+// construction; a dirty record extends its predecessor's (extendIndex).
 func buildDiscussionStats(s *webgen.Source) []DiscussionStat {
 	out := make([]DiscussionStat, 0, len(s.Discussions))
 	flat := make([]CommentStat, 0, s.CommentCount())
 	for _, d := range s.Discussions {
-		ds := DiscussionStat{
-			Category: d.Category,
-			Opened:   d.Opened,
-			Open:     d.Open,
-			TagCount: len(d.Tags),
-		}
+		ds := discussionStat(d)
 		lo := len(flat)
-		for _, c := range d.Comments {
-			flat = append(flat, CommentStat{
-				AuthorID:  c.UserID,
-				Posted:    c.Posted,
-				TagCount:  len(c.Tags),
-				Replies:   c.Replies,
-				Feedbacks: c.Feedbacks,
-				Reads:     c.Reads,
-			})
-		}
+		flat = appendCommentStats(flat, d.Comments)
 		if hi := len(flat); hi > lo {
 			ds.Comments = flat[lo:hi:hi]
 		}
@@ -94,22 +82,97 @@ func buildDiscussionStats(s *webgen.Source) []DiscussionStat {
 	return out
 }
 
+// discussionStat converts a discussion's own fields, not its comments.
+func discussionStat(d *webgen.Discussion) DiscussionStat {
+	return DiscussionStat{Category: d.Category, Opened: d.Opened, Open: d.Open, TagCount: len(d.Tags)}
+}
+
+// appendCommentStats appends the stats of cs to dst.
+func appendCommentStats(dst []CommentStat, cs []*webgen.Comment) []CommentStat {
+	for _, c := range cs {
+		dst = append(dst, CommentStat{
+			AuthorID:  c.UserID,
+			Posted:    c.Posted,
+			TagCount:  len(c.Tags),
+			Replies:   c.Replies,
+			Feedbacks: c.Feedbacks,
+			Reads:     c.Reads,
+		})
+	}
+	return dst
+}
+
+// extendIndex derives r's Discussions and carried statistics from old's,
+// the record of s before a tick. Ticks only append, so every discussion
+// old knew keeps its position, its opening instant and its first
+// comments, and only the comments past old's per-discussion lengths —
+// plus every discussion past old's count — are new. The one walk is
+// copy-on-write throughout:
+//   - a discussion with no new comment shares old's stat and its Comments;
+//   - a grown one gets a fresh, exactly sized Comments slice holding old's
+//     stats followed by the new ones;
+//   - a new discussion is appended, and so is its opening instant, to a
+//     copy of old's opened column;
+//   - an author already in old's set costs a binary search; the rest merge
+//     into a copy.
+//
+// The result equals buildDiscussionStats plus IndexDiscussions over s, and
+// old is never written.
+func (r *SourceRecord) extendIndex(old *SourceRecord, s *webgen.Source) {
+	r.Discussions = make([]DiscussionStat, len(s.Discussions))
+	r.open = old.open
+	r.opened = old.opened
+	if len(old.opened) != len(old.Discussions) {
+		r.opened = nil // old's column is void; so is any extension of it
+	} else if len(s.Discussions) > len(old.Discussions) {
+		r.opened = slices.Grow(slices.Clip(old.opened), len(s.Discussions)-len(old.Discussions))
+	}
+	var novel []int32
+	for i, d := range s.Discussions {
+		from := 0
+		if i < len(old.Discussions) {
+			od := &old.Discussions[i]
+			if len(d.Comments) == len(od.Comments) {
+				r.Discussions[i] = *od
+				continue
+			}
+			from = len(od.Comments)
+			cs := make([]CommentStat, from, len(d.Comments))
+			copy(cs, od.Comments)
+			r.Discussions[i] = *od
+			r.Discussions[i].Comments = appendCommentStats(cs, d.Comments[from:])
+		} else {
+			r.Discussions[i] = discussionStat(d)
+			if d.Open {
+				r.open++
+			}
+			r.opened = appendOpened(r.opened, d.Opened)
+			if len(d.Comments) > 0 {
+				r.Discussions[i].Comments = appendCommentStats(make([]CommentStat, 0, len(d.Comments)), d.Comments)
+			}
+		}
+		for _, c := range d.Comments[from:] {
+			if _, known := slices.BinarySearch(old.authors, int32(c.UserID)); !known {
+				novel = append(novel, int32(c.UserID))
+			}
+		}
+	}
+	slices.Sort(novel)
+	r.authors = mergeAuthors(old.authors, slices.Compact(novel))
+}
+
 // UpdateSourceRecordsFromWorld refreshes observation records after an
 // Advance tick without re-walking the whole corpus. Every record is
 // shallow-copied (the pre-advance slice stays immutable for concurrent
 // readers) with its observation metadata refreshed — ObservedAt,
 // WindowDays, MaxOpenDiscussions and the panel join, the inputs that move
 // with the timeline for every source — while only the records of dirty
-// sources rebuild their discussion statistics and extend their carried
-// author sets with the comments past the old record's. The result is
+// sources extend their predecessors' discussion statistics and carried
+// statistics with what the tick appended (extendIndex). The result is
 // bit-identical to SourceRecordsFromWorld over the advanced world; the
 // second return value lists the row indices of the dirty records, ready
 // for SourceAssessor.UpdateRows.
 func UpdateSourceRecordsFromWorld(old []*SourceRecord, w *webgen.World, panel *analytics.Panel, dirtySourceIDs []int) ([]*SourceRecord, []int) {
-	rowByID := make(map[int]int, len(old))
-	for i, r := range old {
-		rowByID[r.ID] = i
-	}
 	records := make([]*SourceRecord, len(old))
 	slab := make([]SourceRecord, len(old)) // one allocation for every copy
 	for i, r := range old {
@@ -124,16 +187,25 @@ func UpdateSourceRecordsFromWorld(old []*SourceRecord, w *webgen.World, panel *a
 	}
 	dirtyRows := make([]int, 0, len(dirtySourceIDs))
 	for _, id := range dirtySourceIDs {
-		row, ok := rowByID[id]
-		if !ok {
+		row := recordRow(old, id)
+		s := w.Source(id)
+		if row < 0 || s == nil {
 			continue // source unknown to this corpus (defensive)
 		}
-		r := records[row]
-		r.Discussions = buildDiscussionStats(w.Source(id))
-		r.extendIndex(old[row])
+		records[row].extendIndex(old[row], s)
 		dirtyRows = append(dirtyRows, row)
 	}
 	return records, dirtyRows
+}
+
+// recordRow finds the row of source id: records built from a world sit at
+// row = ID, so the search runs only for records laid out otherwise. -1
+// when no record has the ID.
+func recordRow(records []*SourceRecord, id int) int {
+	if id >= 0 && id < len(records) && records[id].ID == id {
+		return id
+	}
+	return slices.IndexFunc(records, func(r *SourceRecord) bool { return r.ID == id })
 }
 
 // SourceRecordsFromSnapshot builds assessment records from a crawl

@@ -1,5 +1,7 @@
 package quality
 
+import "math"
+
 // Benchmark is the normalisation interval of one measure, derived (per
 // Section 3.1) from "the assessment of well-known, highly-ranked sources":
 // Hi is a high quantile of the corpus values, Lo a low quantile. Values are
@@ -7,6 +9,12 @@ package quality
 // source better than the benchmark saturates at 1).
 type Benchmark struct {
 	Lo, Hi float64
+}
+
+// sameBits reports whether b and o are the same interval bit for bit, so
+// that NaN bounds match themselves and −0 and +0 differ.
+func (b Benchmark) sameBits(o Benchmark) bool {
+	return math.Float64bits(b.Lo) == math.Float64bits(o.Lo) && math.Float64bits(b.Hi) == math.Float64bits(o.Hi)
 }
 
 // Normalize maps a raw value into [0, 1], flipping orientation for
@@ -278,7 +286,7 @@ func benchmarkMapsEqual(a, b map[string]Benchmark) bool {
 	}
 	for id, ba := range a {
 		bb, ok := b[id]
-		if !ok || ba != bb {
+		if !ok || !ba.sameBits(bb) {
 			return false
 		}
 	}

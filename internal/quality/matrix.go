@@ -9,7 +9,11 @@ package quality
 // serve corpus records straight from the cache — no Eval closure ever runs
 // twice for the same record during an assessor's lifetime.
 
-import "github.com/informing-observers/informer/internal/parallel"
+import (
+	"math"
+
+	"github.com/informing-observers/informer/internal/parallel"
+)
 
 // numDimensions and numAttributes bound the fixed-size accumulators of the
 // allocation-lean assessment path.
@@ -176,7 +180,7 @@ func (e *matrixEngine[R]) updateMatrix(corpus []*R, dirty []int, epochMoved bool
 			rowsOwned := false
 			for _, c := range dirty {
 				v, ok := e.evals[m](corpus[c], &ne.di)
-				if ok == e.present[m][c] && (!ok || v == e.vals[m][c]) {
+				if sameCell(v, ok, e.vals[m][c], e.present[m][c]) {
 					continue // cell unchanged: keep sharing the row
 				}
 				if !rowsOwned {
@@ -188,6 +192,14 @@ func (e *matrixEngine[R]) updateMatrix(corpus []*R, dirty []int, epochMoved bool
 		}
 	})
 	return ne
+}
+
+// sameCell reports whether a re-evaluated matrix cell equals its old
+// value: both undefined, or both defined with the same bits. Comparing
+// bits, not values, keeps a NaN cell from counting as changed on every
+// update and a sign flip of zero from counting as unchanged.
+func sameCell(v float64, ok bool, oldV float64, oldOk bool) bool {
+	return ok == oldOk && (!ok || math.Float64bits(v) == math.Float64bits(oldV))
 }
 
 // derive clones the engine's immutable metadata plus fresh row headers of

@@ -66,26 +66,32 @@ type SourceRecord struct {
 	CorrelatedComments int
 	DuplicateComments  int
 
-	// authors is the ascending set of distinct comment authors and open
-	// the number of open discussions: statistics carried with the record
-	// so that a measure reads them instead of re-deriving them from every
-	// comment. IndexDiscussions derives both; UpdateSourceRecordsFromWorld
-	// extends a dirty row's copies with its new discussions and comments.
+	// authors is the ascending set of distinct comment authors, open the
+	// number of open discussions and opened each discussion's opening
+	// instant in Unix nanoseconds: statistics carried with the record so
+	// that a measure reads them instead of re-deriving them from every
+	// comment or time.Time. IndexDiscussions derives them;
+	// UpdateSourceRecordsFromWorld extends a dirty row's copies with its
+	// new discussions and comments. opened is nil when some opening
+	// instant lies outside the range ageNanos accepts.
 	authors []int32
 	open    int
+	opened  []int64
 }
 
 // IndexDiscussions derives the statistics the record carries — its
-// distinct comment authors and its open-discussion count — from
-// Discussions. Every record constructor calls it; a record assembled by
-// hand must call it once its Discussions are final.
+// distinct comment authors, its open-discussion count and its opening-
+// instant column — from Discussions. Every record constructor calls it; a
+// record assembled by hand must call it once its Discussions are final.
 func (r *SourceRecord) IndexDiscussions() {
 	ids := make([]int32, 0, r.TotalComments())
 	r.open = 0
+	r.opened = make([]int64, 0, len(r.Discussions))
 	for _, d := range r.Discussions {
 		if d.Open {
 			r.open++
 		}
+		r.opened = appendOpened(r.opened, d.Opened)
 		for _, c := range d.Comments {
 			ids = append(ids, int32(c.AuthorID))
 		}
@@ -96,30 +102,56 @@ func (r *SourceRecord) IndexDiscussions() {
 	r.authors = mergeAuthors(nil, slices.Compact(ids))
 }
 
-// extendIndex derives r's carried statistics from old's, for a record
-// whose Discussions extend old's: ticks only append, so every discussion
-// old knew keeps its position and its first comments, and only the
-// comments past old's per-discussion lengths — plus every discussion past
-// old's count — are new. Authors already in old's set cost a binary
-// search; the rest merge into a copy, and old's set is never written.
-func (r *SourceRecord) extendIndex(old *SourceRecord) {
-	r.open = old.open
-	var novel []int32
-	for i, d := range r.Discussions {
-		from := 0
-		if i < len(old.Discussions) {
-			from = len(old.Discussions[i].Comments)
-		} else if d.Open {
-			r.open++
-		}
-		for _, c := range d.Comments[from:] {
-			if _, known := slices.BinarySearch(old.authors, int32(c.AuthorID)); !known {
-				novel = append(novel, int32(c.AuthorID))
-			}
-		}
+// appendOpened extends an opening-instant column with t; the column turns
+// nil for good once one instant is out of ageNanos' range.
+func appendOpened(col []int64, t time.Time) []int64 {
+	if col == nil {
+		return nil
 	}
-	slices.Sort(novel)
-	r.authors = mergeAuthors(old.authors, slices.Compact(novel))
+	ns, ok := ageNanos(t)
+	if !ok {
+		return nil
+	}
+	return append(col, ns)
+}
+
+// ageSafeSeconds bounds the instants a thread age is computed from in
+// integer nanoseconds: inside ±ageSafeSeconds of the Unix epoch (about
+// 146 years, 1824 to 2116) UnixNano is exact and the difference of two
+// such instants cannot overflow, so it equals what time.Time.Sub returns
+// for them — Sub saturates only past ±292 years.
+const ageSafeSeconds = (1<<62)/int64(time.Second) - 1
+
+// ageNanos returns t in Unix nanoseconds when t lies in the safe range.
+// The zero Time (year 1) and far-future instants do not.
+func ageNanos(t time.Time) (int64, bool) {
+	if s := t.Unix(); s < -ageSafeSeconds || s > ageSafeSeconds {
+		return 0, false
+	}
+	return t.UnixNano(), true
+}
+
+// ageClock returns ObservedAt in Unix nanoseconds when the opened column
+// can stand in for ObservedAt.Sub(d.Opened): the column covers every
+// discussion, and ObservedAt is in the safe range and carries no
+// monotonic clock reading (Sub would use that reading when Opened carried
+// one too). ok false sends the thread-age measures back to Sub — also for
+// a record assembled by hand that never called IndexDiscussions.
+func (r *SourceRecord) ageClock() (obsNs int64, ok bool) {
+	if len(r.opened) != len(r.Discussions) || r.ObservedAt != r.ObservedAt.Round(0) {
+		return 0, false // Round(0) strips a monotonic reading, so it differs
+	}
+	return ageNanos(r.ObservedAt)
+}
+
+// threadAgeDays is the age of discussion i at ObservedAt in days, read from
+// the opened column when ageClock allowed it (fast) — bitwise the same
+// Duration either way, hence the same float.
+func (r *SourceRecord) threadAgeDays(i int, obsNs int64, fast bool) float64 {
+	if fast {
+		return time.Duration(obsNs-r.opened[i]).Hours() / 24
+	}
+	return r.ObservedAt.Sub(r.Discussions[i].Opened).Hours() / 24
 }
 
 // mergeAuthors returns the union of two disjoint ascending author sets: a

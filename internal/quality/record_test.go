@@ -3,11 +3,14 @@ package quality
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"github.com/informing-observers/informer/internal/analytics"
 	"github.com/informing-observers/informer/internal/crawler"
@@ -153,34 +156,60 @@ func TestCarriedRecordStatistics(t *testing.T) {
 	}
 }
 
-// TestExtendIndexCases covers the carried-statistics edge cases directly:
-// a record without comments, a dirty row whose new comments all come from
-// authors already in its set (the set is shared, not copied), and a new
-// author merged into a copy that leaves the previous set untouched.
+// TestExtendIndexCases covers the dirty-row extension directly: a record
+// without comments, a dirty row whose new comments all come from authors
+// already in its set (the set is shared, not copied), a new author merged
+// into a copy that leaves the previous set untouched, and the
+// copy-on-write discussion stats — an untouched discussion shares its
+// comment stats, a grown one gets a fresh exactly sized slice, and the
+// opening-instant column is shared until a discussion is appended. Every
+// extension equals a from-scratch build of the same source.
 func TestExtendIndexCases(t *testing.T) {
-	byAuthors := func(authors ...int) []CommentStat {
-		out := make([]CommentStat, len(authors))
-		for i, a := range authors {
-			out[i] = CommentStat{AuthorID: a}
+	opened := time.Date(2011, 3, 1, 12, 0, 0, 0, time.UTC)
+	disc := func(open bool, authors ...int) *webgen.Discussion {
+		d := &webgen.Discussion{Open: open, Opened: opened}
+		for _, a := range authors {
+			d.Comments = append(d.Comments, &webgen.Comment{UserID: a, Replies: a})
 		}
-		return out
+		opened = opened.Add(time.Hour)
+		return d
+	}
+	// grow is a tick's copy of d with comments appended: same opening
+	// instant, same first comments.
+	grow := func(d *webgen.Discussion, authors ...int) *webgen.Discussion {
+		nd := *d
+		nd.Comments = slices.Clip(d.Comments)
+		for _, a := range authors {
+			nd.Comments = append(nd.Comments, &webgen.Comment{UserID: a, Replies: a})
+		}
+		return &nd
+	}
+	source := func(ds ...*webgen.Discussion) *webgen.Source { return &webgen.Source{Discussions: ds} }
+	recordOf := func(s *webgen.Source) *SourceRecord {
+		r := &SourceRecord{Discussions: buildDiscussionStats(s)}
+		r.IndexDiscussions()
+		return r
+	}
+	extended := func(old *SourceRecord, s *webgen.Source) *SourceRecord {
+		t.Helper()
+		r := &SourceRecord{}
+		r.extendIndex(old, s)
+		if want := recordOf(s); !reflect.DeepEqual(r, want) {
+			t.Fatalf("extension differs from a rebuild:\n got  %+v\n want %+v", r, want)
+		}
+		return r
 	}
 
-	empty := &SourceRecord{Discussions: []DiscussionStat{{Open: true}, {}}}
-	empty.IndexDiscussions()
-	grown := &SourceRecord{Discussions: []DiscussionStat{{Open: true}, {}, {Open: true}}}
-	grown.extendIndex(empty)
+	e0, e1 := disc(true), disc(false)
+	empty := recordOf(source(e0, e1))
+	grown := extended(empty, source(e0, e1, disc(true)))
 	if empty.authors != nil || grown.authors != nil || grown.DistinctCommenters() != 0 || grown.OpenDiscussions() != 2 {
 		t.Fatalf("zero comments: authors %v / %v, open %d", empty.authors, grown.authors, grown.OpenDiscussions())
 	}
 
-	old := &SourceRecord{Discussions: []DiscussionStat{{Open: true, Comments: byAuthors(3, 1)}}}
-	old.IndexDiscussions()
-	known := &SourceRecord{Discussions: []DiscussionStat{
-		{Open: true, Comments: byAuthors(3, 1, 3, 1)},
-		{Comments: byAuthors(1)},
-	}}
-	known.extendIndex(old)
+	o0 := disc(true, 3, 1)
+	old := recordOf(source(o0))
+	known := extended(old, source(grow(o0, 3, 1), disc(false, 1)))
 	if !slices.Equal(known.authors, []int32{1, 3}) || known.OpenDiscussions() != 1 {
 		t.Fatalf("known authors: %v, open %d", known.authors, known.OpenDiscussions())
 	}
@@ -188,11 +217,7 @@ func TestExtendIndexCases(t *testing.T) {
 		t.Fatal("a delta of known authors copied the set instead of sharing it")
 	}
 
-	fresh := &SourceRecord{Discussions: []DiscussionStat{
-		{Open: true, Comments: byAuthors(3, 1, 2, 7)},
-		{Open: true, Comments: byAuthors(0)},
-	}}
-	fresh.extendIndex(old)
+	fresh := extended(old, source(grow(o0, 2, 7), disc(true, 0)))
 	if !slices.Equal(fresh.authors, []int32{0, 1, 2, 3, 7}) || fresh.OpenDiscussions() != 2 {
 		t.Fatalf("new authors: %v, open %d", fresh.authors, fresh.OpenDiscussions())
 	}
@@ -202,5 +227,123 @@ func TestExtendIndexCases(t *testing.T) {
 	ids, open := scanRecordStats(fresh)
 	if !slices.Equal(fresh.authors, ids) || fresh.open != open {
 		t.Fatalf("extended stats %v / %d, scan %v / %d", fresh.authors, fresh.open, ids, open)
+	}
+
+	// Copy-on-write stats: o0 is untouched, o1 grows by one comment.
+	o1 := disc(true, 5)
+	two := recordOf(source(o0, o1))
+	g1 := grow(o1, 6)
+	next := extended(two, source(o0, g1))
+	if &next.Discussions[0].Comments[0] != &two.Discussions[0].Comments[0] {
+		t.Fatal("an untouched discussion copied its comment stats")
+	}
+	if cs := next.Discussions[1].Comments; &cs[0] == &two.Discussions[1].Comments[0] || len(cs) != 2 || cap(cs) != 2 {
+		t.Fatalf("a grown discussion must get a fresh exactly sized slice, got len %d cap %d", len(cs), cap(cs))
+	}
+	if len(two.Discussions[1].Comments) != 1 {
+		t.Fatal("extending wrote the previous record's discussion stats")
+	}
+	if &next.opened[0] != &two.opened[0] {
+		t.Fatal("no discussion was appended, yet the opened column was copied")
+	}
+	third := extended(next, source(o0, g1, disc(false, 8)))
+	if &third.opened[0] == &next.opened[0] || len(next.opened) != 2 {
+		t.Fatal("an appended discussion must extend a copy of the opened column")
+	}
+}
+
+// TestThreadAgeColumnMatchesSub pins the carried opening-instant column
+// against time.Time.Sub, the reference both thread-age measures used to
+// call per discussion: for ordinary instants (read from the column), and
+// for every case that must fall back to Sub — a zero or year-1
+// observation instant, a zero or year-2300 opening instant, monotonic
+// clock readings on both sides, and records whose column does not cover
+// their discussions. Each measure value equals the Sub reference bit for
+// bit.
+func TestThreadAgeColumnMatchesSub(t *testing.T) {
+	subBreadth := func(r *SourceRecord) (float64, bool) {
+		if len(r.Discussions) == 0 || r.ObservedAt.IsZero() {
+			return 0, false
+		}
+		var sum float64
+		for _, d := range r.Discussions {
+			sum += r.ObservedAt.Sub(d.Opened).Hours() / 24
+		}
+		return sum / float64(len(r.Discussions)), true
+	}
+	subLiveliness := func(r *SourceRecord) (float64, bool) {
+		if len(r.Discussions) == 0 || r.ObservedAt.IsZero() {
+			return 0, false
+		}
+		var sum float64
+		for _, d := range r.Discussions {
+			age := r.ObservedAt.Sub(d.Opened).Hours() / 24
+			if age < 1 {
+				age = 1
+			}
+			sum += float64(len(d.Comments)) / age
+		}
+		return sum / float64(len(r.Discussions)), true
+	}
+	breadth, _ := SourceMeasureByID("src.time.breadth")
+	liveliness, _ := SourceMeasureByID("src.dependability.liveliness")
+
+	obs := time.Date(2012, 6, 30, 23, 59, 59, 987654321, time.UTC)
+	now := time.Now() // carries a monotonic reading
+	discs := func(opened ...time.Time) []DiscussionStat {
+		out := make([]DiscussionStat, len(opened))
+		for i, o := range opened {
+			out[i] = DiscussionStat{Opened: o, Comments: make([]CommentStat, 1+i%3)}
+		}
+		return out
+	}
+	ordinary := discs(obs.Add(-90*time.Minute), obs.AddDate(0, -7, -3).Add(123456789), obs.AddDate(-3, 0, 0), obs.Add(time.Hour))
+	for _, tc := range []struct {
+		name     string
+		observed time.Time
+		ds       []DiscussionStat
+		index    bool // call IndexDiscussions
+		fast     bool // the column may stand in for Sub
+	}{
+		{"ordinary", obs, ordinary, true, true},
+		{"zero observation", time.Time{}, ordinary, true, false},
+		{"year-1 observation", time.Date(1, 3, 1, 0, 0, 0, 0, time.UTC), ordinary, true, false},
+		{"year-2300 observation", time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC), ordinary, true, false},
+		{"zero opening", obs, discs(obs.AddDate(0, 0, -2), time.Time{}), true, false},
+		{"year-1 opening", obs, discs(time.Date(1, 1, 2, 0, 0, 0, 0, time.UTC), obs.AddDate(0, 0, -2)), true, false},
+		{"year-2300 opening", obs, discs(obs.AddDate(0, 0, -2), time.Date(2300, 7, 1, 0, 0, 0, 0, time.UTC)), true, false},
+		{"monotonic both sides", now, discs(now.Add(-50*time.Hour), now.Add(-time.Minute)), true, false},
+		{"monotonic opening only", now.Round(0), discs(now.Add(-50*time.Hour), now.Add(-time.Minute)), true, true},
+		{"never indexed", obs, ordinary, false, false},
+	} {
+		r := &SourceRecord{ObservedAt: tc.observed, Discussions: tc.ds}
+		if tc.index {
+			r.IndexDiscussions()
+		}
+		if _, fast := r.ageClock(); fast != tc.fast {
+			t.Fatalf("%s: ageClock fast = %v, want %v", tc.name, fast, tc.fast)
+		}
+		for _, m := range []struct {
+			measure SourceMeasure
+			sub     func(*SourceRecord) (float64, bool)
+		}{{breadth, subBreadth}, {liveliness, subLiveliness}} {
+			got, gok := m.measure.Eval(r, &DomainOfInterest{})
+			want, wok := m.sub(r)
+			if gok != wok || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: %s = %v (%v), Sub gives %v (%v)", tc.name, m.measure.ID, got, gok, want, wok)
+			}
+		}
+	}
+	// Discussions appended by hand after IndexDiscussions: the column no
+	// longer covers them, so the measures fall back.
+	r := &SourceRecord{ObservedAt: obs, Discussions: ordinary[:2]}
+	r.IndexDiscussions()
+	r.Discussions = ordinary
+	if _, fast := r.ageClock(); fast {
+		t.Fatal("a column shorter than Discussions must not stand in for Sub")
+	}
+	got, _ := breadth.Eval(r, &DomainOfInterest{})
+	if want, _ := subBreadth(r); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("stale column: breadth %v, Sub gives %v", got, want)
 	}
 }

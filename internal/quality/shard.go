@@ -17,7 +17,7 @@ package quality
 //  1. Benchmarks are corpus-global. Shard matrices are filled without
 //     benchmarks; a second phase gathers every measure's defined values
 //     across the shards in global record order — the same sequence
-//     whatever the partition — into one ledger of sorted columns, and
+//     whatever the partition — into one ledger of columns, and
 //     every shard engine shares the ledger's benchmark slice. Normalized
 //     values are therefore bitwise the same numbers.
 //  2. The candidate order (key desc, ID asc) is a strict total order, so
@@ -42,13 +42,24 @@ import (
 )
 
 // benchLedger is the corpus-global normalisation state of the engine: one
-// ascending-sorted column of defined values per measure and the
-// benchmarks read from it. It is repaired incrementally on update — batch
-// remove+insert from the dirty rows' old and new values — so maintaining
-// corpus-global benchmarks never costs a corpus-wide re-evaluation.
+// column of defined values per measure and the benchmarks read from it.
+// A gathered column — every column at construction, and on update an
+// epoch-moved time-sensitive column or any column under heavy dirt —
+// keeps its gather order (unsorted[m]) and has its benchmarks read by
+// O(n) selection. Sparse dirt repairs a column incrementally instead —
+// batch remove+insert from the dirty rows' old and new values — sorting
+// a copy first if it is still unsorted, so maintaining corpus-global
+// benchmarks never costs a corpus-wide re-evaluation, and a column that
+// is re-gathered every round is never sorted at all.
 type benchLedger struct {
-	sorted     [][]float64
+	cols       [][]float64
+	unsorted   []bool
 	benchmarks []Benchmark
+}
+
+// newBenchLedger allocates a ledger for nm measures.
+func newBenchLedger(nm int) *benchLedger {
+	return &benchLedger{cols: make([][]float64, nm), unsorted: make([]bool, nm), benchmarks: make([]Benchmark, nm)}
 }
 
 // SpineStats counts the standing-spine evaluation work an assessor has
@@ -173,14 +184,15 @@ func newShardedEngine[R any](
 		s.engines[sh] = newMatrixEngine(corpus[lo:hi], di, opts, infos, evals, ident)
 	}
 	// Phase 2: corpus-global gather — per measure, defined values across
-	// shards in global record order, sorted once, benchmarks read from the
-	// sort. The input sequence is the same for every partition ⇒ identical
-	// column ⇒ identical benchmarks.
+	// shards in global record order, benchmarks selected from them. The
+	// input sequence is the same for every partition ⇒ identical column ⇒
+	// identical benchmarks.
 	nm := len(infos)
-	led := &benchLedger{sorted: make([][]float64, nm), benchmarks: make([]Benchmark, nm)}
+	led := newBenchLedger(nm)
 	parallel.ForEachChunk(nm, opts.Workers, func(mlo, mhi int) {
 		for m := mlo; m < mhi; m++ {
-			led.sorted[m], led.benchmarks[m] = gatherColumn(s.engines, m, len(corpus), opts)
+			led.cols[m], led.benchmarks[m] = gatherColumn(s.engines, m, len(corpus), opts)
+			led.unsorted[m] = true
 		}
 	})
 	s.ledger = led
@@ -207,8 +219,9 @@ func newShardedEngine[R any](
 }
 
 // gatherColumn collects measure m's defined values across the shard
-// engines in global record order and sorts them — the corpus-global
-// column, independent of the partition.
+// engines in global record order — the corpus-global column, independent
+// of the partition — and selects its benchmarks. The column comes back
+// unsorted.
 func gatherColumn[R any](engines []*matrixEngine[R], m, n int, opts AssessorOptions) ([]float64, Benchmark) {
 	values := make([]float64, 0, n)
 	for _, eng := range engines {
@@ -219,20 +232,27 @@ func gatherColumn[R any](engines []*matrixEngine[R], m, n int, opts AssessorOpti
 			}
 		}
 	}
-	sort.Float64s(values)
-	return values, benchmarkFromPresorted(values, opts)
+	return values, benchmarkOf(values, false, opts)
 }
 
-// benchmarkFromPresorted derives a Benchmark from an ascending-sorted value
-// slice.
-func benchmarkFromPresorted(values []float64, opts AssessorOptions) Benchmark {
+// benchmarkOf derives a Benchmark from a column of defined values — read
+// off directly when the column is ascending-sorted, by selection (which
+// reorders it) otherwise; both give the same numbers. PlainMinMax reads
+// the 0 and 1 quantiles, the column's minimum and maximum.
+func benchmarkOf(values []float64, sorted bool, opts AssessorOptions) Benchmark {
 	if len(values) == 0 {
 		return Benchmark{}
 	}
+	lo, hi := opts.BenchmarkLoQ, opts.BenchmarkHiQ
 	if opts.PlainMinMax {
-		return Benchmark{Lo: values[0], Hi: values[len(values)-1]}
+		lo, hi = 0, 1
 	}
-	q := stats.SortedQuantiles(values, opts.BenchmarkLoQ, opts.BenchmarkHiQ)
+	var q []float64
+	if sorted {
+		q = stats.SortedQuantiles(values, lo, hi)
+	} else {
+		q = stats.SelectQuantiles(values, lo, hi)
+	}
 	return Benchmark{Lo: q[0], Hi: q[1]}
 }
 
@@ -244,7 +264,7 @@ func benchmarksEqual(a, b []Benchmark) bool {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if !a[i].sameBits(b[i]) {
 			return false
 		}
 	}
@@ -252,8 +272,9 @@ func benchmarksEqual(a, b []Benchmark) bool {
 }
 
 // resortDenominator bounds the ledger's batch repair: past nRecords /
-// resortDenominator dirty records, re-gathering and re-sorting the whole
-// column is cheaper than merging the dirty values into it.
+// resortDenominator dirty records, re-gathering the whole column and
+// selecting its benchmarks is cheaper than merging the dirty values into
+// it.
 const resortDenominator = 8
 
 // shardOf routes a record to the engine owning its row; off-corpus records
@@ -501,15 +522,17 @@ func (s *shardedEngine[R]) update(corpus []*R, dirty []int, epochMoved bool) *sh
 	}
 	// Phase 2: repair the global ledger. Per measure: epoch-moved
 	// time-sensitive columns re-gather wholesale (their values shifted for
-	// every record); heavy dirt re-sorts; sparse dirt batch-repairs the
-	// retained sorted column from the dirty rows' old and new values.
+	// every record), and so does heavy dirt; sparse dirt batch-repairs the
+	// retained column from the dirty rows' old and new values.
 	nm := len(s.infos)
-	led := &benchLedger{sorted: make([][]float64, nm), benchmarks: make([]Benchmark, nm)}
+	old := s.ledger
+	led := newBenchLedger(nm)
 	parallel.ForEachChunk(nm, s.opts.Workers, func(mlo, mhi int) {
 		for m := mlo; m < mhi; m++ {
 			switch {
 			case s.infos[m].timeSensitive && epochMoved, len(dirty)*resortDenominator > n:
-				led.sorted[m], led.benchmarks[m] = gatherColumn(cur, m, n, s.opts)
+				led.cols[m], led.benchmarks[m] = gatherColumn(cur, m, n, s.opts)
+				led.unsorted[m] = true
 			default:
 				var removes, inserts []float64
 				for _, sh := range dirtyShards {
@@ -520,7 +543,7 @@ func (s *shardedEngine[R]) update(corpus []*R, dirty []int, epochMoved bool) *sh
 					for _, c := range split[sh] {
 						oldV, oldOk := oldE.vals[m][c], oldE.present[m][c]
 						v, ok := newE.vals[m][c], newE.present[m][c]
-						if ok == oldOk && (!ok || v == oldV) {
+						if sameCell(v, ok, oldV, oldOk) {
 							continue // value unchanged: column unaffected
 						}
 						if oldOk {
@@ -531,22 +554,28 @@ func (s *shardedEngine[R]) update(corpus []*R, dirty []int, epochMoved bool) *sh
 						}
 					}
 				}
-				col := stats.SortedBatchRepair(s.ledger.sorted[m], removes, inserts)
-				led.sorted[m] = col
 				if len(removes) == 0 && len(inserts) == 0 {
-					led.benchmarks[m] = s.ledger.benchmarks[m]
-				} else {
-					led.benchmarks[m] = benchmarkFromPresorted(col, s.opts)
+					led.cols[m], led.unsorted[m], led.benchmarks[m] = old.cols[m], old.unsorted[m], old.benchmarks[m]
+					continue
 				}
+				col := old.cols[m]
+				if old.unsorted[m] {
+					// The published column stays as readers left it; the
+					// repair sorts its own copy.
+					col = slices.Clone(col)
+					sort.Float64s(col)
+				}
+				led.cols[m] = stats.SortedBatchRepair(col, removes, inserts)
+				led.benchmarks[m] = benchmarkOf(led.cols[m], true, s.opts)
 			}
 		}
 	})
 	ne.ledger = led
-	ne.benchChanged = !benchmarksEqual(s.ledger.benchmarks, led.benchmarks)
+	ne.benchChanged = !benchmarksEqual(old.benchmarks, led.benchmarks)
 	if !ne.benchChanged {
 		// Bitwise-unchanged benchmarks: keep the previous slice object so
 		// untouched engines and the ledger stay coherent by identity.
-		led.benchmarks = s.ledger.benchmarks
+		led.benchmarks = old.benchmarks
 	}
 	for sh := 0; sh < ns; sh++ {
 		if ne.engines[sh] != nil {

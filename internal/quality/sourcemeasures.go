@@ -177,9 +177,10 @@ var sourceMeasures = []SourceMeasure{
 			if len(r.Discussions) == 0 || r.ObservedAt.IsZero() {
 				return 0, false
 			}
+			obsNs, fast := r.ageClock()
 			var sum float64
 			for i := range r.Discussions {
-				sum += r.ObservedAt.Sub(r.Discussions[i].Opened).Hours() / 24
+				sum += r.threadAgeDays(i, obsNs, fast)
 			}
 			return sum / float64(len(r.Discussions)), true
 		},
@@ -340,15 +341,15 @@ var sourceMeasures = []SourceMeasure{
 			if len(r.Discussions) == 0 || r.ObservedAt.IsZero() {
 				return 0, false
 			}
+			obsNs, fast := r.ageClock()
 			var sum float64
 			n := 0
 			for i := range r.Discussions {
-				d := &r.Discussions[i]
-				ageDays := r.ObservedAt.Sub(d.Opened).Hours() / 24
+				ageDays := r.threadAgeDays(i, obsNs, fast)
 				if ageDays < 1 {
 					ageDays = 1
 				}
-				sum += float64(len(d.Comments)) / ageDays
+				sum += float64(len(r.Discussions[i].Comments)) / ageDays
 				n++
 			}
 			if n == 0 {

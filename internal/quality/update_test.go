@@ -8,7 +8,10 @@ package quality
 // original snapshot.
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/informing-observers/informer/internal/analytics"
@@ -193,4 +196,124 @@ func TestUpdateRowsPreservesReceiver(t *testing.T) {
 	base.UpdateRows(records, dirtyRows, delta.EpochMoved())
 
 	rankedEqual(t, base.Rank(oldRecords), before)
+}
+
+// nanThirdsMeasure is an extension measure that is NaN on every source
+// whose ID is a multiple of three and a plain comment count elsewhere.
+func nanThirdsMeasure() SourceMeasure {
+	return SourceMeasure{
+		ID: "test.nan.thirds", Description: "NaN on every third source",
+		Dimension: Accuracy, Attribute: Breadth, HigherIsBetter: true,
+		Eval: func(r *SourceRecord, _ *DomainOfInterest) (float64, bool) {
+			if r.ID%3 == 0 {
+				return math.NaN(), true
+			}
+			return float64(r.TotalComments()), true
+		},
+	}
+}
+
+// assertSameBenchmarkBits compares every benchmark of two source
+// assessors bit for bit (NaN matches NaN) and their score columns, which
+// hold NaN wherever a NaN measure is defined.
+func assertSameBenchmarkBits(t *testing.T, label string, got, want *SourceAssessor) {
+	t.Helper()
+	if len(got.benchmarks) != len(want.benchmarks) {
+		t.Fatalf("%s: %d benchmarks, want %d", label, len(got.benchmarks), len(want.benchmarks))
+	}
+	for id, wb := range want.benchmarks {
+		if gb, ok := got.benchmarks[id]; !ok || !gb.sameBits(wb) {
+			t.Fatalf("%s: benchmark %s: got %+v, want %+v", label, id, gb, wb)
+		}
+	}
+	gs, ws := got.Scores(), want.Scores()
+	for i := range ws {
+		if math.Float64bits(gs[i]) != math.Float64bits(ws[i]) {
+			t.Fatalf("%s: score of row %d: got %v, want %v", label, i, gs[i], ws[i])
+		}
+	}
+}
+
+// TestUpdateRowsNaNMeasureMatchesRebuild is the regression pin for NaN
+// cells in the benchmark ledger: same-day rounds restricted to sources
+// where an extension measure is NaN re-evaluate NaN to NaN. That must
+// count as no change — not a NaN removal the sorted repair cannot match
+// plus a NaN insertion appended past the column's end, which drifted the
+// measure's Hi benchmark upward round after round.
+func TestUpdateRowsNaNMeasureMatchesRebuild(t *testing.T) {
+	w := webgen.Generate(webgen.Config{Seed: 501, NumSources: 80})
+	panel := analytics.Build(w, 1501)
+	di := defaultDI()
+	opts := &AssessorOptions{ExtraSourceMeasures: []SourceMeasure{nanThirdsMeasure()}}
+	records := SourceRecordsFromWorld(w, panel)
+	a := NewSourceAssessor(records, di, opts)
+	// Churn the three NaN sources with the most open discussions.
+	var nanIDs []int
+	for _, r := range records {
+		if r.ID%3 == 0 {
+			nanIDs = append(nanIDs, r.ID)
+		}
+	}
+	slices.SortStableFunc(nanIDs, func(x, y int) int { return records[y].OpenDiscussions() - records[x].OpenDiscussions() })
+	for round := 0; round < 3; round++ {
+		nw, delta := webgen.AdvanceSameDay(w, int64(5100+round), nanIDs[:3])
+		npanel := panel.Refresh(nw)
+		var dirtyRows []int
+		records, dirtyRows = UpdateSourceRecordsFromWorld(records, nw, npanel, delta.DirtySourceIDs())
+		if len(dirtyRows) == 0 {
+			t.Fatalf("round %d dirtied no source", round)
+		}
+		a = a.UpdateRows(records, dirtyRows, delta.EpochMoved())
+		assertSameBenchmarkBits(t, fmt.Sprintf("round %d", round), a, NewSourceAssessor(records, di, opts))
+		w, panel = nw, npanel
+	}
+}
+
+// TestUpdateRowsEpochSameDayChain pins the ledger's two column states
+// across a chain of epoch → same-day → epoch → same-day rounds: an epoch
+// move re-gathers the time-sensitive columns and reads their benchmarks
+// by selection, leaving them unsorted; the same-day round after it
+// batch-repairs such a column from its dirty rows, sorting a copy first.
+// After every step benchmarks (bit for bit) and rankings equal a rebuild.
+func TestUpdateRowsEpochSameDayChain(t *testing.T) {
+	w := webgen.Generate(webgen.Config{Seed: 513, NumSources: 120})
+	panel := analytics.Build(w, 1513)
+	di := defaultDI()
+	records := SourceRecordsFromWorld(w, panel)
+	a := NewSourceAssessor(records, di, nil)
+	live := a.engine.measurePos("src.dependability.liveliness")
+	// Same-day rounds churn the five sources with the most open threads.
+	churned := make([]int, len(records))
+	for i := range churned {
+		churned[i] = i
+	}
+	slices.SortStableFunc(churned, func(x, y int) int { return records[y].OpenDiscussions() - records[x].OpenDiscussions() })
+	churned = churned[:5]
+	for step := 0; step < 4; step++ {
+		epoch := step%2 == 0
+		var nw *webgen.World
+		var delta *webgen.Delta
+		if epoch {
+			nw, delta = webgen.Advance(w, 1, int64(5300+step))
+		} else {
+			if !a.engine.ledger.unsorted[live] {
+				t.Fatalf("step %d: the epoch move left the liveliness column sorted", step)
+			}
+			nw, delta = webgen.AdvanceSameDay(w, int64(5300+step), churned)
+		}
+		npanel := panel.Refresh(nw)
+		var dirtyRows []int
+		records, dirtyRows = UpdateSourceRecordsFromWorld(records, nw, npanel, delta.DirtySourceIDs())
+		if !epoch && (len(dirtyRows) == 0 || len(dirtyRows)*resortDenominator > len(records)) {
+			t.Fatalf("step %d: %d dirty rows, want sparse dirt for a batch repair", step, len(dirtyRows))
+		}
+		a = a.UpdateRows(records, dirtyRows, delta.EpochMoved())
+		if got := a.engine.ledger.unsorted[live]; got != epoch {
+			t.Fatalf("step %d (epoch %v): liveliness column unsorted = %v", step, epoch, got)
+		}
+		fresh := NewSourceAssessor(records, di, nil)
+		assertSameBenchmarkBits(t, fmt.Sprintf("step %d", step), a, fresh)
+		assertAssessorsEqual(t, a, fresh, records)
+		w, panel = nw, npanel
+	}
 }

@@ -12,12 +12,14 @@ import "sort"
 // three preserve the invariant that the slice holds exactly the
 // multiset of observed values in ascending order — the same array a full
 // sort of the multiset would produce — so incrementally maintained
-// quantiles are bit-identical to recomputed ones.
+// quantiles are bit-identical to recomputed ones. All three order values
+// as sort.Float64s does, NaN first, so a column holding NaN repairs like
+// any other.
 
 // SortedInsert inserts v into ascending-sorted xs, in place when capacity
 // allows, and returns the grown slice.
 func SortedInsert(xs []float64, v float64) []float64 {
-	i := sort.SearchFloat64s(xs, v)
+	i := searchNaNFirst(xs, v)
 	xs = append(xs, 0)
 	copy(xs[i+1:], xs[i:])
 	xs[i] = v
@@ -28,12 +30,24 @@ func SortedInsert(xs []float64, v float64) []float64 {
 // returns the shrunk slice. The second result reports whether v was found;
 // when false the slice is returned unchanged.
 func SortedRemove(xs []float64, v float64) ([]float64, bool) {
-	i := sort.SearchFloat64s(xs, v)
-	if i >= len(xs) || xs[i] != v {
+	i := searchNaNFirst(xs, v)
+	if i >= len(xs) || lessNaNFirst(v, xs[i]) {
 		return xs, false
 	}
 	copy(xs[i:], xs[i+1:])
 	return xs[:len(xs)-1], true
+}
+
+// lessNaNFirst is the order sort.Float64s sorts by: ascending, with NaN
+// before every other value. It ties NaNs among themselves and −0 with +0.
+func lessNaNFirst(a, b float64) bool {
+	return a < b || (a != a && b == b)
+}
+
+// searchNaNFirst returns the first index of ascending-sorted xs whose
+// value does not order before v.
+func searchNaNFirst(xs []float64, v float64) int {
+	return sort.Search(len(xs), func(i int) bool { return !lessNaNFirst(xs[i], v) })
 }
 
 // SortedBatchRepair applies many removals and insertions to an
@@ -43,9 +57,11 @@ func SortedRemove(xs []float64, v float64) ([]float64, bool) {
 // ledger repairs 100k-value columns this way instead of paying one O(n)
 // memmove per changed value). removes and inserts are consumed as
 // multisets; a remove with no matching element is ignored, mirroring
-// SortedRemove's not-found tolerance. xs is left untouched; the result is
-// a fresh slice holding exactly the repaired multiset in ascending order —
-// bit-identical to re-sorting the repaired multiset from scratch.
+// SortedRemove's not-found tolerance, and a remove matches any element
+// the order ties it with, so a NaN remove consumes one NaN. xs is left
+// untouched; the result is a fresh slice holding exactly the repaired
+// multiset in ascending order — bit-identical to re-sorting the repaired
+// multiset from scratch.
 func SortedBatchRepair(xs, removes, inserts []float64) []float64 {
 	if len(removes) == 0 && len(inserts) == 0 {
 		return xs
@@ -64,15 +80,15 @@ func SortedBatchRepair(xs, removes, inserts []float64) []float64 {
 	ri, ii := 0, 0
 	for _, v := range xs {
 		// Emit pending insertions strictly below v first.
-		for ii < len(ins) && ins[ii] < v {
+		for ii < len(ins) && lessNaNFirst(ins[ii], v) {
 			out = append(out, ins[ii])
 			ii++
 		}
 		// A remove below v can never match anymore: drop it (not-found).
-		for ri < len(rem) && rem[ri] < v {
+		for ri < len(rem) && lessNaNFirst(rem[ri], v) {
 			ri++
 		}
-		if ri < len(rem) && rem[ri] == v {
+		if ri < len(rem) && !lessNaNFirst(v, rem[ri]) {
 			ri++ // one occurrence consumed by the removal multiset
 			continue
 		}

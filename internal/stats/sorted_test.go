@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -139,5 +140,78 @@ func TestSortedBatchRepairMatchesSequential(t *testing.T) {
 	xs := []float64{1, 2, 3}
 	if got := SortedBatchRepair(xs, nil, nil); &got[0] != &xs[0] {
 		t.Fatal("empty repair must return the input slice unchanged")
+	}
+}
+
+// bitsEqual reports whether two slices hold the same float bit patterns.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSortedRepairNaN pins NaN handling in the repair primitives against
+// sort.Float64s, which orders NaN before every other value: a NaN remove
+// consumes one NaN instead of blocking every later remove, and a NaN
+// insert lands at the front instead of dragging every later insert to
+// the end of the column.
+func TestSortedRepairNaN(t *testing.T) {
+	nan := math.NaN()
+	xs := []float64{nan, nan, 1, 2, 3}
+	got := SortedBatchRepair(xs, []float64{nan, 2}, []float64{nan, 0.5})
+	if want := []float64{nan, nan, 0.5, 1, 3}; !bitsEqual(got, want) {
+		t.Fatalf("batch repair: got %v, want %v", got, want)
+	}
+
+	rng := rand.New(rand.NewSource(17))
+	draw := func() float64 {
+		if rng.Intn(5) == 0 {
+			return nan
+		}
+		return float64(rng.Intn(12)) / 4
+	}
+	for trial := 0; trial < 300; trial++ {
+		multiset := make([]float64, rng.Intn(40))
+		for i := range multiset {
+			multiset[i] = draw()
+		}
+		col := append([]float64(nil), multiset...)
+		sort.Float64s(col)
+		// Removes are drawn from the multiset, so each must be consumed.
+		var removes, inserts []float64
+		for k := rng.Intn(6); k > 0 && len(multiset) > 0; k-- {
+			i := rng.Intn(len(multiset))
+			removes = append(removes, multiset[i])
+			multiset = append(multiset[:i], multiset[i+1:]...)
+		}
+		for k := rng.Intn(6); k > 0; k-- {
+			v := draw()
+			inserts = append(inserts, v)
+			multiset = append(multiset, v)
+		}
+		want := append([]float64(nil), multiset...)
+		sort.Float64s(want)
+		if got := SortedBatchRepair(col, removes, inserts); !bitsEqual(got, want) {
+			t.Fatalf("trial %d: batch repair\n got  %v\n want %v", trial, got, want)
+		}
+		seq := append([]float64(nil), col...)
+		for _, v := range removes {
+			var ok bool
+			if seq, ok = SortedRemove(seq, v); !ok {
+				t.Fatalf("trial %d: SortedRemove(%v) missed a value of the column %v", trial, v, seq)
+			}
+		}
+		for _, v := range inserts {
+			seq = SortedInsert(seq, v)
+		}
+		if !bitsEqual(seq, want) {
+			t.Fatalf("trial %d: sequential repair\n got  %v\n want %v", trial, seq, want)
+		}
 	}
 }

@@ -131,20 +131,27 @@ func SortedQuantile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		panic("stats: SortedQuantile of empty slice")
 	}
+	lo, hi, frac := quantileRanks(len(sorted), q)
+	if lo == hi {
+		return sorted[lo]
+	}
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// quantileRanks returns the one or two order statistics (ranks lo and
+// hi, equal when the quantile lands on one) that the type-7 q-th quantile
+// of n sorted values interpolates between, and the weight of hi.
+func quantileRanks(n int, q float64) (lo, hi int, frac float64) {
 	if q < 0 {
 		q = 0
 	}
 	if q > 1 {
 		q = 1
 	}
-	h := q * float64(len(sorted)-1)
-	lo := int(math.Floor(h))
-	hi := int(math.Ceil(h))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := h - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	h := q * float64(n-1)
+	lo = int(math.Floor(h))
+	hi = int(math.Ceil(h))
+	return lo, hi, h - float64(lo)
 }
 
 // SortedQuantiles reads multiple quantiles from an already-sorted slice.

@@ -1,6 +1,7 @@
 package informer
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/informing-observers/informer/internal/quality"
@@ -33,5 +34,40 @@ func TestAdvanceRoundAllocBudget(t *testing.T) {
 	}
 	if allocs > roundAllocBudget {
 		t.Fatalf("one Advance round allocates %.0f times, budget %d", allocs, roundAllocBudget)
+	}
+}
+
+// roundBytesBudget caps the bytes one daily ~1%-churn Advance over 2000
+// sources allocates, on the world and ticks of
+// TestAdvanceRoundAllocBudget: 3,530,468 measured (go1.24, linux/amd64;
+// 3,530,888 under -race) plus 25%. At GOMAXPROCS 1 the figure repeats to
+// within a few bytes across runs, so it gates like the count does. It
+// guards what the count cannot: a round that rebuilds every comment stat
+// of a dirty source (4,820,172 bytes per round) allocates about as often
+// but far more.
+const roundBytesBudget = 4413085
+
+func TestAdvanceRoundBytesBudget(t *testing.T) {
+	world := webgen.Generate(webgen.Config{Seed: 91, NumSources: 2000, ChurnScale: 0.27})
+	c := FromWorld(world, quality.DomainOfInterest{}, 91)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// The same rounds as the count gate: one warm-up, then four measured.
+	const rounds = 4
+	seed := int64(9100)
+	round := func() {
+		seed++
+		c.Advance(1, seed)
+	}
+	round()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	perRound := (after.TotalAlloc - before.TotalAlloc) / rounds
+	t.Logf("one Advance round allocates %d bytes", perRound)
+	if perRound > roundBytesBudget {
+		t.Fatalf("one Advance round allocates %d bytes, budget %d", perRound, roundBytesBudget)
 	}
 }

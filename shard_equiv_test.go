@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/informing-observers/informer/internal/quality"
@@ -408,6 +409,58 @@ func TestSkewedIngestDrainShardEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireSameResult(t, fmt.Sprintf("shards %d round %d query %d", ns, round, qi), want, got)
+			}
+			assertCorpusEquals(t, c, fresh)
+		}
+	}
+}
+
+// TestEpochChainShardEquivalence chains epoch → same-day → epoch →
+// same-day rounds at every shard count. An epoch move re-gathers the
+// ledger's time-sensitive columns and selects their benchmarks, leaving
+// the columns unsorted; the same-day round after it batch-repairs them
+// from the churned sources' new values, sorting a copy first. After every
+// step the corpus — rankings, benchmarks, the score join and the standing
+// queries' answers — equals a fresh build over the same world.
+func TestEpochChainShardEquivalence(t *testing.T) {
+	world := webgen.Generate(webgen.Config{Seed: 7013, NumSources: 80, NumUsers: 200})
+	queries := []Query{
+		NewQuery().ScoresOnly().Build(),
+		NewQuery().SortByDimension(quality.Time).TopK(15).Build(),
+		NewQuery().SortByAttribute(quality.Liveliness).Build(),
+	}
+	// Same-day rounds churn the five sources with the most open threads.
+	churned := make([]int, len(world.Sources))
+	for i := range churned {
+		churned[i] = i
+	}
+	open := func(id int) int { return world.Sources[id].OpenDiscussions() }
+	sort.SliceStable(churned, func(i, j int) bool { return open(churned[i]) > open(churned[j]) })
+	churned = churned[:5]
+	for _, ns := range equivShardCounts {
+		c := FromWorldSharded(world, DomainOfInterest{}, 7013, ns)
+		for step := 0; step < 4; step++ {
+			for _, q := range queries {
+				if _, err := c.QuerySources(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if step%2 == 0 {
+				c.Advance(1, int64(9500+step))
+			} else if c.AdvanceSameDay(int64(9500+step), churned); len(c.LastDelta().DirtySourceIDs()) == 0 {
+				t.Fatalf("shards %d step %d: the same-day round dirtied no source", ns, step)
+			}
+			fresh := FromWorldSharded(c.World(), DomainOfInterest{}, 7013, ns)
+			for qi, q := range queries {
+				got, err := c.QuerySources(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.QuerySources(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResult(t, fmt.Sprintf("shards %d step %d query %d", ns, step, qi), want, got)
 			}
 			assertCorpusEquals(t, c, fresh)
 		}
