@@ -9,11 +9,13 @@ package informer
 // concurrently (run under -race in CI).
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -39,11 +41,19 @@ func TestAPISourcesByteIdenticalToInProcessQuery(t *testing.T) {
 	c := New(Config{Seed: 171, NumSources: 60, NumUsers: 150, CommentText: true})
 	h := c.APIHandler()
 
+	// A resumed page: the envelope's offset reports the cursor's rank.
+	blogs := NewQuery().Kinds("blog").Limit(3).Build()
+	first, err := c.QuerySources(blogs)
+	if err != nil || first.Next == nil {
+		t.Fatalf("first blog page: %v, next %v", err, first)
+	}
+	tok := apiserve.NextCursorOf(first, c.ShardCount())
+
 	cases := map[string]Query{
 		"/api/v1/sources?min_score=0.55&k=10": NewQuery().MinScore(0.55).TopK(10).Build(),
 		"/api/v1/sources?category=place&min_dim.time=0.3&sort=dim.time&k=5&fields=scores": NewQuery().
 			Categories("place").MinDimension(Time, 0.3).SortByDimension(Time).TopK(5).ScoresOnly().Build(),
-		"/api/v1/sources?kind=blog&offset=3&limit=4": NewQuery().Kinds("blog").Page(3, 4).Build(),
+		"/api/v1/sources?kind=blog&limit=4&cursor=" + tok: NewQuery().Kinds("blog").Limit(4).Resume(first.Next).Build(),
 	}
 	for target, q := range cases {
 		rec := apiGet(t, h, target, nil)
@@ -151,66 +161,6 @@ func TestAPIConditionalGetAcrossTicks(t *testing.T) {
 	}
 }
 
-// apiWalk pages through /api/v1/sources pinned to the first page's
-// snapshot token and returns the concatenated item IDs plus the token. A
-// 410 (pin aged out) restarts the walk from the current round.
-func apiWalk(t *testing.T, h http.Handler, pageSize int) ([]int, []float64, int64) {
-	t.Helper()
-restart:
-	for {
-		first := apiGet(t, h, fmt.Sprintf("/api/v1/sources?fields=scores&limit=%d", pageSize), nil)
-		if first.Code != http.StatusOK {
-			t.Fatalf("first page: status %d", first.Code)
-		}
-		var env struct {
-			Snapshot int64 `json:"snapshot"`
-			Total    int   `json:"total"`
-			Items    []struct {
-				ID    int     `json:"id"`
-				Score float64 `json:"score"`
-			} `json:"items"`
-		}
-		if err := json.Unmarshal(first.Body.Bytes(), &env); err != nil {
-			t.Fatal(err)
-		}
-		token := env.Snapshot
-		var ids []int
-		var scores []float64
-		for _, it := range env.Items {
-			ids = append(ids, it.ID)
-			scores = append(scores, it.Score)
-		}
-		for offset := pageSize; offset < env.Total; offset += pageSize {
-			rec := apiGet(t, h, fmt.Sprintf("/api/v1/sources?fields=scores&limit=%d&offset=%d&snapshot=%d",
-				pageSize, offset, token), nil)
-			if rec.Code == http.StatusGone {
-				continue restart
-			}
-			if rec.Code != http.StatusOK {
-				t.Fatalf("page at %d: status %d", offset, rec.Code)
-			}
-			var page struct {
-				Snapshot int64 `json:"snapshot"`
-				Items    []struct {
-					ID    int     `json:"id"`
-					Score float64 `json:"score"`
-				} `json:"items"`
-			}
-			if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
-				t.Fatal(err)
-			}
-			if page.Snapshot != token {
-				t.Fatalf("pinned walk changed rounds: %d then %d", token, page.Snapshot)
-			}
-			for _, it := range page.Items {
-				ids = append(ids, it.ID)
-				scores = append(scores, it.Score)
-			}
-		}
-		return ids, scores, token
-	}
-}
-
 // TestAPIPaginatedWalkPinnedAcrossAdvance ticks the corpus between pages
 // deterministically: the pinned walk must keep reading the pre-tick round
 // and match the pre-tick in-process ranking exactly.
@@ -230,9 +180,9 @@ func TestAPIPaginatedWalkPinnedAcrossAdvance(t *testing.T) {
 	// First page on round 1, then tick, then keep walking pinned.
 	first := apiGet(t, h, "/api/v1/sources?fields=scores&limit=15", nil)
 	var env struct {
-		Snapshot int64 `json:"snapshot"`
-		Total    int   `json:"total"`
-		Items    []struct {
+		Snapshot   int64  `json:"snapshot"`
+		NextCursor string `json:"next_cursor"`
+		Items      []struct {
 			ID int `json:"id"`
 		} `json:"items"`
 	}
@@ -248,14 +198,15 @@ func TestAPIPaginatedWalkPinnedAcrossAdvance(t *testing.T) {
 	for _, it := range env.Items {
 		got = append(got, it.ID)
 	}
-	for offset := 15; offset < env.Total; offset += 15 {
-		rec := apiGet(t, h, fmt.Sprintf("/api/v1/sources?fields=scores&limit=15&offset=%d&snapshot=%d", offset, env.Snapshot), nil)
+	for next := env.NextCursor; next != ""; {
+		rec := apiGet(t, h, fmt.Sprintf("/api/v1/sources?fields=scores&limit=15&cursor=%s&snapshot=%d", next, env.Snapshot), nil)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("pinned page: status %d: %s", rec.Code, rec.Body.String())
 		}
 		var page struct {
-			Snapshot int64 `json:"snapshot"`
-			Items    []struct {
+			Snapshot   int64  `json:"snapshot"`
+			NextCursor string `json:"next_cursor"`
+			Items      []struct {
 				ID int `json:"id"`
 			} `json:"items"`
 		}
@@ -268,6 +219,7 @@ func TestAPIPaginatedWalkPinnedAcrossAdvance(t *testing.T) {
 		for _, it := range page.Items {
 			got = append(got, it.ID)
 		}
+		next = page.NextCursor
 	}
 	if !reflect.DeepEqual(got, wantIDs) {
 		t.Fatalf("pinned walk diverged from the pre-tick ranking:\n got  %v\n want %v", got, wantIDs)
@@ -305,7 +257,7 @@ func TestAPIConcurrentReadersDuringAdvance(t *testing.T) {
 				return
 			default:
 			}
-			ids, scores, _ := apiWalk(t, h, 7)
+			ids, scores, _ := apiCursorWalk(t, h, 7)
 			seen := map[int]bool{}
 			for _, id := range ids {
 				if seen[id] {
@@ -413,11 +365,11 @@ restart:
 	}
 }
 
-// TestAPICursorWalkMatchesOffsetWalk is the keyset-pagination acceptance
+// TestAPICursorWalkMatchesRanking is the keyset-pagination acceptance
 // contract over the wire: a chained next_cursor walk returns exactly the
-// bytes-worth of rows the deprecated offset walk returns, which in turn
-// match the in-process ranking.
-func TestAPICursorWalkMatchesOffsetWalk(t *testing.T) {
+// in-process ranking, and each resumed page is byte-identical to the
+// in-process page it names.
+func TestAPICursorWalkMatchesRanking(t *testing.T) {
 	c := New(Config{Seed: 181, NumSources: 45, NumUsers: 120, CommentText: true})
 	h := c.APIHandler()
 
@@ -431,43 +383,102 @@ func TestAPICursorWalkMatchesOffsetWalk(t *testing.T) {
 	}
 
 	cursorIDs, _, _ := apiCursorWalk(t, h, 7)
-	offsetIDs, _, _ := apiWalk(t, h, 7)
 	if !reflect.DeepEqual(cursorIDs, wantIDs) {
 		t.Fatalf("cursor walk diverged from the in-process ranking:\n got  %v\n want %v", cursorIDs, wantIDs)
 	}
-	if !reflect.DeepEqual(offsetIDs, wantIDs) {
-		t.Fatalf("offset walk diverged from the in-process ranking:\n got  %v\n want %v", offsetIDs, wantIDs)
+
+	// Page by page, each body is the in-process page wrapped in the
+	// envelope, its offset the page's start rank; the final page closes
+	// the walk.
+	q := NewQuery().ScoresOnly().Limit(7).Build()
+	target := "/api/v1/sources?fields=scores&limit=7"
+	for pages := 0; ; pages++ {
+		if pages > 10 {
+			t.Fatal("cursor walk did not terminate")
+		}
+		res, err := c.QuerySources(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := apiserve.NextCursorOf(res, c.ShardCount())
+		body, err := json.Marshal(apiserve.NewEnvelope(c.SnapshotVersion(), res.Total, res.Start, next, apiserve.AssessmentItems(res.Items)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := apiGet(t, h, target, nil)
+		if rec.Body.String() != string(body) {
+			t.Fatalf("page %d diverges from the in-process page:\n http: %s\n want: %s", pages, rec.Body.String(), body)
+		}
+		if res.Start != 7*pages {
+			t.Fatalf("page %d starts at rank %d, want %d", pages, res.Start, 7*pages)
+		}
+		if next == "" {
+			if res.Start+len(res.Items) != len(wantIDs) {
+				t.Fatalf("walk closed after %d of %d rows", res.Start+len(res.Items), len(wantIDs))
+			}
+			break
+		}
+		q.After = res.Next
+		target = "/api/v1/sources?fields=scores&limit=7&cursor=" + next
+	}
+}
+
+// TestAPIOffsetRetired pins the retired offset surface: every endpoint
+// that binds a query — reads, standing windows and sink creation —
+// answers any offset parameter, offset=0 included, with a 400 naming the
+// cursor to page with instead. A cursor on a standing window is refused
+// by the subscription registry itself.
+func TestAPIOffsetRetired(t *testing.T) {
+	c := New(Config{Seed: 187, NumSources: 30, NumUsers: 90, CommentText: true})
+	h := c.APIHandler()
+	errorOf := func(rec *httptest.ResponseRecorder) string {
+		var body struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			return rec.Body.String()
+		}
+		return body.Error
+	}
+	for _, target := range []string{
+		"/api/v1/sources?offset=3",
+		"/api/v1/sources?offset=0&limit=5",
+		"/api/v1/sources?offset=",
+		"/api/v1/contributors?k=5&offset=2",
+		"/api/v1/watch?since=1&k=5&offset=3",
+		"/api/v1/stream?k=5&offset=3",
+	} {
+		// A deadline ends a watch or stream that wrongly accepted the
+		// query, so a regression fails instead of hanging.
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		req := httptest.NewRequest(http.MethodGet, target, nil).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		cancel()
+		if rec.Code != http.StatusBadRequest || !strings.Contains(errorOf(rec), "cursor") {
+			t.Errorf("%s: status %d, error %q; want 400 naming cursor", target, rec.Code, errorOf(rec))
+		}
 	}
 
-	// Page bodies also carry identical items page for page: page 2 by
-	// cursor equals page 2 by offset, byte for byte.
-	first := apiGet(t, h, "/api/v1/sources?fields=scores&limit=7", nil)
-	var env apiserve.Envelope
-	if err := json.Unmarshal(first.Body.Bytes(), &env); err != nil {
+	res, err := c.QuerySources(NewQuery().Limit(3).Build())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if env.NextCursor == "" {
-		t.Fatal("windowed page must carry next_cursor")
+	tok := apiserve.NextCursorOf(res, c.ShardCount())
+	for query, wantMsg := range map[string]string{
+		"k=5&offset=3":      "cursor",
+		"k=5&cursor=" + tok: "paginate",
+	} {
+		body := fmt.Sprintf(`{"url":"http://127.0.0.1:1/hook","query":%q}`, query)
+		req := httptest.NewRequest(http.MethodPost, "/api/v1/sinks", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(errorOf(rec), wantMsg) {
+			t.Errorf("sink query %q: status %d, error %q; want 400 naming %q", query, rec.Code, errorOf(rec), wantMsg)
+		}
 	}
-	byCursor := apiGet(t, h, "/api/v1/sources?fields=scores&limit=7&cursor="+env.NextCursor, nil)
-	byOffset := apiGet(t, h, "/api/v1/sources?fields=scores&limit=7&offset=7", nil)
-	if byCursor.Body.String() != byOffset.Body.String() {
-		t.Fatalf("page 2 diverges between cursor and offset:\n cursor: %s\n offset: %s",
-			byCursor.Body.String(), byOffset.Body.String())
-	}
-	// The final page closes the walk: no next_cursor past the end.
-	last := apiGet(t, h, "/api/v1/sources?fields=scores&limit=7&offset=42", nil)
-	var lastEnv apiserve.Envelope
-	if err := json.Unmarshal(last.Body.Bytes(), &lastEnv); err != nil {
-		t.Fatal(err)
-	}
-	if lastEnv.NextCursor != "" {
-		t.Fatal("exhausted walk must not carry next_cursor")
-	}
-
-	// cursor and offset together are rejected.
-	if rec := apiGet(t, h, "/api/v1/sources?cursor=AAAA&offset=3", nil); rec.Code != http.StatusBadRequest {
-		t.Fatalf("cursor+offset: status %d, want 400", rec.Code)
+	if n := len(c.Sinks().Stats()); n != 0 {
+		t.Fatalf("rejected sinks were registered: %d", n)
 	}
 }
 

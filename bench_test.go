@@ -687,8 +687,7 @@ func BenchmarkQueryTopKCached(b *testing.B) {
 // BenchmarkQueryCursorPage measures one resumed keyset page (uncached
 // engine path, page 50 of a limit-10 walk) against the same corpus: the
 // lean pass plus ten materializations, independent of how deep the walk
-// is — the contract that replaces the O(offset+limit) prefix re-selection
-// of the deprecated offset shim.
+// is: the scan skips the consumed prefix instead of re-selecting it.
 func BenchmarkQueryCursorPage(b *testing.B) {
 	world := webgen.Generate(webgen.Config{Seed: 21, NumSources: 2000})
 	panel := analytics.Build(world, 22)

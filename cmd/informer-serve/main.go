@@ -286,9 +286,6 @@ func registerSink(c *informer.Corpus, rawURL, query string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if q.After != nil || q.Offset != 0 {
-		return "", fmt.Errorf("standing windows do not paginate; bound %q with k or limit", query)
-	}
 	f, err := informer.BindDeltaFilter(v)
 	if err != nil {
 		return "", err

@@ -18,6 +18,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/informing-observers/informer/internal/apiserve"
+	"github.com/informing-observers/informer/internal/quality"
 )
 
 // logBuf is a goroutine-safe io.Writer for run()'s output (the tick loop
@@ -324,11 +327,23 @@ func TestRunBadFlags(t *testing.T) {
 }
 
 // TestRegisterSinkBinding pins that -sink-query accepts the full watch
-// form (predicates + delta filters) and rejects pagination.
+// form (predicates + delta filters) and rejects pagination: the retired
+// offset at binding, a cursor at sink registration.
 func TestRegisterSinkBinding(t *testing.T) {
-	if err := run(context.Background(), []string{
-		"-addr", "127.0.0.1:0", "-sink", "http://127.0.0.1:1/x", "-sink-query", "k=5&offset=3",
-	}, io.Discard); err == nil {
-		t.Error("pagination in -sink-query must be rejected")
+	tok := apiserve.EncodeCursor(quality.Cursor{Key: 0.5, ID: 1, Pos: 3}, 1)
+	for query, wantMsg := range map[string]string{
+		"k=5&offset=3":      "cursor",
+		"k=5&cursor=" + tok: "paginate",
+	} {
+		// A deadline stops a server that wrongly accepted the sink, so a
+		// regression fails instead of serving forever.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err := run(ctx, []string{
+			"-addr", "127.0.0.1:0", "-sink", "http://127.0.0.1:1/x", "-sink-query", query,
+		}, io.Discard)
+		cancel()
+		if err == nil || !strings.Contains(err.Error(), wantMsg) {
+			t.Errorf("-sink-query %q: error %v, want one naming %q", query, err, wantMsg)
+		}
 	}
 }

@@ -424,10 +424,9 @@ func (c *Corpus) AssessSource(id int) (*Assessment, bool) {
 //
 // Results are cached on the snapshot per canonical query (querycache.go):
 // repeated identical reads within one assessment round are map hits, every
-// pagination window of one query — offset pages and cursor pages alike —
-// slices a shared ranked spine, and Advance invalidates the whole cache by
-// swapping the snapshot. Treat the returned result as read-only; identical
-// queries may share it.
+// cursor page of one query slices a shared ranked spine, and Advance
+// invalidates the whole cache by swapping the snapshot. Treat the returned
+// result as read-only; identical queries may share it.
 func (c *Corpus) QuerySources(q Query) (*QueryResult, error) {
 	return c.state.Load().querySources(q)
 }
@@ -885,9 +884,8 @@ var ErrSlowConsumer = subscribe.ErrSlowConsumer
 // buffer is dropped with ErrSlowConsumer and re-syncs from a fresh
 // QuerySources read. Close the subscription when done.
 //
-// The query binds like QuerySources but must not carry a pagination
-// position (Offset, Resume): bound the standing window with TopK or
-// Limit.
+// The query binds like QuerySources but must not carry a resume cursor
+// (Resume): bound the standing window with TopK or Limit.
 func (c *Corpus) Subscribe(q Query) (*Subscription, error) {
 	return c.subs.Subscribe(q)
 }

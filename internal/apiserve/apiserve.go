@@ -20,9 +20,9 @@
 // Pagination is keyset-first: every windowed response carries an opaque
 // "next_cursor" token (the (sort key, ID) position of the last row, see
 // cursor.go) and echoing it as ?cursor= resumes the walk at single-page
-// cost. ?offset= remains as a deprecated shim and is served from the same
-// per-snapshot ranked spine the cursor path slices, so deep offset pages
-// no longer re-select their prefix.
+// cost. Offset paging is retired: ?offset= is answered with 400, telling
+// the client to follow next_cursor instead. The envelope's "offset" field
+// stays, reporting the rank of the page's first item.
 //
 // Consistency model: every response is computed from ONE immutable
 // assessment snapshot and carries its monotonic version both in the
@@ -213,13 +213,13 @@ func (s *Server) Close() {
 }
 
 // page is one endpoint's answer from a pinned snapshot: the items, the
-// pre-pagination total, the window's rank offset and — for windowed
-// endpoints — the opaque resume cursor of the next page.
+// pre-pagination total, the rank of the window's first item and — for
+// windowed endpoints — the opaque resume cursor of the next page.
 type page struct {
-	items  any
-	total  int
-	offset int
-	next   string
+	items any
+	total int
+	start int
+	next  string
 }
 
 // handlerFunc answers one endpoint from a pinned snapshot, or a
@@ -255,7 +255,7 @@ func (s *Server) endpoint(fn handlerFunc) http.HandlerFunc {
 			writeError(w, status, err.Error())
 			return
 		}
-		body, err := json.Marshal(NewEnvelope(st.Version(), pg.total, pg.offset, pg.next, pg.items))
+		body, err := json.Marshal(NewEnvelope(st.Version(), pg.total, pg.start, pg.next, pg.items))
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return
@@ -402,7 +402,10 @@ type Envelope struct {
 	// (sources, contributors, influencers, sentiment). Trending and
 	// search are generators bounded by k at the source, so there Total
 	// equals Count.
-	Total  int `json:"total"`
+	Total int `json:"total"`
+	// Offset is the rank of the page's first item (QueryResult.Start): 0
+	// on a first page, the cursor's position on a resumed one. It is a
+	// report, not a request parameter — ?offset= is rejected.
 	Offset int `json:"offset"`
 	Count  int `json:"count"`
 	// NextCursor resumes the walk on the following page when echoed as
@@ -417,14 +420,14 @@ type Envelope struct {
 // NewEnvelope wraps one response page. It is exported (with the item
 // constructors below) so tests and in-process consumers can reproduce a
 // response byte for byte.
-func NewEnvelope(snapshot int64, total, offset int, nextCursor string, items any) Envelope {
+func NewEnvelope(snapshot int64, total, start int, nextCursor string, items any) Envelope {
 	count := 0
 	if items != nil {
 		if v := reflect.ValueOf(items); v.Kind() == reflect.Slice {
 			count = v.Len()
 		}
 	}
-	return Envelope{APIVersion: "v1", Snapshot: snapshot, Total: total, Offset: offset, Count: count, NextCursor: nextCursor, Items: items}
+	return Envelope{APIVersion: "v1", Snapshot: snapshot, Total: total, Offset: start, Count: count, NextCursor: nextCursor, Items: items}
 }
 
 // NextCursorOf renders a query result's resume cursor in its wire form —
@@ -688,8 +691,8 @@ func handleSearch(st Snapshot, v url.Values) (page, error) {
 //	min_measure.src.time.liveliness=0.3
 //	spam_resistance=0.25              contributor spam-resistance predicate
 //	sort=score | dim.<name> | att.<name>
-//	k=10&offset=0&limit=20            top-k bound and pagination window
-//	cursor=<next_cursor>              keyset resume (excludes offset)
+//	k=10&limit=20                     top-k bound and page width
+//	cursor=<next_cursor>              keyset resume
 //	fields=scores | full              projection (default full)
 //
 // Exported so tests and other mounts can reuse the binding.
@@ -780,16 +783,15 @@ func BindQuery(v url.Values) (quality.Query, error) {
 	if q.TopK, err = intParam(v, "k", 0); err != nil {
 		return q, err
 	}
-	if q.Offset, err = intParam(v, "offset", 0); err != nil {
-		return q, err
+	if _, ok := v["offset"]; ok {
+		// Retired, not ignored: ignoring it would answer a deep page
+		// request with the first page.
+		return q, fmt.Errorf("offset pagination is retired: page by passing each response's next_cursor back as cursor=")
 	}
 	if q.Limit, err = intParam(v, "limit", 0); err != nil {
 		return q, err
 	}
 	if tok := v.Get("cursor"); tok != "" {
-		if q.Offset != 0 {
-			return q, fmt.Errorf("cursor and offset are mutually exclusive")
-		}
 		// The shard tag is validated against the serving snapshot by
 		// checkCursorShards (410 semantics); the bound query itself is
 		// shard-agnostic.
@@ -850,9 +852,6 @@ func EncodeQuery(q quality.Query) url.Values {
 	}
 	if q.TopK != 0 {
 		v.Set("k", strconv.Itoa(q.TopK))
-	}
-	if q.Offset != 0 {
-		v.Set("offset", strconv.Itoa(q.Offset))
 	}
 	if q.Limit != 0 {
 		v.Set("limit", strconv.Itoa(q.Limit))
@@ -1109,7 +1108,7 @@ func bindWatchQuery(v url.Values, sinceRequired bool) (since int64, wait time.Du
 	if q, err = BindQuery(v); err != nil {
 		return 0, 0, q, f, err
 	}
-	if q.After != nil || q.Offset != 0 {
+	if q.After != nil {
 		return 0, 0, q, f, fmt.Errorf("standing windows do not paginate; bound them with k or limit")
 	}
 	if f, err = BindFilter(v); err != nil {

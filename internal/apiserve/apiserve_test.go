@@ -36,9 +36,9 @@ func (s *stubSnapshot) ShardCount() int { return 1 }
 func (s *stubSnapshot) QuerySources(q quality.Query) (*quality.QueryResult, error) {
 	*s.lastQ = q
 	as := &quality.Assessment{ID: int(s.version), Name: "src", Score: 0.5}
-	start := q.Offset
-	if start < 0 {
-		start = 0
+	start := 0
+	if q.After != nil {
+		start = max(q.After.Pos, 0)
 	}
 	return &quality.QueryResult{Items: []*quality.Assessment{as}, Total: 7, Start: start}, nil
 }
@@ -113,7 +113,7 @@ func decodeEnvelope(t *testing.T, rec *httptest.ResponseRecorder) Envelope {
 func TestBindQuery(t *testing.T) {
 	v, err := url.ParseQuery("category=place,pulse&kind=blog&id=3&id=17&min_score=0.6" +
 		"&min_dim.time=0.5&min_att.relevance=0.4&min_measure.src.time.liveliness=0.3" +
-		"&spam_resistance=0.25&sort=dim.authority&k=10&offset=5&limit=20&fields=scores")
+		"&spam_resistance=0.25&sort=dim.authority&k=10&limit=20&fields=scores")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,6 @@ func TestBindQuery(t *testing.T) {
 		MinSpamResistance: 0.25,
 		Sort:              quality.SortKey{By: quality.SortByDimension, Dimension: quality.Authority},
 		TopK:              10,
-		Offset:            5,
 		Limit:             20,
 		Fields:            quality.ProjectScores,
 	}
@@ -152,6 +151,10 @@ func TestBindQueryErrors(t *testing.T) {
 		"fields=nope",
 		"k=x",
 		"id=x",
+		"offset=3",
+		"offset=0",
+		"offset=",
+		"k=5&offset=3&cursor=AAAA",
 	} {
 		v, err := url.ParseQuery(bad)
 		if err != nil {
@@ -165,15 +168,17 @@ func TestBindQueryErrors(t *testing.T) {
 
 func TestEndpointEnvelopeAndBinding(t *testing.T) {
 	s, _, lastQ := newStubServer(3)
-	rec := get(t, s, "/api/v1/sources?min_score=0.5&k=10&offset=2&limit=4", nil)
+	tok := EncodeCursor(quality.Cursor{Key: 0.6, ID: 9, Pos: 2}, 1)
+	rec := get(t, s, "/api/v1/sources?min_score=0.5&k=10&limit=4&cursor="+tok, nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
 	env := decodeEnvelope(t, rec)
+	// The envelope's offset reports the page's start rank, the cursor's.
 	if env.APIVersion != "v1" || env.Snapshot != 3 || env.Total != 7 || env.Offset != 2 || env.Count != 1 {
 		t.Fatalf("envelope %+v", env)
 	}
-	if lastQ.MinScore != 0.5 || lastQ.TopK != 10 || lastQ.Offset != 2 || lastQ.Limit != 4 {
+	if lastQ.MinScore != 0.5 || lastQ.TopK != 10 || lastQ.After == nil || lastQ.After.Pos != 2 || lastQ.Limit != 4 {
 		t.Fatalf("query did not reach the snapshot: %+v", lastQ)
 	}
 	if rec.Header().Get("X-Informer-Snapshot") != "3" {

@@ -18,29 +18,34 @@ import (
 	"github.com/informing-observers/informer/internal/quality"
 )
 
-// FuzzBindQuery pins two properties for arbitrary query strings: binding
-// never panics, and every successfully bound query survives the
+// FuzzBindQuery pins three properties for arbitrary query strings:
+// binding never panics, a string carrying the retired offset parameter
+// never binds, and every successfully bound query survives the
 // bind → canonicalize → re-bind round-trip — EncodeQuery emits a canonical
 // form that BindQuery accepts and that canonicalizes to the same key, so
 // the per-snapshot cache can never split or alias a query by spelling.
 func FuzzBindQuery(f *testing.F) {
 	f.Add("min_score=0.55&k=10")
 	f.Add("category=place,pulse&kind=blog&sort=dim.time&fields=scores&limit=7")
-	f.Add("id=5&id=3&id=5&min_dim.time=0.5&min_att.relevance=0.4&offset=3&limit=4")
+	f.Add("id=5&id=3&id=5&min_dim.time=0.5&min_att.relevance=0.4&limit=4")
 	f.Add("min_measure.src.time.liveliness=0.25&spam_resistance=0.3&sort=att.traffic")
 	f.Add("cursor=" + EncodeCursor(quality.Cursor{Key: 0.731, ID: 42, Pos: 11}, 1) + "&limit=5&k=20")
 	f.Add("cursor=" + EncodeCursor(quality.Cursor{Key: 0.5, ID: 7, Pos: 3}, 16) + "&limit=5")
 	f.Add("cursor=AAAA&limit=5")
-	f.Add("min_score=NaN&k=-3&offset=-1")
+	f.Add("min_score=NaN&k=-3&limit=-1")
 	f.Add("min_score=0x1p-2&min_dim.time=Inf")
 	f.Add("%zz=&&&=;;;")
 	f.Add("sort=dim.&min_dim.=1&min_measure.=0.1")
+	f.Add("k=5&offset=3&limit=4")
 	f.Fuzz(func(t *testing.T, raw string) {
 		v, err := url.ParseQuery(raw)
 		if err != nil {
 			return
 		}
 		q, err := BindQuery(v)
+		if _, offset := v["offset"]; offset && err == nil {
+			t.Fatalf("%q carries the retired offset parameter but bound", raw)
+		}
 		if err != nil {
 			return // cleanly rejected input
 		}

@@ -129,10 +129,6 @@ func (s *Server) createSink(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if q.After != nil || q.Offset != 0 {
-		writeError(w, http.StatusBadRequest, "standing windows do not paginate; bound them with k or limit")
-		return
-	}
 	filter, err := BindFilter(v)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())

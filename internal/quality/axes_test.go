@@ -46,8 +46,7 @@ type axisDomain struct {
 // randomAxisQuery draws a query exercising every predicate kind and sort
 // axis of the domain, including axes absent from the catalogue (an
 // unmatchable predicate, an invalid sort) and negative or zero score bars.
-func randomAxisQuery(rng *rand.Rand, d axisDomain) Query {
-	var q Query
+func randomAxisQuery(rng *rand.Rand, d axisDomain) (q Query, pos int) {
 	if rng.Intn(5) == 0 {
 		for i := 0; i < 1+rng.Intn(40); i++ {
 			q.IDs = append(q.IDs, rng.Intn(120))
@@ -102,12 +101,27 @@ func randomAxisQuery(rng *rand.Rand, d axisDomain) Query {
 		q.TopK = 1 + rng.Intn(50)
 	}
 	if rng.Intn(3) == 0 {
-		q.Offset = rng.Intn(20)
+		pos = rng.Intn(20)
 	}
 	if rng.Intn(2) == 0 {
 		q.Limit = 1 + rng.Intn(15)
 	}
-	return q
+	return q, pos
+}
+
+// candCursor is the cursor a walk holds after consuming pos rows of a
+// ranked candidate list. Past the last row it resumes after that row
+// with Pos still pos; it is nil at pos 0, over an empty ranking, or where
+// the row's key is NaN (a NaN key cannot resume a walk).
+func candCursor(ranked []leanCand, pos int) *Cursor {
+	if pos <= 0 || len(ranked) == 0 {
+		return nil
+	}
+	last := ranked[min(pos, len(ranked))-1]
+	if math.IsNaN(last.key) {
+		return nil
+	}
+	return &Cursor{Key: last.key, ID: last.id, Pos: pos}
 }
 
 // sameCands requires two candidate lists to agree bitwise: key bits, ID
@@ -155,8 +169,8 @@ func columnsMatchLean[R any](t *testing.T, stage string, a axisScanner[R], own [
 	copies := shallowCopies(own)
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
-		q := randomAxisQuery(rng, d)
-		label := fmt.Sprintf("%s: query %d (%+v)", stage, i, q)
+		q, pos := randomAxisQuery(rng, d)
+		label := fmt.Sprintf("%s: query %d (%+v, resumed at %d)", stage, i, q, pos)
 		sp, err := a.Spine(own, q)
 		lsp, lerr := a.Spine(copies, q)
 		if (err == nil) != (lerr == nil) {
@@ -169,6 +183,7 @@ func columnsMatchLean[R any](t *testing.T, stage string, a axisScanner[R], own [
 			t.Fatalf("%s: spine total %d, want %d", label, sp.Total(), lsp.Total())
 		}
 		sameCands(t, label+" spine", sp.cands, lsp.cands)
+		q.After = candCursor(lsp.cands, pos) // a window from mid-ranking
 		res, err := a.Query(own, q)
 		if err != nil {
 			t.Fatal(err)
@@ -178,9 +193,10 @@ func columnsMatchLean[R any](t *testing.T, stage string, a axisScanner[R], own [
 			t.Fatal(err)
 		}
 		sameResults(t, label+" query", res, lres)
-		// A short cursor walk: each resumed page scans past the cursor.
+		// A short cursor walk on from there: each resumed page scans past
+		// the cursor.
 		w := q
-		w.Offset, w.Limit = 0, 1+rng.Intn(6)
+		w.Limit = 1 + rng.Intn(6)
 		for page := 0; page < 4; page++ {
 			res, err := a.Query(own, w)
 			if err != nil {

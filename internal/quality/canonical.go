@@ -85,8 +85,6 @@ func (q Query) CanonicalKey() string {
 	b.WriteString(strconv.Itoa(int(q.Sort.Attribute)))
 	b.WriteString(";k=")
 	b.WriteString(strconv.Itoa(q.TopK))
-	b.WriteString(";off=")
-	b.WriteString(strconv.Itoa(q.Offset))
 	b.WriteString(";lim=")
 	b.WriteString(strconv.Itoa(q.Limit))
 	b.WriteString(";after=")
@@ -106,7 +104,7 @@ func (q Query) CanonicalKey() string {
 // of the query whose ranked spine is shared by every page of a walk. Its
 // CanonicalKey is the spine cache key.
 func (q Query) Windowless() Query {
-	q.TopK, q.Offset, q.Limit, q.After, q.Fields = 0, 0, 0, nil, ProjectFull
+	q.TopK, q.Limit, q.After, q.Fields = 0, 0, nil, ProjectFull
 	return q
 }
 

@@ -14,12 +14,11 @@ package quality
 // The zero Query matches every record, ranks by overall score and returns
 // everything — exactly the historical Rank behaviour.
 //
-// Pagination comes in two forms. Offset/Limit is the deprecated shim: each
-// page re-selects the offset+limit best matches. Keyset pagination
-// (Query.After, a Cursor naming the last row already consumed) is the
-// scale-out path: page N+1 costs the same lean pass as page 1 because the
-// scan skips — never ranks — everything at or before the cursor. Executed
-// results report the resume cursor of the next page in QueryResult.Next.
+// Pagination is keyset only: Limit bounds a page and Query.After, a
+// Cursor naming the last row already consumed, resumes the walk. Page N+1
+// costs the same lean pass as page 1 because the scan skips — never ranks
+// — everything at or before the cursor. Executed results report the
+// resume cursor of the next page in QueryResult.Next.
 
 import (
 	"cmp"
@@ -119,10 +118,11 @@ type Query struct {
 	// full corpus: matches stream through a bounded heap and only the
 	// winners are materialized.
 	TopK int
-	// Offset and Limit window the ranked matches for pagination.
-	Offset, Limit int
+	// Limit bounds the width of one page of ranked matches (0 = no
+	// bound).
+	Limit int
 	// After resumes a keyset-paginated walk strictly after the cursor's
-	// ranked position (see Cursor). Mutually exclusive with Offset.
+	// ranked position (see Cursor); nil is the first page.
 	After *Cursor
 	// Fields selects the materialization (ProjectFull or ProjectScores).
 	Fields Projection
@@ -137,8 +137,8 @@ type QueryResult struct {
 	// The cursor never narrows it: every page of one walk reports the same
 	// Total.
 	Total int
-	// Start is the rank index of the window's first item: the clamped
-	// Offset, or the cursor's Pos on a resumed page.
+	// Start is the rank index of the window's first item: the cursor's
+	// Pos (clamped at 0) on a resumed page, 0 on the first.
 	Start int
 	// Next resumes the walk on the following page (set it as the next
 	// Query's After). Nil when the walk is exhausted — the window reached
@@ -162,9 +162,9 @@ func (a *SourceAssessor) Query(records []*SourceRecord, q Query) (*QueryResult, 
 // Spine evaluates q's scope, predicates and sort over every record and
 // returns the full ranked candidate list — the standing-filter evaluation
 // of the filter-placement idea: rank once per assessment round, then fan
-// any number of windows (offset pages, cursor pages, watch diffs) out of
-// it via Window at O(window) cost each. TopK, Offset, Limit, After and
-// Fields are ignored here; they apply at Window time.
+// any number of windows (cursor pages, watch diffs) out of it via Window
+// at O(window) cost each. TopK, Limit, After and Fields are ignored here;
+// they apply at Window time.
 func (a *SourceAssessor) Spine(records []*SourceRecord, q Query) (*Spine, error) {
 	if q.MinSpamResistance > 0 {
 		return nil, fmt.Errorf("quality: MinSpamResistance applies to contributor queries only")
@@ -173,7 +173,7 @@ func (a *SourceAssessor) Spine(records []*SourceRecord, q Query) (*Spine, error)
 }
 
 // Window slices one page out of a previously built Spine and materializes
-// it under q's TopK/Offset/Limit/After/Fields. The spine must have been
+// it under q's TopK/Limit/After/Fields. The spine must have been
 // built by this assessor over the same records with the same scope,
 // predicates and sort; the result is then bit-identical to Query(records,
 // q) at a fraction of the cost.
@@ -524,12 +524,6 @@ func (e *matrixEngine[R]) resolveQuery(q Query, spamIdx []int) (*resolvedQuery, 
 	default:
 		return nil, fmt.Errorf("quality: unknown sort key %d", q.Sort.By)
 	}
-	if q.After != nil && (math.IsNaN(q.After.Key) || q.After.ID < 0) {
-		return nil, fmt.Errorf("quality: invalid resume cursor")
-	}
-	if q.After != nil && q.Offset > 0 {
-		return nil, fmt.Errorf("quality: cursor and offset pagination are mutually exclusive")
-	}
 	return rq, nil
 }
 
@@ -570,22 +564,19 @@ func (rq *resolvedQuery) match(v *rowAxes) (key float64, ok bool) {
 // scanMatches is the lean pass shared by rankTopK and spine: scope,
 // predicates and sort keys read off the axis columns for the engine's own
 // records (leanEval for any other), no maps, no Assessment structs. Every
-// match counts toward total; when collect is set, the candidates ranking
-// strictly after the after-bound are kept — all of them when bound == 0,
-// the best `bound` through a min-heap otherwise. rowOff shifts stored row
-// indices: a shard engine scanning its local record slice passes its
-// global range start so candidates carry global rows and merge directly
-// into the corpus-wide ranking. built counts the axis columns the scan
-// builds.
-func (e *matrixEngine[R]) scanMatches(records []*R, rowOff int, rq *resolvedQuery, keep func(*R) bool, built *atomic.Int64, after *leanCand, bound int, collect bool) ([]leanCand, int) {
+// match counts toward total; the candidates ranking strictly after the
+// page's after-bound are kept — none when its width is 0, all of them when
+// it is unbounded, the best `width` through a min-heap otherwise. rowOff
+// shifts stored row indices: a shard engine scanning its local record
+// slice passes its global range start so candidates carry global rows and
+// merge directly into the corpus-wide ranking. built counts the axis
+// columns the scan builds.
+func (e *matrixEngine[R]) scanMatches(records []*R, rowOff int, rq *resolvedQuery, keep func(*R) bool, built *atomic.Int64, p pageWindow) ([]leanCand, int) {
 	rr := e.newRowReader(rq, built)
 	var cands []leanCand
-	if collect && bound > 0 {
-		capHint := bound
-		if capHint > len(records) {
-			capHint = len(records) // never keep more candidates than records
-		}
-		cands = make([]leanCand, 0, capHint)
+	if p.width > 0 {
+		// Never keep more candidates than records.
+		cands = make([]leanCand, 0, min(p.width, len(records)))
 	}
 	total := 0
 	for i, r := range records {
@@ -594,21 +585,21 @@ func (e *matrixEngine[R]) scanMatches(records []*R, rowOff int, rq *resolvedQuer
 			continue
 		}
 		total++
-		if !collect {
-			continue
+		if p.width == 0 {
+			continue // the TopK budget is spent: only count
 		}
-		if after != nil && !candWorse(c, *after) {
+		if p.after != nil && !candWorse(c, *p.after) {
 			// At or before the resume cursor: already consumed by an
 			// earlier page. Counted in total, never ranked.
 			continue
 		}
-		if bound == 0 {
+		if p.width < 0 {
 			cands = append(cands, c)
 			continue
 		}
-		// Bounded min-heap of the best `bound` candidates: the root is the
+		// Bounded min-heap of the best `width` candidates: the root is the
 		// worst kept; a better candidate replaces it.
-		if len(cands) < bound {
+		if len(cands) < p.width {
 			cands = append(cands, c)
 			siftUp(cands, len(cands)-1)
 		} else if candWorse(cands[0], c) {
@@ -619,85 +610,52 @@ func (e *matrixEngine[R]) scanMatches(records []*R, rowOff int, rq *resolvedQuer
 	return cands, total
 }
 
-// scanPlan is the resolved pagination prelude of one rankTopK execution:
-// how each shard's scan bounds its candidate collection and how the merged
-// ranking is clipped into the requested window afterwards.
-type scanPlan struct {
-	// start is the rank index of the window's first item: the clamped
-	// offset, or the cursor's Pos on a resumed page.
+// pageWindow is where one requested page sits in a ranking — the three
+// numbers both query plans take from pageOf: rankTopK bounds its scans and
+// merge with them, window cuts them out of a ranked spine.
+type pageWindow struct {
+	// start is the rank index of the page's first item: the cursor's Pos
+	// clamped at 0, 0 on a first page.
 	start int
-	// offset is the clamped q.Offset (0 on the cursor path).
-	offset int
-	// collect is false when the TopK budget is already exhausted: the scan
-	// only counts matches.
-	collect bool
-	// bound caps how many ranked candidates the window can possibly need
-	// (0 = keep all matches).
-	bound int
-	// after is the cursor's ranked position, nil for offset pagination.
+	// after is the exclusive resume bound, the cursor's ranked position;
+	// nil on a first page.
 	after *leanCand
+	// width caps the page at min(TopK − start, Limit): 0 is an empty page
+	// (the TopK budget is spent), -1 an unbounded one.
+	width int
 }
 
-// planScan derives the pagination prelude from a resolved query.
-func planScan(q Query) scanPlan {
-	p := scanPlan{collect: true}
-	if p.offset = q.Offset; p.offset < 0 {
-		p.offset = 0
-	}
-	// start is the rank index of the window's first item; budget the
-	// remaining TopK allowance (-1 = unbounded); after the cursor bound.
-	p.start = p.offset
-	budget := -1
-	if q.After != nil {
-		if p.start = q.After.Pos; p.start < 0 {
-			p.start = 0
+// pageOf validates q's resume cursor and locates its page. Every width is
+// compared, never added to start, so no TopK, Limit or Pos can overflow.
+func pageOf(q Query) (pageWindow, error) {
+	p := pageWindow{width: -1}
+	if c := q.After; c != nil {
+		if math.IsNaN(c.Key) || c.ID < 0 {
+			return p, fmt.Errorf("quality: invalid resume cursor")
 		}
-		p.after = &leanCand{key: q.After.Key, id: q.After.ID}
+		p.start = max(c.Pos, 0)
+		p.after = &leanCand{key: c.Key, id: c.ID}
 	}
 	if q.TopK > 0 {
-		if budget = q.TopK - p.start; budget < 0 {
-			budget = 0
-		}
-		if q.After == nil {
-			budget = q.TopK // the offset path slices the prefix off after the scan
-		}
+		p.width = max(q.TopK-p.start, 0)
 	}
-	p.collect = budget != 0
-	// bound is how many ranked candidates the window can possibly need.
-	if budget > 0 {
-		p.bound = budget
+	if q.Limit > 0 && (p.width < 0 || q.Limit < p.width) {
+		p.width = q.Limit
 	}
-	if q.Limit > 0 {
-		w := q.Limit
-		if q.After == nil {
-			if w > math.MaxInt-p.offset {
-				w = math.MaxInt // offset+limit would overflow: effectively unbounded
-			} else {
-				w += p.offset
-			}
-		}
-		if p.bound == 0 || w < p.bound {
-			p.bound = w
-		}
-	}
-	return p
+	return p, nil
 }
 
-// clipWindow cuts the ranked, best-first candidate list down to the
-// requested page: the cursor path already cut its prefix during the scan,
-// the offset path slices it here; Limit bounds the page width.
-func clipWindow(cands []leanCand, q Query, p scanPlan) []leanCand {
-	if q.After == nil {
-		if p.offset >= len(cands) {
-			cands = cands[:0]
-		} else {
-			cands = cands[p.offset:]
-		}
+// cut slices the page out of a fully ranked, best-first candidate list:
+// a binary search for the first row after the cursor, then the width.
+func (p pageWindow) cut(ranked []leanCand) []leanCand {
+	if p.after != nil {
+		a := *p.after
+		ranked = ranked[sort.Search(len(ranked), func(i int) bool { return candWorse(ranked[i], a) }):]
 	}
-	if q.Limit > 0 && len(cands) > q.Limit {
-		cands = cands[:q.Limit]
+	if p.width >= 0 && p.width < len(ranked) {
+		ranked = ranked[:p.width]
 	}
-	return cands
+	return ranked
 }
 
 // Spine is the fully ranked candidate list of one (scope, predicates,
@@ -753,54 +711,6 @@ func (e *matrixEngine[R]) repairCands(records []*R, rowOff int, dirtyLocal []int
 		cands[i] = c
 	}
 	return cands
-}
-
-// sliceSpineWindow locates q's page inside a ranked spine: offset indexes
-// directly, a cursor binary-searches its strict ranked position, TopK and
-// Limit bound the page end.
-func sliceSpineWindow(sp *Spine, q Query) (cands []leanCand, start int, err error) {
-	if q.After != nil && (math.IsNaN(q.After.Key) || q.After.ID < 0) {
-		return nil, 0, fmt.Errorf("quality: invalid resume cursor")
-	}
-	if q.After != nil && q.Offset > 0 {
-		return nil, 0, fmt.Errorf("quality: cursor and offset pagination are mutually exclusive")
-	}
-	n := len(sp.cands)
-	var idx int
-	if q.After != nil {
-		a := leanCand{key: q.After.Key, id: q.After.ID}
-		idx = sort.Search(n, func(i int) bool { return candWorse(sp.cands[i], a) })
-		if start = q.After.Pos; start < 0 {
-			start = 0
-		}
-	} else {
-		if start = q.Offset; start < 0 {
-			start = 0
-		}
-		if idx = start; idx > n {
-			idx = n
-		}
-	}
-	// Bound the page end by the TopK budget and the Limit, comparing page
-	// widths (end-idx, at most n) rather than absolute indices so huge
-	// TopK/Limit values cannot overflow idx+width.
-	end := n
-	if q.TopK > 0 {
-		budget := q.TopK - start
-		if budget < 0 {
-			budget = 0
-		}
-		if budget < end-idx {
-			end = idx + budget
-		}
-	}
-	if q.Limit > 0 && q.Limit < end-idx {
-		end = idx + q.Limit
-	}
-	if idx > end {
-		idx = end
-	}
-	return sp.cands[idx:end], start, nil
 }
 
 // windowResult assembles the QueryResult envelope around a materialized

@@ -17,7 +17,8 @@ import (
 )
 
 // referenceQuery executes q the slow way: full Rank, post-filter on the
-// materialized assessments, re-sort by the requested axis, slice.
+// materialized assessments, re-sort by the requested axis, drop the rows
+// at or before the resume cursor, slice.
 func referenceQuery(a *SourceAssessor, records []*SourceRecord, q Query) *QueryResult {
 	keep := sourceKeep(q)
 	var matches []*Assessment
@@ -49,16 +50,7 @@ func referenceQuery(a *SourceAssessor, records []*SourceRecord, q Query) *QueryR
 			matches = append(matches, as)
 		}
 	}
-	key := func(as *Assessment) float64 {
-		switch q.Sort.By {
-		case SortByDimension:
-			return as.DimensionScores[q.Sort.Dimension]
-		case SortByAttribute:
-			return as.AttributeScores[q.Sort.Attribute]
-		default:
-			return as.Score
-		}
-	}
+	key := func(as *Assessment) float64 { return referenceKey(q, as) }
 	// Insertion sort keeps the reference implementation independent of the
 	// engine's comparator code.
 	for i := 1; i < len(matches); i++ {
@@ -72,14 +64,20 @@ func referenceQuery(a *SourceAssessor, records []*SourceRecord, q Query) *QueryR
 		}
 	}
 	total := len(matches)
-	if q.TopK > 0 && len(matches) > q.TopK {
-		matches = matches[:q.TopK]
+	budget := q.TopK
+	if c := q.After; c != nil {
+		for len(matches) > 0 {
+			k := key(matches[0])
+			if k < c.Key || (k == c.Key && matches[0].ID > c.ID) {
+				break // strictly after the cursor
+			}
+			matches = matches[1:]
+		}
+		budget = max(q.TopK-max(c.Pos, 0), 0)
 	}
-	offset := q.Offset
-	if offset > len(matches) {
-		offset = len(matches)
+	if q.TopK > 0 && len(matches) > budget {
+		matches = matches[:budget]
 	}
-	matches = matches[offset:]
 	if q.Limit > 0 && len(matches) > q.Limit {
 		matches = matches[:q.Limit]
 	}
@@ -87,6 +85,34 @@ func referenceQuery(a *SourceAssessor, records []*SourceRecord, q Query) *QueryR
 		matches = []*Assessment{}
 	}
 	return &QueryResult{Items: matches, Total: total}
+}
+
+// referenceKey is an assessment's value on q's ranking axis.
+func referenceKey(q Query, as *Assessment) float64 {
+	switch q.Sort.By {
+	case SortByDimension:
+		return as.DimensionScores[q.Sort.Dimension]
+	case SortByAttribute:
+		return as.AttributeScores[q.Sort.Attribute]
+	default:
+		return as.Score
+	}
+}
+
+// referenceCursor is the cursor a walk over q holds after consuming pos
+// rows, read off the reference ranking. Past the last row it resumes
+// after that row with Pos still pos; at pos 0 or over an empty ranking it
+// is nil, the first page.
+func referenceCursor(a *SourceAssessor, records []*SourceRecord, q Query, pos int) *Cursor {
+	if pos <= 0 {
+		return nil
+	}
+	ranked := referenceQuery(a, records, q.Windowless()).Items
+	if len(ranked) == 0 {
+		return nil
+	}
+	last := ranked[min(pos, len(ranked))-1]
+	return &Cursor{Key: referenceKey(q, last), ID: last.ID, Pos: pos}
 }
 
 func TestQueryMatchesReference(t *testing.T) {
@@ -103,14 +129,18 @@ func TestQueryMatchesReference(t *testing.T) {
 		"measure-bar":     {MinMeasure: map[string]float64{"src.time.liveliness": 0.2}, TopK: 20},
 		"sort-dimension":  {Sort: SortKey{By: SortByDimension, Dimension: Authority}, TopK: 15},
 		"sort-attribute":  {Sort: SortKey{By: SortByAttribute, Attribute: Liveliness}, TopK: 15},
-		"paged":           {MinScore: 0.3, Offset: 10, Limit: 10},
-		"paged-top-k":     {TopK: 30, Offset: 5, Limit: 10},
-		"offset-past-end": {TopK: 5, Offset: 50, Limit: 10},
+		"paged":           {MinScore: 0.3, Limit: 10},
+		"paged-top-k":     {TopK: 30, Limit: 10},
+		"offset-past-end": {TopK: 5, Limit: 10},
 		"kind-scope":      {Kinds: []string{"blog", "forum"}, TopK: 10},
 		"category-scope":  {Categories: []string{"place"}, MinScore: 0.2},
 		"id-scope":        {IDs: []int{1, 3, 5, 7, 11, 13, 17}, TopK: 4},
 	}
+	// Windows resumed mid-ranking, and one past its end, from cursors at
+	// these ranks.
+	resume := map[string]int{"paged": 10, "paged-top-k": 5, "offset-past-end": 50}
 	for name, q := range cases {
+		q.After = referenceCursor(a, records, q, resume[name])
 		t.Run(name, func(t *testing.T) {
 			got, err := a.Query(records, q)
 			if err != nil {
@@ -309,10 +339,10 @@ var (
 )
 
 // randomQuery draws one query: scopes, per-axis predicates, sort, k,
-// window and projection all randomized. Cursor-free — walks derive their
-// cursors from execution.
-func randomQuery(rng *rand.Rand) Query {
-	var q Query
+// window and projection all randomized, plus the rank pos its window
+// resumes at (0 = the first page; see referenceCursor). The query itself
+// is cursor-free.
+func randomQuery(rng *rand.Rand) (q Query, pos int) {
 	if rng.Intn(4) == 0 {
 		n := 1 + rng.Intn(30)
 		for i := 0; i < n; i++ {
@@ -357,7 +387,7 @@ func randomQuery(rng *rand.Rand) Query {
 		q.TopK = 1 + rng.Intn(60)
 	}
 	if rng.Intn(2) == 0 {
-		q.Offset = rng.Intn(25)
+		pos = rng.Intn(25)
 	}
 	if rng.Intn(2) == 0 {
 		q.Limit = 1 + rng.Intn(20)
@@ -365,19 +395,21 @@ func randomQuery(rng *rand.Rand) Query {
 	if rng.Intn(3) == 0 {
 		q.Fields = ProjectScores
 	}
-	return q
+	return q, pos
 }
 
-// TestQueryRandomizedEquivalence pins ~200 seeded-random queries
-// bit-identical across all three execution plans: the lean rankTopK pass,
-// the naive reference plan (full Rank, post-filter, re-sort, slice), and
-// the spine+window path the facade cache serves from.
+// TestQueryRandomizedEquivalence pins ~200 seeded-random queries, half of
+// them resumed from a cursor mid-ranking, bit-identical across all three
+// execution plans: the lean rankTopK pass, the naive reference plan (full
+// Rank, post-filter, re-sort, slice), and the spine+window path the
+// facade cache serves from.
 func TestQueryRandomizedEquivalence(t *testing.T) {
 	records := worldRecords(t, 160, 47)
 	a := NewSourceAssessor(records, defaultDI(), nil)
 	rng := rand.New(rand.NewSource(4711))
 	for i := 0; i < 200; i++ {
-		q := randomQuery(rng)
+		q, pos := randomQuery(rng)
+		q.After = referenceCursor(a, records, q, pos)
 		got, err := a.Query(records, q)
 		if err != nil {
 			t.Fatalf("query %d (%+v): %v", i, q, err)
@@ -416,25 +448,6 @@ func TestQueryRandomizedEquivalence(t *testing.T) {
 	}
 }
 
-// walkOffsets pages through q with the deprecated offset shim.
-func walkOffsets(t *testing.T, a *SourceAssessor, records []*SourceRecord, q Query, limit int) []*Assessment {
-	t.Helper()
-	items := []*Assessment{}
-	for off := 0; off < 100000; off += limit {
-		qq := q
-		qq.Offset, qq.Limit, qq.After = off, limit, nil
-		res, err := a.Query(records, qq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		items = append(items, res.Items...)
-		if len(res.Items) < limit {
-			break
-		}
-	}
-	return items
-}
-
 // walkCursor pages through q by chaining each page's resume cursor,
 // executing either through rankTopK or through a shared spine.
 func walkCursor(t *testing.T, a *SourceAssessor, records []*SourceRecord, q Query, limit int, viaSpine bool) []*Assessment {
@@ -450,7 +463,7 @@ func walkCursor(t *testing.T, a *SourceAssessor, records []*SourceRecord, q Quer
 	var cur *Cursor
 	for pages := 0; pages < 100000; pages++ {
 		qq := q
-		qq.Offset, qq.Limit, qq.After = 0, limit, cur
+		qq.Limit, qq.After = limit, cur
 		var res *QueryResult
 		var err error
 		if viaSpine {
@@ -476,27 +489,23 @@ func walkCursor(t *testing.T, a *SourceAssessor, records []*SourceRecord, q Quer
 
 // TestQueryCursorWalkEquivalence is the keyset-pagination acceptance
 // contract at the engine level: for randomized queries, a chained-cursor
-// walk (through both execution plans) is bit-identical to a full-offset
-// walk and to the unwindowed ranking.
+// walk (through both execution plans) is bit-identical to the unwindowed
+// ranking.
 func TestQueryCursorWalkEquivalence(t *testing.T) {
 	records := worldRecords(t, 140, 49)
 	a := NewSourceAssessor(records, defaultDI(), nil)
 	rng := rand.New(rand.NewSource(1337))
 	for i := 0; i < 60; i++ {
-		q := randomQuery(rng)
-		q.Offset, q.Limit = 0, 0
+		q, _ := randomQuery(rng)
+		q.Limit = 0
 		limit := 1 + rng.Intn(13)
 
 		full, err := a.Query(records, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		offsetWalk := walkOffsets(t, a, records, q, limit)
 		cursorWalk := walkCursor(t, a, records, q, limit, false)
 		spineWalk := walkCursor(t, a, records, q, limit, true)
-		if !reflect.DeepEqual(offsetWalk, full.Items) {
-			t.Fatalf("query %d (%+v, limit %d): offset walk diverges from the full ranking", i, q, limit)
-		}
 		if !reflect.DeepEqual(cursorWalk, full.Items) {
 			t.Fatalf("query %d (%+v, limit %d): cursor walk diverges from the full ranking", i, q, limit)
 		}
@@ -507,8 +516,8 @@ func TestQueryCursorWalkEquivalence(t *testing.T) {
 }
 
 // TestQueryCursorSemantics pins the cursor edge cases: budget exhaustion
-// under TopK, the offset exclusivity error, invalid cursors, and Total
-// stability across a walk.
+// under TopK, invalid cursors on both plans, and Total stability across a
+// walk.
 func TestQueryCursorSemantics(t *testing.T) {
 	records := worldRecords(t, 80, 51)
 	a := NewSourceAssessor(records, defaultDI(), nil)
@@ -545,21 +554,17 @@ func TestQueryCursorSemantics(t *testing.T) {
 		t.Fatal("exhausted budget must yield an empty final page")
 	}
 
-	if _, err := a.Query(records, Query{Offset: 3, After: &Cursor{}}); err == nil {
-		t.Error("cursor plus offset must error")
-	}
-	if _, err := a.Query(records, Query{After: &Cursor{Key: math.NaN()}}); err == nil {
-		t.Error("NaN cursor key must error")
-	}
-	if _, err := a.Query(records, Query{After: &Cursor{ID: -1}}); err == nil {
-		t.Error("negative cursor ID must error")
-	}
 	sp, err := a.Spine(records, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Window(records, sp, Query{Offset: 3, After: &Cursor{}}); err == nil {
-		t.Error("window with cursor plus offset must error")
+	for _, bad := range []*Cursor{{Key: math.NaN()}, {ID: -1}} {
+		if _, err := a.Query(records, Query{After: bad}); err == nil {
+			t.Errorf("cursor %+v must error", bad)
+		}
+		if _, err := a.Window(records, sp, Query{After: bad}); err == nil {
+			t.Errorf("window with cursor %+v must error", bad)
+		}
 	}
 }
 
@@ -578,7 +583,6 @@ func TestQueryCanonicalKey(t *testing.T) {
 		{MinScore: 0.5000000001},
 		{TopK: 10},
 		{Limit: 10},
-		{Offset: 10},
 		{Fields: ProjectScores},
 		{Categories: []string{"place"}},
 		{Kinds: []string{"place"}},
@@ -600,7 +604,7 @@ func TestQueryCanonicalKey(t *testing.T) {
 		seen[key] = i
 	}
 	// Windowless strips exactly the pagination and projection fields.
-	wq := Query{MinScore: 0.3, TopK: 5, Offset: 2, Limit: 3, After: &Cursor{Pos: 2}, Fields: ProjectScores}
+	wq := Query{MinScore: 0.3, TopK: 5, Limit: 3, After: &Cursor{Pos: 2}, Fields: ProjectScores}
 	if wq.Windowless().CanonicalKey() != (Query{MinScore: 0.3}).CanonicalKey() {
 		t.Fatal("Windowless must strip the window and projection only")
 	}
@@ -634,9 +638,10 @@ func TestDiffWindows(t *testing.T) {
 }
 
 // TestQueryExtremeWindowValuesDoNotPanic pins the overflow guards: a
-// forged cursor plus a huge TopK, or an offset+limit sum past MaxInt,
-// must degrade to sane windows (empty or clamped), never to a negative
-// slice bound or heap index panic — both were reachable over HTTP.
+// forged cursor plus a huge TopK, a huge Limit, or a cursor Pos near
+// MaxInt must degrade to sane windows (empty or clamped), never to a
+// negative slice bound, heap index panic or wrapped cursor — all were
+// reachable over HTTP.
 func TestQueryExtremeWindowValuesDoNotPanic(t *testing.T) {
 	records := worldRecords(t, 30, 53)
 	a := NewSourceAssessor(records, defaultDI(), nil)
@@ -663,20 +668,26 @@ func TestQueryExtremeWindowValuesDoNotPanic(t *testing.T) {
 		t.Fatalf("window plan: forged trailing cursor must close the walk: %d items", len(wres.Items))
 	}
 
-	// offset+limit past MaxInt must not wrap the heap bound negative.
-	res, err = a.Query(records, Query{Offset: math.MaxInt - 5, Limit: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Items) != 0 {
-		t.Fatalf("absurd offset must return an empty page, got %d items", len(res.Items))
-	}
-	wres, err = a.Window(records, sp, Query{Offset: math.MaxInt - 5, Limit: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wres.Items) != 0 {
-		t.Fatalf("window plan: absurd offset must return an empty page, got %d items", len(wres.Items))
+	// A huge Limit is an unbounded page, and a huge TopK less a huge Pos
+	// is a small budget: neither may wrap the width, on both plans.
+	for _, tc := range []struct {
+		q    Query
+		want int
+	}{
+		{Query{Limit: math.MaxInt}, len(records)},
+		{Query{TopK: math.MaxInt, Limit: math.MaxInt, After: &Cursor{Key: math.Inf(1), Pos: math.MaxInt - 5}}, 5},
+	} {
+		res, err := a.Query(records, tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wres, err := a.Window(records, sp, tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Items) != tc.want || !reflect.DeepEqual(wres, res) {
+			t.Fatalf("%+v: %d items (window plan %d), want %d", tc.q, len(res.Items), len(wres.Items), tc.want)
+		}
 	}
 
 	// A cursor Pos near MaxInt without TopK: the page serves, and the

@@ -24,9 +24,9 @@ package quality
 //     the k-way merge of per-shard ranked lists is deterministic and equal
 //     to ranking the union; a per-shard bound of k keeps every candidate
 //     the global top k can need.
-//  3. Every read finishes through the same pagination arithmetic — scan
-//     prelude, window clipping, cursor derivation (planScan, clipWindow,
-//     windowResult, sliceSpineWindow) — whatever the shard count.
+//  3. Every read finishes through the same pagination arithmetic — one
+//     page location (pageOf) and one cursor derivation (windowResult) —
+//     whatever the shard count and whichever the plan.
 //
 // The randomized cross-shard equivalence suite at the repo root pins all
 // of this at shard counts {1, 2, 7, 16}.
@@ -350,9 +350,10 @@ func candBetter(a, b leanCand) bool { return candWorse(b, a) }
 // rankTopK is the scatter-gather query plan: every shard the router cannot
 // prune runs the same bounded lean scan over its own record range (rows
 // offset to global), the per-shard rankings are merged k-way under the
-// global strict order, and the shared clipping/materialization arithmetic
-// finishes the window. A per-shard bound of `bound` loses nothing: any
-// candidate in the global best `bound` is in its own shard's best `bound`.
+// global strict order, bounded by the page width, and the shared
+// materialization finishes the window. A per-shard bound of `width` loses
+// nothing: any candidate in the global best `width` is in its own shard's
+// best `width`.
 // A resume cursor (q.After) makes every scan skip everything at or before
 // the cursor's ranked position, so a keyset-paginated page N+1 costs one
 // lean pass plus one page of materializations, never the prefix.
@@ -361,13 +362,15 @@ func (s *shardedEngine[R]) rankTopK(records []*R, q Query, keep func(*R) bool, s
 	if err != nil {
 		return nil, err
 	}
+	p, err := pageOf(q)
+	if err != nil {
+		return nil, err
+	}
 	if rq.unmatchable {
 		return &QueryResult{Items: []*Assessment{}}, nil
 	}
-	p := planScan(q)
 	parts, totals := s.scatter(records, q, rq, keep, p, nil)
-	merged := shard.MergeK(parts, candBetter, p.bound)
-	merged = clipWindow(merged, q, p)
+	merged := shard.MergeK(parts, candBetter, p.width) // an unbounded width of -1 keeps all
 	return s.finishWindow(records, merged, p.start, sum(totals), q), nil
 }
 
@@ -375,7 +378,7 @@ func (s *shardedEngine[R]) rankTopK(records []*R, q Query, keep func(*R) bool, s
 // Shards the router proves scope-incompatible are skipped: they cannot
 // contain a match, so they contribute zero candidates and zero total.
 // scanned, when non-nil, gets a counter bump per shard actually scanned.
-func (s *shardedEngine[R]) scatter(records []*R, q Query, rq *resolvedQuery, keep func(*R) bool, p scanPlan, onScan func(sh int)) (parts [][]leanCand, totals []int) {
+func (s *shardedEngine[R]) scatter(records []*R, q Query, rq *resolvedQuery, keep func(*R) bool, p pageWindow, onScan func(sh int)) (parts [][]leanCand, totals []int) {
 	ns := s.plan.Shards()
 	parts = make([][]leanCand, ns)
 	totals = make([]int, ns)
@@ -388,7 +391,7 @@ func (s *shardedEngine[R]) scatter(records []*R, q Query, rq *resolvedQuery, kee
 				onScan(sh)
 			}
 			rlo, rhi := s.plan.Bounds(sh)
-			cands, total := s.engines[sh].scanMatches(records[rlo:rhi], rlo, rq, keep, &s.counters.columns, p.after, p.bound, p.collect)
+			cands, total := s.engines[sh].scanMatches(records[rlo:rhi], rlo, rq, keep, &s.counters.columns, p)
 			// The bounded heap is heap-ordered; rank it best-first for the
 			// merge (k log k per shard).
 			slices.SortFunc(cands, candCmp)
@@ -409,20 +412,19 @@ func (s *shardedEngine[R]) spine(records []*R, q Query, keep func(*R) bool, spam
 	if rq.unmatchable {
 		return &Spine{}, nil
 	}
-	p := scanPlan{collect: true}
-	parts, totals := s.scatter(records, q, rq, keep, p, func(int) { s.counters.scans.Add(1) })
+	parts, totals := s.scatter(records, q, rq, keep, pageWindow{width: -1}, func(int) { s.counters.scans.Add(1) })
 	merged := shard.MergeK(parts, candBetter, 0)
 	return &Spine{cands: merged, total: sum(totals), parts: parts, totals: totals}, nil
 }
 
-// window slices a page out of a sharded spine with the shared arithmetic
-// and materializes each row on its owning shard.
+// window cuts a page out of a sharded spine at the location rankTopK
+// scans for, and materializes each row on its owning shard.
 func (s *shardedEngine[R]) window(records []*R, sp *Spine, q Query) (*QueryResult, error) {
-	cands, start, err := sliceSpineWindow(sp, q)
+	p, err := pageOf(q)
 	if err != nil {
 		return nil, err
 	}
-	return s.finishWindow(records, cands, start, sp.total, q), nil
+	return s.finishWindow(records, p.cut(sp.cands), p.start, sp.total, q), nil
 }
 
 // repairSpine is the dirty-shard evaluation path of a standing query: when

@@ -236,13 +236,12 @@ func New(source func() Snapshot, opts Options) *Registry {
 }
 
 // StandingForm normalizes a query to the form a subscription group is
-// keyed and evaluated by: standing windows do not paginate (Offset and
-// After are stripped — Subscribe rejects them anyway) and the projection
+// keyed and evaluated by: standing windows do not paginate (a cursor is
+// stripped — Subscribe rejects one anyway) and the projection
 // is folded to ProjectScores, because a window delta only ever reads ID,
 // Name and Score. Every spelling of one filter therefore lands in one
 // group, whatever fields= its transport asked for.
 func StandingForm(q quality.Query) quality.Query {
-	q.Offset = 0
 	q.After = nil
 	q.Fields = quality.ProjectScores
 	return q
@@ -252,8 +251,8 @@ func StandingForm(q quality.Query) quality.Query {
 // evaluating its baseline window against the current round — if q is the
 // first subscription of this standing query. The returned subscription's
 // Since/Window are the round and window the delta stream starts from.
-// Queries carrying a pagination position (Offset, After) are rejected:
-// bound standing windows with TopK or Limit.
+// Queries carrying a resume cursor (After) are rejected: bound standing
+// windows with TopK or Limit.
 func (r *Registry) Subscribe(q quality.Query) (*Subscription, error) {
 	return r.SubscribeWith(q, Filter{})
 }
@@ -266,7 +265,7 @@ func (r *Registry) Subscribe(q quality.Query) (*Subscription, error) {
 // per tick). Empty filtered deltas still arrive, advancing the
 // since-token.
 func (r *Registry) SubscribeWith(q quality.Query, f Filter) (*Subscription, error) {
-	if q.After != nil || q.Offset != 0 {
+	if q.After != nil {
 		return nil, errors.New("subscribe: standing windows do not paginate; bound them with TopK or Limit")
 	}
 	sq := StandingForm(q)

@@ -113,9 +113,6 @@ func TestSubscribeGroupsByCanonicalKey(t *testing.T) {
 	}
 
 	// Pagination positions are rejected; errors at evaluation surface too.
-	if _, err := r.Subscribe(quality.Query{Offset: 3}); err == nil {
-		t.Fatal("offset must be rejected")
-	}
 	if _, err := r.Subscribe(quality.Query{After: &quality.Cursor{}}); err == nil {
 		t.Fatal("cursor must be rejected")
 	}

@@ -35,9 +35,9 @@ type SortKey = quality.SortKey
 
 // Cursor is an opaque keyset-pagination bound: QueryResult.Next of one
 // page resumes the walk on the next via the builder's Resume (or
-// Query.After). Unlike an offset, resuming from a cursor costs the same
-// lean pass as the first page — the scan skips everything at or before the
-// cursor's ranked position instead of re-selecting the prefix.
+// Query.After). Resuming from a cursor costs the same lean pass as the
+// first page: the scan skips everything at or before the cursor's ranked
+// position instead of re-selecting the prefix.
 type Cursor = quality.Cursor
 
 // WindowChange is one row's rank movement between two assessment rounds of
@@ -151,28 +151,16 @@ func (b *QueryBuilder) TopK(k int) *QueryBuilder {
 	return b
 }
 
-// Page windows the ranked matches for pagination.
-//
-// Deprecated shim for deep walks: page N re-selects the offset+limit best
-// matches (the facade's per-snapshot spine cache hides that cost for
-// corpus queries, but the uncached QueryRecords path pays it). Prefer
-// Limit plus Resume — keyset pagination via the cursor each result
-// returns in QueryResult.Next.
-func (b *QueryBuilder) Page(offset, limit int) *QueryBuilder {
-	b.q.Offset, b.q.Limit = offset, limit
-	return b
-}
-
-// Limit bounds one page of results without an offset — the first page of
-// a cursor walk; follow it with Resume(res.Next) for the pages after.
+// Limit bounds one page of results — the first page of a cursor walk;
+// follow it with Resume(res.Next) for the pages after.
 func (b *QueryBuilder) Limit(n int) *QueryBuilder {
 	b.q.Limit = n
 	return b
 }
 
 // Resume continues a keyset-paginated walk strictly after the cursor (the
-// QueryResult.Next of the previous page). Mutually exclusive with a
-// non-zero Page offset. A nil cursor is the first page.
+// QueryResult.Next of the previous page). A nil cursor is the first
+// page.
 func (b *QueryBuilder) Resume(c *Cursor) *QueryBuilder {
 	b.q.After = c
 	return b

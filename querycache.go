@@ -13,10 +13,8 @@ package informer
 // assessment round, and every consumer window fans out of that single
 // evaluation. The *window* cache holds materialized pages keyed by the
 // full query including the pagination window and projection. Any window —
-// an offset page, a cursor page, a watch diff — is an O(window) slice of
-// the shared spine, which is also what folds the deprecated offset shim
-// onto the keyset path: page N of an offset walk no longer re-selects the
-// O(N·limit) prefix, it slices the same spine every other page uses.
+// a cursor page, a watch diff — is an O(window) slice of the shared
+// spine: a binary search for the cursor, then one page.
 //
 // Cached results are shared between callers (including concurrent HTTP
 // handlers): treat QueryResult.Items as read-only, like the indicator map
@@ -88,8 +86,8 @@ func cachedQuery[R any](st *assessState, kind byte, a queryable[R], records []*R
 	if !ok {
 		if len(st.windows) >= maxCachedWindows {
 			// Window cap reached: stop retaining pages, but keep slicing
-			// the (usually cached) spine so deep offset pages never fall
-			// back to per-page prefix re-selection.
+			// the (usually cached) spine rather than re-scanning the
+			// corpus per page.
 			st.queryMu.Unlock()
 			sp, err := cachedSpine(st, kind, a, records, q)
 			if err != nil {

@@ -16,6 +16,7 @@ package informer
 // result is bit-identical to a from-scratch scan of the advanced world.
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -84,12 +85,15 @@ func (st *assessState) inheritScan(prev *assessState, delta interface{ DirtySour
 	if base == nil {
 		return // previous snapshot never scanned: stay lazy and cold
 	}
-	rowByID := make(map[int]int, len(st.world.Sources))
-	for i, s := range st.world.Sources {
-		rowByID[s.ID] = i
-	}
+	sources := st.world.Sources
 	for _, id := range delta.DirtySourceIDs() {
-		if row, ok := rowByID[id]; ok {
+		// A world's sources sit at row = ID (World.Source); search only a
+		// world laid out otherwise.
+		row := id
+		if id < 0 || id >= len(sources) || sources[id].ID != id {
+			row = slices.IndexFunc(sources, func(s *webgen.Source) bool { return s.ID == id })
+		}
+		if row >= 0 {
 			stale[row] = true
 		}
 	}

@@ -6,9 +6,11 @@ package informer
 // top-k bounds, windows and projections and requires the same bytes from
 // three plans — the direct rankTopK path (one-shard baseline vs N-shard
 // scatter-gather), and the facade's spine-cache path (cached spine +
-// window slice) — at shard counts {1, 2, 7, 16}. On top of that: chained-cursor walks vs
-// deprecated offset walks page by page, a window sweep straddling every
-// shard boundary, and the carried-spine repair path vs a fresh scan.
+// window slice) — at shard counts {1, 2, 7, 16}. Windowed queries resume
+// from a cursor drawn mid-ranking. On top of that: chained-cursor walks
+// checked against the full ranking page by page, a window sweep
+// straddling every shard boundary, and the carried-spine repair path vs a
+// fresh scan.
 
 import (
 	"fmt"
@@ -45,10 +47,11 @@ func buildEquivCorpora(t *testing.T, seed int64, nSources, nUsers int) (*Corpus,
 	return base, sharded
 }
 
-// randomQuery draws one query from the full plan space. Contributor
+// randomQuery draws one query from the full plan space, plus the rank pos
+// its window resumes at (0 = the first page; see cursorAt). Contributor
 // queries skip kind scopes (sources only) and source queries skip the
 // spam predicate (contributors only), mirroring the assessors' domains.
-func randomQuery(rng *rand.Rand, ids []int, contributors bool) Query {
+func randomQuery(rng *rand.Rand, ids []int, contributors bool) (q Query, pos int) {
 	b := NewQuery()
 	cats := []string{"presence", "place", "potential", "pulse", "people", "prerequisites"}
 	kinds := []string{"blog", "forum", "review-site", "social-network"}
@@ -119,12 +122,42 @@ func randomQuery(rng *rand.Rand, ids []int, contributors bool) Query {
 	case 1:
 		b.Limit(1 + rng.Intn(12))
 	case 2:
-		b.Page(rng.Intn(30), 1+rng.Intn(12))
+		pos = rng.Intn(30)
+		b.Limit(1 + rng.Intn(12))
 	}
 	if rng.Intn(3) == 0 {
 		b.ScoresOnly()
 	}
-	return b.Build()
+	return b.Build(), pos
+}
+
+// sortKeyOf is an assessment's value on q's ranking axis: the key a resume
+// cursor carries.
+func sortKeyOf(q Query, a *Assessment) float64 {
+	switch q.Sort.By {
+	case quality.SortByDimension:
+		return a.DimensionScores[q.Sort.Dimension]
+	case quality.SortByAttribute:
+		return a.AttributeScores[q.Sort.Attribute]
+	}
+	return a.Score
+}
+
+// cursorAt is the cursor a walk over q holds after consuming pos rows,
+// read off c's full ranking of q. Past the last row it resumes after that
+// row with Pos still pos; at pos 0 or over an empty ranking it is nil, the
+// first page.
+func cursorAt(t *testing.T, c *Corpus, q Query, pos int, contributors bool) *Cursor {
+	t.Helper()
+	if pos <= 0 {
+		return nil
+	}
+	full, err := queryFor(c, q.Windowless(), contributors)
+	if err != nil || len(full.Items) == 0 {
+		return nil // an invalid or empty query has no mid-ranking row
+	}
+	last := full.Items[min(pos, len(full.Items))-1]
+	return &Cursor{Key: sortKeyOf(q, last), ID: last.ID, Pos: pos}
 }
 
 // queryPlans executes q under every plan one corpus offers — the direct
@@ -197,7 +230,8 @@ func TestCrossShardEquivalenceRandomized(t *testing.T) {
 		if contributors {
 			ids = conIDs
 		}
-		q := randomQuery(rng, ids, contributors)
+		q, pos := randomQuery(rng, ids, contributors)
+		q.After = cursorAt(t, base, q, pos, contributors)
 		label := fmt.Sprintf("trial %d (contributors=%v) %+v", trial, contributors, q)
 		want := queryPlans(t, base, q, contributors, label+" [baseline]")
 		for _, ns := range equivShardCounts {
@@ -219,7 +253,7 @@ func cursorWalk(t *testing.T, c *Corpus, q Query, limit int, contributors bool) 
 			t.Fatal("cursor walk did not terminate")
 		}
 		qq := q
-		qq.Limit, qq.Offset, qq.After = limit, 0, cur
+		qq.Limit, qq.After = limit, cur
 		res, err := queryFor(c, qq, contributors)
 		if err != nil {
 			t.Fatalf("cursor page %d: %v", steps, err)
@@ -240,9 +274,9 @@ func queryFor(c *Corpus, q Query, contributors bool) (*QueryResult, error) {
 }
 
 // TestCrossShardCursorWalks pins pagination arithmetic across shard
-// counts: a chained-cursor walk and a deprecated offset walk visit the
-// same rows in the same windows on every engine, and both equal the
-// baseline engine's pages byte for byte.
+// counts: a chained-cursor walk visits the full ranking's rows in order,
+// each page starting at the rank its cursor names, and every engine's
+// pages equal the baseline engine's byte for byte.
 func TestCrossShardCursorWalks(t *testing.T) {
 	base, sharded := buildEquivCorpora(t, 7003, 70, 180)
 	queries := []Query{
@@ -256,8 +290,22 @@ func TestCrossShardCursorWalks(t *testing.T) {
 			if len(q.Kinds) > 0 && contributors {
 				continue
 			}
+			full, err := queryFor(base, q, contributors)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, limit := range []int{1, 3, 7} {
 				basePages := cursorWalk(t, base, q, limit, contributors)
+				walked := []*Assessment{}
+				for p, page := range basePages {
+					if page.Start != len(walked) {
+						t.Fatalf("query %d limit %d: page %d starts at rank %d, want %d", qi, limit, p, page.Start, len(walked))
+					}
+					walked = append(walked, page.Items...)
+				}
+				if !reflect.DeepEqual(walked, full.Items) {
+					t.Fatalf("query %d limit %d: cursor walk diverged from the full ranking", qi, limit)
+				}
 				for _, ns := range equivShardCounts {
 					pages := cursorWalk(t, sharded[ns], q, limit, contributors)
 					if len(pages) != len(basePages) {
@@ -268,48 +316,35 @@ func TestCrossShardCursorWalks(t *testing.T) {
 						requireSameResult(t, fmt.Sprintf("query %d limit %d shards %d cursor page %d", qi, limit, ns, p),
 							basePages[p], pages[p])
 					}
-					// The offset shim walks the same spine: page p of the
-					// offset walk equals cursor page p (same rows, same
-					// totals; Start becomes the explicit offset).
-					off := 0
-					for p := range basePages {
-						qq := q
-						qq.Offset, qq.Limit = off, limit
-						offRes, err := queryFor(sharded[ns], qq, contributors)
-						if err != nil {
-							t.Fatalf("offset page %d: %v", p, err)
-						}
-						if !reflect.DeepEqual(offRes.Items, basePages[p].Items) {
-							t.Fatalf("query %d limit %d shards %d: offset page %d diverged from cursor page",
-								qi, limit, ns, p)
-						}
-						off += len(basePages[p].Items)
-					}
 				}
 			}
 		}
 	}
 }
 
-// TestShardBoundaryWindowSweep sweeps a fixed-width window across every
-// shard boundary of every plan — the windows most likely to expose a
-// merge or clipping bug, since their rows straddle two (or more) shards'
-// candidate lists.
+// TestShardBoundaryWindowSweep sweeps a fixed-width window, resumed from
+// a cursor at each start rank, across every shard boundary of every plan
+// — the windows most likely to expose a merge or cut bug, since their
+// rows straddle two (or more) shards' candidate lists.
 func TestShardBoundaryWindowSweep(t *testing.T) {
 	base, sharded := buildEquivCorpora(t, 7005, 60, 150)
 	n := len(base.SourceRecords())
 	q := NewQuery().ScoresOnly().Build()
+	full, err := base.QuerySources(q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const width = 5
 	for _, ns := range equivShardCounts {
 		p := shard.NewPlan(n, ns)
 		for s := 1; s < p.Shards(); s++ {
 			lo, _ := p.Bounds(s)
-			for off := lo - width + 1; off <= lo+1; off++ {
-				if off < 0 {
+			for start := lo - width + 1; start <= lo+1; start++ {
+				if start < 0 {
 					continue
 				}
 				qq := q
-				qq.Offset, qq.Limit = off, width
+				qq.After, qq.Limit = cursorAt(t, base, q, start, false), width
 				want, err := base.QuerySources(qq)
 				if err != nil {
 					t.Fatal(err)
@@ -318,7 +353,10 @@ func TestShardBoundaryWindowSweep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireSameResult(t, fmt.Sprintf("shards %d boundary %d offset %d", ns, s, off), want, got)
+				if want.Start != start || !reflect.DeepEqual(want.Items, full.Items[start:min(start+width, len(full.Items))]) {
+					t.Fatalf("shards %d boundary %d: window at rank %d is not the ranking's rows %d..%d", ns, s, want.Start, start, start+width)
+				}
+				requireSameResult(t, fmt.Sprintf("shards %d boundary %d start %d", ns, s, start), want, got)
 			}
 		}
 	}

@@ -68,7 +68,7 @@ func pinnedWalk(t *testing.T, st *assessState, q Query, limit int) bool {
 			return false
 		}
 		qq := q
-		qq.Limit, qq.Offset, qq.After = limit, 0, cur
+		qq.Limit, qq.After = limit, cur
 		res, err := st.env.Sources.Query(st.env.SourceRecords, qq)
 		if err != nil {
 			t.Errorf("pinned cursor page %d: %v", steps, err)

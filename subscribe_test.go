@@ -99,10 +99,7 @@ func TestSubscribeBaselineWindowMatchesQuery(t *testing.T) {
 			t.Fatalf("baseline window diverges at %d", i)
 		}
 	}
-	// Pagination positions are rejected at the facade too.
-	if _, err := c.Subscribe(NewQuery().Page(3, 5).Build()); err == nil {
-		t.Fatal("offset subscription must be rejected")
-	}
+	// A resume cursor is rejected at the facade too.
 	if _, err := c.Subscribe(NewQuery().Resume(&Cursor{}).Build()); err == nil {
 		t.Fatal("cursor subscription must be rejected")
 	}

@@ -171,8 +171,8 @@ func TestQueryCacheErrorQueries(t *testing.T) {
 	if _, err := c.QuerySources(bad); err == nil {
 		t.Fatal("cached error must stay an error")
 	}
-	if _, err := c.QuerySources(Query{Offset: 1, After: &Cursor{}}); err == nil {
-		t.Fatal("cursor+offset must error through the cache")
+	if _, err := c.QuerySources(Query{After: &Cursor{ID: -1}}); err == nil {
+		t.Fatal("an invalid cursor must error through the cache")
 	}
 	if _, err := c.QuerySources(NewQuery().TopK(3).Build()); err != nil {
 		t.Fatalf("valid query after errors: %v", err)
@@ -218,8 +218,9 @@ func TestQueryCacheCursorWalkAcrossFacade(t *testing.T) {
 }
 
 // TestCursorWalkLargeCorpusEquivalence is the PR's acceptance pin at full
-// scale: over 2000 sources, a chained-cursor walk is bit-identical to the
-// deprecated offset walk and to filter+slice of the full Rank output.
+// scale: over 2000 sources, a chained-cursor walk is bit-identical to
+// filter+slice of the full Rank output, and each page starts at the rank
+// its cursor names.
 func TestCursorWalkLargeCorpusEquivalence(t *testing.T) {
 	world := webgen.Generate(webgen.Config{Seed: 23, NumSources: 2000})
 	c := FromWorld(world, DomainOfInterest{}, 23)
@@ -236,23 +237,15 @@ func TestCursorWalkLargeCorpusEquivalence(t *testing.T) {
 	}
 
 	const limit = 73
-	var offsetWalk []*Assessment
-	for off := 0; ; off += limit {
-		res, err := c.QuerySources(NewQuery().MinScore(0.5).Page(off, limit).Build())
-		if err != nil {
-			t.Fatal(err)
-		}
-		offsetWalk = append(offsetWalk, res.Items...)
-		if len(res.Items) < limit {
-			break
-		}
-	}
 	var cursorWalk []*Assessment
 	var cur *Cursor
 	for {
 		res, err := c.QuerySources(NewQuery().MinScore(0.5).Limit(limit).Resume(cur).Build())
 		if err != nil {
 			t.Fatal(err)
+		}
+		if res.Start != len(cursorWalk) {
+			t.Fatalf("page starts at rank %d, want %d", res.Start, len(cursorWalk))
 		}
 		cursorWalk = append(cursorWalk, res.Items...)
 		if res.Next == nil {
@@ -261,13 +254,10 @@ func TestCursorWalkLargeCorpusEquivalence(t *testing.T) {
 		cur = res.Next
 	}
 
-	if len(offsetWalk) != len(want) || len(cursorWalk) != len(want) {
-		t.Fatalf("walk lengths: offset %d, cursor %d, want %d", len(offsetWalk), len(cursorWalk), len(want))
+	if len(cursorWalk) != len(want) {
+		t.Fatalf("walk length: cursor %d, want %d", len(cursorWalk), len(want))
 	}
 	for i := range want {
-		if !reflect.DeepEqual(offsetWalk[i], want[i]) {
-			t.Fatalf("offset walk diverges from filter+slice of Rank at %d", i)
-		}
 		if !reflect.DeepEqual(cursorWalk[i], want[i]) {
 			t.Fatalf("cursor walk diverges from filter+slice of Rank at %d", i)
 		}
