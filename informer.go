@@ -225,8 +225,7 @@ type Corpus struct {
 	// each distinct standing query is evaluated once per tick, and the
 	// window delta fans out to every subscriber — in-process consumers
 	// (Subscribe) and the HTTP transports (watch long-polls, SSE streams)
-	// alike. It also carries the rotating change-notification channel
-	// behind Changed.
+	// alike.
 	subs *subscribe.Registry
 
 	// sinks is the lazily built push-delivery manager (internal/deliver)
@@ -969,13 +968,13 @@ func (c *Corpus) LastDelta() *Delta { return c.state.Load().delta }
 // SourceReport archives the current source ranking for later comparison.
 func (c *Corpus) SourceReport() *Report {
 	st := c.state.Load()
-	return quality.NewSourceReport(st.env.Sources, st.env.Sources.Rank(st.env.SourceRecords), st.world.Config.End)
+	return quality.NewReport(st.env.Sources, st.env.Sources.Rank(st.env.SourceRecords), st.world.Config.End)
 }
 
 // ContributorReport archives the current contributor ranking.
 func (c *Corpus) ContributorReport() *Report {
 	st := c.state.Load()
-	return quality.NewContributorReport(st.env.Contributors, st.env.Contributors.Rank(st.env.ContributorRecords), st.world.Config.End)
+	return quality.NewReport(st.env.Contributors, st.env.Contributors.Rank(st.env.ContributorRecords), st.world.Config.End)
 }
 
 // Report is a serialisable ranking snapshot; see WriteJSON/ReadReport.

@@ -9,6 +9,7 @@ package apiserve
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -194,6 +195,24 @@ func TestStreamErrorsMatchWatch(t *testing.T) {
 	// 410 and 400 are answered before any frame, with the same semantics
 	// as /api/v1/watch: aged since → Gone, unpublished since → Bad
 	// Request, pagination positions rejected.
+	// Each request carries a 2 s deadline: one that binds instead of
+	// failing streams until the deadline and fails here rather than
+	// hanging the package.
+	status := func(target string, hdr map[string]string) int {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		req := httptest.NewRequest(http.MethodGet, target, nil).WithContext(ctx)
+		for k, v := range hdr {
+			req.Header.Set(k, v)
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if ctx.Err() != nil {
+			t.Errorf("%s: streamed until the deadline (status %d) instead of failing", target, rec.Code)
+		}
+		return rec.Code
+	}
 	cursorTok := EncodeCursor(quality.Cursor{Key: 0.5, ID: 1, Pos: 1}, 1)
 	for target, wantCode := range map[string]int{
 		"/api/v1/stream?since=1&k=10":                http.StatusGone, // never retained
@@ -203,12 +222,12 @@ func TestStreamErrorsMatchWatch(t *testing.T) {
 		"/api/v1/stream?since=5&min_dim.z=0.5":       http.StatusBadRequest,
 		"/api/v1/stream?since=5&cursor=" + cursorTok: http.StatusBadRequest,
 	} {
-		if rec := get(t, s, target, nil); rec.Code != wantCode {
-			t.Errorf("%s: status %d, want %d", target, rec.Code, wantCode)
+		if code := status(target, nil); code != wantCode {
+			t.Errorf("%s: status %d, want %d", target, code, wantCode)
 		}
 	}
-	if rec := get(t, s, "/api/v1/stream?k=10", map[string]string{"Last-Event-ID": "nope"}); rec.Code != http.StatusBadRequest {
-		t.Errorf("bad Last-Event-ID: status %d, want 400", rec.Code)
+	if code := status("/api/v1/stream?k=10", map[string]string{"Last-Event-ID": "nope"}); code != http.StatusBadRequest {
+		t.Errorf("bad Last-Event-ID: status %d, want 400", code)
 	}
 }
 

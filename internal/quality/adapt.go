@@ -1,6 +1,7 @@
 package quality
 
 import (
+	"maps"
 	"slices"
 	"time"
 
@@ -158,7 +159,7 @@ func (r *SourceRecord) extendIndex(old *SourceRecord, s *webgen.Source) {
 		}
 	}
 	slices.Sort(novel)
-	r.authors = mergeAuthors(old.authors, slices.Compact(novel))
+	r.authors = mergeSorted(old.authors, slices.Compact(novel))
 }
 
 // UpdateSourceRecordsFromWorld refreshes observation records after an
@@ -171,7 +172,7 @@ func (r *SourceRecord) extendIndex(old *SourceRecord, s *webgen.Source) {
 // statistics with what the tick appended (extendIndex). The result is
 // bit-identical to SourceRecordsFromWorld over the advanced world; the
 // second return value lists the row indices of the dirty records, ready
-// for SourceAssessor.UpdateRows.
+// for Assessor.UpdateRows.
 func UpdateSourceRecordsFromWorld(old []*SourceRecord, w *webgen.World, panel *analytics.Panel, dirtySourceIDs []int) ([]*SourceRecord, []int) {
 	records := make([]*SourceRecord, len(old))
 	slab := make([]SourceRecord, len(old)) // one allocation for every copy
@@ -276,7 +277,9 @@ func ContributorRecordsFromWorld(w *webgen.World) []*ContributorRecord {
 // sharing every clean record and set.
 type ContributorIndex struct {
 	records []*ContributorRecord
-	touched []map[int]bool // user row -> set of discussion IDs commented in
+	// touched[u] is user row u's ascending set of the discussion IDs it
+	// commented in, kept like a source record's author set.
+	touched [][]int32
 }
 
 // NewContributorIndex walks the world once and builds the index.
@@ -292,7 +295,7 @@ func NewContributorIndex(w *webgen.World) *ContributorIndex {
 			Spammer:            u.Spammer,
 		}
 	}
-	touched := make([]map[int]bool, len(w.Users))
+	touched := make([][]int32, len(w.Users))
 	for _, s := range w.Sources {
 		for _, d := range s.Discussions {
 			if opener := w.User(d.OpenerID); opener != nil {
@@ -306,17 +309,15 @@ func NewContributorIndex(w *webgen.World) *ContributorIndex {
 				r.FeedbacksReceived += c.Feedbacks
 				r.ReadsReceived += c.Reads
 				r.TagCount += len(c.Tags)
-				set := touched[c.UserID]
-				if set == nil {
-					set = map[int]bool{}
-					touched[c.UserID] = set
-				}
-				set[d.ID] = true
+				touched[c.UserID] = append(touched[c.UserID], int32(d.ID))
 			}
 		}
 	}
-	for uid, set := range touched {
-		recs[uid].DiscussionsTouched = len(set)
+	for uid, ids := range touched {
+		slices.Sort(ids)
+		// The merge copies the set out of the per-comment buffer.
+		touched[uid] = mergeSorted(nil, slices.Compact(ids))
+		recs[uid].DiscussionsTouched = len(touched[uid])
 	}
 	return &ContributorIndex{records: recs, touched: touched}
 }
@@ -327,15 +328,17 @@ func (ix *ContributorIndex) Records() []*ContributorRecord { return ix.records }
 // Apply folds an Advance delta into the index: every record is
 // shallow-copied with the new observation instant (account ages move for
 // everyone) and the records of contributors with fresh activity get their
-// counters, category map and touched set updated. Results are bit-identical
-// to NewContributorIndex over the advanced world. The returned row indices
-// of the dirty contributors feed ContributorAssessor.UpdateRows; the
-// receiver stays untouched for concurrent readers.
+// counters and category map updated. A touched set grows by the
+// discussions its old set lacks, found by binary search and merged into a
+// copy. Results are bit-identical to NewContributorIndex over the advanced
+// world. The returned row indices of the dirty contributors feed
+// Assessor.UpdateRows; the receiver stays untouched for concurrent
+// readers.
 func (ix *ContributorIndex) Apply(w *webgen.World, delta *webgen.Delta) (*ContributorIndex, []int) {
 	dirtyIDs := delta.DirtyContributorIDs()
 	nix := &ContributorIndex{
 		records: make([]*ContributorRecord, len(ix.records)),
-		touched: append([]map[int]bool(nil), ix.touched...),
+		touched: slices.Clone(ix.touched),
 	}
 	slab := make([]ContributorRecord, len(ix.records)) // one allocation for every copy
 	for i, r := range ix.records {
@@ -350,23 +353,16 @@ func (ix *ContributorIndex) Apply(w *webgen.World, delta *webgen.Delta) (*Contri
 			continue
 		}
 		dirtyRows = append(dirtyRows, id)
-		r := nix.records[id]
-		cats := make(map[string]int, len(r.CommentsByCategory)+1)
-		for k, v := range r.CommentsByCategory {
-			cats[k] = v
-		}
-		r.CommentsByCategory = cats
-		set := make(map[int]bool, len(nix.touched[id])+1)
-		for k := range nix.touched[id] {
-			set[k] = true
-		}
-		nix.touched[id] = set
+		nix.records[id].CommentsByCategory = maps.Clone(nix.records[id].CommentsByCategory)
 	}
 	delta.ForEachNewDiscussion(func(_ int, d *webgen.Discussion) {
 		if d.OpenerID >= 0 && d.OpenerID < len(nix.records) {
 			nix.records[d.OpenerID].DiscussionsOpened++
 		}
 	})
+	// novel holds (user row, discussion ID) pairs, user in the high word,
+	// for the discussions a user's old set lacks.
+	var novel []int64
 	delta.ForEachNewComment(func(_ int, d *webgen.Discussion, c *webgen.Comment) {
 		if c.UserID < 0 || c.UserID >= len(nix.records) {
 			return
@@ -378,9 +374,22 @@ func (ix *ContributorIndex) Apply(w *webgen.World, delta *webgen.Delta) (*Contri
 		r.FeedbacksReceived += c.Feedbacks
 		r.ReadsReceived += c.Reads
 		r.TagCount += len(c.Tags)
-		nix.touched[c.UserID][d.ID] = true
-		r.DiscussionsTouched = len(nix.touched[c.UserID])
+		if _, known := slices.BinarySearch(ix.touched[c.UserID], int32(d.ID)); !known {
+			novel = append(novel, int64(c.UserID)<<32|int64(uint32(d.ID)))
+		}
 	})
+	slices.Sort(novel)
+	novel = slices.Compact(novel)
+	var ids []int32
+	for i := 0; i < len(novel); {
+		uid := int(novel[i] >> 32)
+		ids = ids[:0]
+		for ; i < len(novel) && int(novel[i]>>32) == uid; i++ {
+			ids = append(ids, int32(novel[i]))
+		}
+		nix.touched[uid] = mergeSorted(ix.touched[uid], ids)
+		nix.records[uid].DiscussionsTouched = len(nix.touched[uid])
+	}
 	return nix, dirtyRows
 }
 

@@ -1,6 +1,9 @@
 package quality
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Benchmark is the normalisation interval of one measure, derived (per
 // Section 3.1) from "the assessment of well-known, highly-ranked sources":
@@ -111,46 +114,76 @@ type Assessment struct {
 	AttributeScores map[Attribute]float64
 }
 
-// SourceAssessor assesses SourceRecords against a DI with benchmarks
-// derived from a reference corpus. Construction evaluates every Table 1
-// measure over every corpus record exactly once (see matrix.go); Assess
-// and Rank serve corpus records from that cache. The assessor is therefore
-// a snapshot: mutating a corpus record after construction does not change
+// Assessor assesses records of one kind — SourceRecord against Table 1,
+// ContributorRecord against Table 2 — against a DI with benchmarks derived
+// from a reference corpus. Construction evaluates every catalogue measure
+// over every corpus record exactly once (see matrix.go); Assess and Rank
+// serve corpus records from that cache. The assessor is therefore a
+// snapshot: mutating a corpus record after construction does not change
 // its assessment — derive a new assessor to re-observe, either from
 // scratch or incrementally via UpdateRows (as Corpus.Advance does).
-type SourceAssessor struct {
+//
+// Every method is the same for both kinds; what differs by kind — record
+// identity, routing facts, scope predicates and the Query fields the kind
+// lacks — lives in the engine's recordKind.
+type Assessor[R any] struct {
 	DI         DomainOfInterest
-	opts       AssessorOptions
-	measures   []SourceMeasure
-	engine     *shardedEngine[SourceRecord]
+	engine     *shardedEngine[R]
 	benchmarks map[string]Benchmark
 }
+
+// SourceAssessor assesses SourceRecords with the Table 1 catalogue.
+type SourceAssessor = Assessor[SourceRecord]
+
+// ContributorAssessor assesses ContributorRecords with the Table 2
+// catalogue.
+type ContributorAssessor = Assessor[ContributorRecord]
 
 // NewSourceAssessor derives benchmarks from the corpus and returns an
 // assessor. opts may be nil for defaults.
 func NewSourceAssessor(corpus []*SourceRecord, di DomainOfInterest, opts *AssessorOptions) *SourceAssessor {
+	var extra []SourceMeasure
+	if opts != nil {
+		extra = opts.ExtraSourceMeasures
+	}
+	return newAssessor(corpus, di, opts, sourceKind, sourceMeasures, extra)
+}
+
+// NewContributorAssessor derives benchmarks from the contributor corpus.
+func NewContributorAssessor(corpus []*ContributorRecord, di DomainOfInterest, opts *AssessorOptions) *ContributorAssessor {
+	var extra []ContributorMeasure
+	if opts != nil {
+		extra = opts.ExtraContributorMeasures
+	}
+	return newAssessor(corpus, di, opts, contributorKind, contributorMeasures, extra)
+}
+
+// catalogueMeasure is what newAssessor reads of a catalogue entry,
+// SourceMeasure or ContributorMeasure.
+type catalogueMeasure[R any] interface {
+	split() (measureInfo, func(*R, *DomainOfInterest) (float64, bool))
+}
+
+// newAssessor builds the engine over the catalogue followed by any extra
+// measures.
+func newAssessor[R any, M catalogueMeasure[R]](corpus []*R, di DomainOfInterest, opts *AssessorOptions, kind *recordKind[R], catalogue, extra []M) *Assessor[R] {
 	o := AssessorOptions{}
 	if opts != nil {
 		o = *opts
 	}
 	o = o.withDefaults()
-	measures := sourceMeasures
-	if len(o.ExtraSourceMeasures) > 0 {
-		measures = append(append([]SourceMeasure(nil), sourceMeasures...), o.ExtraSourceMeasures...)
-	}
+	measures := append(slices.Clip(catalogue), extra...)
 	infos := make([]measureInfo, len(measures))
-	evals := make([]func(*SourceRecord, *DomainOfInterest) (float64, bool), len(measures))
+	evals := make([]func(*R, *DomainOfInterest) (float64, bool), len(measures))
 	for i, m := range measures {
-		infos[i] = measureInfo{id: m.ID, dimension: m.Dimension, attribute: m.Attribute, higherIsBetter: m.HigherIsBetter, timeSensitive: m.TimeSensitive}
-		evals[i] = m.Eval
+		infos[i], evals[i] = m.split()
 	}
-	ident := func(r *SourceRecord) (int, string) { return r.ID, r.Name }
-	engine := newShardedEngine(corpus, di, o, infos, evals, ident, noteSourceRoute)
-	return &SourceAssessor{DI: di, opts: o, measures: measures, engine: engine, benchmarks: engine.benchmarkMap()}
+	engine := newShardedEngine(corpus, di, o, infos, evals, kind)
+	return &Assessor[R]{DI: di, engine: engine, benchmarks: engine.benchmarkMap()}
 }
 
 // Benchmark exposes the derived normalisation interval of a measure.
-func (a *SourceAssessor) Benchmark(id string) (Benchmark, bool) {
+func (a *Assessor[R]) Benchmark(id string) (Benchmark, bool) {
 	b, ok := a.benchmarks[id]
 	return b, ok
 }
@@ -159,133 +192,14 @@ func (a *SourceAssessor) Benchmark(id string) (Benchmark, bool) {
 // are bitwise identical to prev's. When true, any record whose raw
 // observations did not change assesses to exactly the same result under
 // both assessors — the licence for carrying a clean row's score across an
-// Advance (and likewise an influencer roster entry).
-func (a *SourceAssessor) BenchmarksEqual(prev *SourceAssessor) bool {
-	return benchmarkMapsEqual(a.benchmarks, prev.benchmarks)
-}
-
-// Scores returns every corpus record's Assess(r).Score, bitwise, in row
-// order: a copy of the score axis columns, which the first call builds
-// and score-ranked scans of the same assessor share. Once they are built
-// it allocates only the returned slice.
-func (a *SourceAssessor) Scores() []float64 {
-	return a.engine.scores()
-}
-
-// ScoreAt returns Scores()[row] without allocating.
-func (a *SourceAssessor) ScoreAt(row int) float64 {
-	return a.engine.scoreAt(row)
-}
-
-// Assess returns the full Table 1 evaluation of the record. Corpus records
-// are served from the construction-time matrix (their state as of
-// NewSourceAssessor); records outside the corpus are evaluated directly.
-func (a *SourceAssessor) Assess(r *SourceRecord) *Assessment {
-	return a.engine.assess(r)
-}
-
-// AssessAll assesses every record, preserving input order. Work fans out
-// across the assessor's worker pool; the output is identical for any
-// worker count.
-func (a *SourceAssessor) AssessAll(records []*SourceRecord) []*Assessment {
-	return a.engine.assessAll(records)
-}
-
-// Rank assesses all records and returns them best-first (ties broken by ID
-// for determinism).
-func (a *SourceAssessor) Rank(records []*SourceRecord) []*Assessment {
-	return a.engine.rank(records)
-}
-
-// UpdateRows derives a new assessor for an incrementally advanced corpus
-// (the monitoring scenario): corpus is the refreshed record slice — same
-// sources, same order — dirtyRows indexes the records whose content
-// changed, and epochMoved reports whether the observation instant moved
-// (which shifts every time-sensitive measure, so those are re-evaluated
-// for all records). Only dirty rows are re-evaluated for content measures;
-// per-measure sorted columns are repaired in place of a full re-sort and
-// the benchmarks re-derived from them. The result is bit-identical to
-// NewSourceAssessor over the same records, and the receiver stays valid
-// for concurrent readers of the pre-advance snapshot.
-func (a *SourceAssessor) UpdateRows(corpus []*SourceRecord, dirtyRows []int, epochMoved bool) *SourceAssessor {
-	engine := a.engine.update(corpus, dirtyRows, epochMoved)
-	return &SourceAssessor{DI: a.DI, opts: a.opts, measures: a.measures, engine: engine, benchmarks: engine.benchmarkMap()}
-}
-
-// ShardCount reports how many shards the assessor's engine partitions the
-// corpus into.
-func (a *SourceAssessor) ShardCount() int { return a.engine.plan.Shards() }
-
-// SpineStats reports the standing-spine evaluation work this assessor has
-// performed since it was derived: full scans, incremental repairs, and
-// clean-shard carries. The dirty-shard concurrency tests pin these.
-func (a *SourceAssessor) SpineStats() SpineStats { return a.engine.counters.stats() }
-
-// RepairSpine derives the current round's spine for q from prev — built by
-// this assessor's predecessor over the previous round's records — by
-// re-evaluating only the rows the producing UpdateRows dirtied. ok is
-// false whenever a carry could be stale (fresh assessor, epoch moved,
-// benchmarks changed, invalid query); fall back to Spine then. On success
-// the result is bit-identical to a fresh Spine call.
-func (a *SourceAssessor) RepairSpine(records []*SourceRecord, prev *Spine, q Query) (*Spine, bool) {
-	if q.MinSpamResistance > 0 {
-		return nil, false
-	}
-	return a.engine.repairSpine(records, prev, q, sourceKeep(q), nil)
-}
-
-// ContributorAssessor assesses ContributorRecords (Table 2) with the same
-// cached-matrix engine as SourceAssessor.
-type ContributorAssessor struct {
-	DI         DomainOfInterest
-	opts       AssessorOptions
-	measures   []ContributorMeasure
-	engine     *shardedEngine[ContributorRecord]
-	benchmarks map[string]Benchmark
-}
-
-// NewContributorAssessor derives benchmarks from the contributor corpus.
-func NewContributorAssessor(corpus []*ContributorRecord, di DomainOfInterest, opts *AssessorOptions) *ContributorAssessor {
-	o := AssessorOptions{}
-	if opts != nil {
-		o = *opts
-	}
-	o = o.withDefaults()
-	measures := contributorMeasures
-	if len(o.ExtraContributorMeasures) > 0 {
-		measures = append(append([]ContributorMeasure(nil), contributorMeasures...), o.ExtraContributorMeasures...)
-	}
-	infos := make([]measureInfo, len(measures))
-	evals := make([]func(*ContributorRecord, *DomainOfInterest) (float64, bool), len(measures))
-	for i, m := range measures {
-		infos[i] = measureInfo{id: m.ID, dimension: m.Dimension, attribute: m.Attribute, higherIsBetter: m.HigherIsBetter, timeSensitive: m.TimeSensitive}
-		evals[i] = m.Eval
-	}
-	ident := func(r *ContributorRecord) (int, string) { return r.ID, r.Name }
-	engine := newShardedEngine(corpus, di, o, infos, evals, ident, noteContributorRoute)
-	return &ContributorAssessor{DI: di, opts: o, measures: measures, engine: engine, benchmarks: engine.benchmarkMap()}
-}
-
-// Benchmark exposes the derived normalisation interval of a measure.
-func (a *ContributorAssessor) Benchmark(id string) (Benchmark, bool) {
-	b, ok := a.benchmarks[id]
-	return b, ok
-}
-
-// BenchmarksEqual reports whether this assessor's normalisation intervals
-// are bitwise identical to prev's; see SourceAssessor.BenchmarksEqual.
-func (a *ContributorAssessor) BenchmarksEqual(prev *ContributorAssessor) bool {
-	return benchmarkMapsEqual(a.benchmarks, prev.benchmarks)
-}
-
-// benchmarkMapsEqual compares two benchmark maps bitwise. Map-range order
-// does not escape: the result folds into a single bool.
-func benchmarkMapsEqual(a, b map[string]Benchmark) bool {
-	if len(a) != len(b) {
+// Advance (and likewise an influencer roster entry). Map-range order does
+// not escape: the result folds into a single bool.
+func (a *Assessor[R]) BenchmarksEqual(prev *Assessor[R]) bool {
+	if len(a.benchmarks) != len(prev.benchmarks) {
 		return false
 	}
-	for id, ba := range a {
-		bb, ok := b[id]
+	for id, ba := range a.benchmarks {
+		bb, ok := prev.benchmarks[id]
 		if !ok || !ba.sameBits(bb) {
 			return false
 		}
@@ -293,44 +207,59 @@ func benchmarkMapsEqual(a, b map[string]Benchmark) bool {
 	return true
 }
 
-// Assess returns the full Table 2 evaluation of the record. Corpus records
-// are served from the construction-time matrix; records outside the corpus
-// are evaluated directly.
-func (a *ContributorAssessor) Assess(r *ContributorRecord) *Assessment {
+// Scores returns every corpus record's Assess(r).Score, bitwise, in row
+// order: a copy of the score axis columns, which the first call builds
+// and score-ranked scans of the same assessor share. Once they are built
+// it allocates only the returned slice.
+func (a *Assessor[R]) Scores() []float64 {
+	return a.engine.scores()
+}
+
+// ScoreAt returns Scores()[row] without allocating.
+func (a *Assessor[R]) ScoreAt(row int) float64 {
+	return a.engine.scoreAt(row)
+}
+
+// Assess returns the full catalogue evaluation of the record. Corpus
+// records are served from the construction-time matrix (their state as of
+// construction); records outside the corpus are evaluated directly.
+func (a *Assessor[R]) Assess(r *R) *Assessment {
 	return a.engine.assess(r)
 }
 
-// AssessAll assesses every record, preserving input order.
-func (a *ContributorAssessor) AssessAll(records []*ContributorRecord) []*Assessment {
+// AssessAll assesses every record, preserving input order. Work fans out
+// across the assessor's worker pool; the output is identical for any
+// worker count.
+func (a *Assessor[R]) AssessAll(records []*R) []*Assessment {
 	return a.engine.assessAll(records)
 }
 
-// Rank assesses all records and returns them best-first.
-func (a *ContributorAssessor) Rank(records []*ContributorRecord) []*Assessment {
+// Rank assesses all records and returns them best-first (ties broken by ID
+// for determinism).
+func (a *Assessor[R]) Rank(records []*R) []*Assessment {
 	return a.engine.rank(records)
 }
 
-// UpdateRows derives a new assessor for an incrementally advanced
-// contributor population; see SourceAssessor.UpdateRows.
-func (a *ContributorAssessor) UpdateRows(corpus []*ContributorRecord, dirtyRows []int, epochMoved bool) *ContributorAssessor {
+// UpdateRows derives a new assessor for an incrementally advanced corpus
+// (the monitoring scenario): corpus is the refreshed record slice — same
+// records, same order — dirtyRows indexes the records whose content
+// changed, and epochMoved reports whether the observation instant moved
+// (which shifts every time-sensitive measure, so those are re-evaluated
+// for all records). Only dirty rows are re-evaluated for content measures;
+// the benchmark ledger is repaired from their old and new values instead
+// of re-gathered. The result is bit-identical to a from-scratch assessor
+// over the same records, and the receiver stays valid for concurrent
+// readers of the pre-advance snapshot.
+func (a *Assessor[R]) UpdateRows(corpus []*R, dirtyRows []int, epochMoved bool) *Assessor[R] {
 	engine := a.engine.update(corpus, dirtyRows, epochMoved)
-	return &ContributorAssessor{DI: a.DI, opts: a.opts, measures: a.measures, engine: engine, benchmarks: engine.benchmarkMap()}
+	return &Assessor[R]{DI: a.DI, engine: engine, benchmarks: engine.benchmarkMap()}
 }
 
 // ShardCount reports how many shards the assessor's engine partitions the
 // corpus into.
-func (a *ContributorAssessor) ShardCount() int { return a.engine.plan.Shards() }
+func (a *Assessor[R]) ShardCount() int { return a.engine.plan.Shards() }
 
 // SpineStats reports the standing-spine evaluation work this assessor has
-// performed since it was derived; see SourceAssessor.SpineStats.
-func (a *ContributorAssessor) SpineStats() SpineStats { return a.engine.counters.stats() }
-
-// RepairSpine derives the current round's contributor spine from prev via
-// the dirty rows of the producing UpdateRows; see
-// SourceAssessor.RepairSpine.
-func (a *ContributorAssessor) RepairSpine(records []*ContributorRecord, prev *Spine, q Query) (*Spine, bool) {
-	if len(q.Kinds) > 0 {
-		return nil, false
-	}
-	return a.engine.repairSpine(records, prev, q, contributorKeep(q), a.spamIdx(q))
-}
+// performed since it was derived: full scans, incremental repairs, and
+// clean-shard carries. The dirty-shard concurrency tests pin these.
+func (a *Assessor[R]) SpineStats() SpineStats { return a.engine.counters.stats() }

@@ -16,6 +16,11 @@ type ContributorMeasure struct {
 	Eval          func(r *ContributorRecord, di *DomainOfInterest) (float64, bool)
 }
 
+// split separates the measure into the engine's metadata and evaluator.
+func (m ContributorMeasure) split() (measureInfo, func(*ContributorRecord, *DomainOfInterest) (float64, bool)) {
+	return measureInfo{id: m.ID, dimension: m.Dimension, attribute: m.Attribute, higherIsBetter: m.HigherIsBetter, timeSensitive: m.TimeSensitive}, m.Eval
+}
+
 // diComments sums the contributor's comments in DI categories, and counts
 // the DI categories covered.
 func diComments(r *ContributorRecord, di *DomainOfInterest) (total, categories int) {

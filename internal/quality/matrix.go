@@ -1,7 +1,7 @@
 package quality
 
-// The measure matrix is the per-shard assessment core behind
-// SourceAssessor and ContributorAssessor. Every shard member runs every
+// The measure matrix is the per-shard assessment core behind Assessor,
+// for either record kind. Every shard member runs every
 // catalogue measure over its record range exactly once, in a deterministic
 // parallel fan-out, and caches the raw values in a columnar
 // [measure][record] matrix; the sharded coordinator (shard.go) derives the

@@ -26,6 +26,8 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
+
+	"github.com/informing-observers/informer/internal/shard"
 )
 
 // Projection selects how much of each Assessment a query materializes.
@@ -151,12 +153,11 @@ type QueryResult struct {
 // window is materialized. With a selection bound (TopK and/or Limit) the
 // matches stream through a bounded heap — O(N log k) with O(k)
 // materializations — instead of assessing and sorting the whole corpus.
-// Results are bit-identical to filtering and slicing Rank's output.
-func (a *SourceAssessor) Query(records []*SourceRecord, q Query) (*QueryResult, error) {
-	if q.MinSpamResistance > 0 {
-		return nil, fmt.Errorf("quality: MinSpamResistance applies to contributor queries only")
-	}
-	return a.engine.rankTopK(records, q, sourceKeep(q), nil)
+// Results are bit-identical to filtering and slicing Rank's output. A
+// field the record kind lacks is an error: Kinds on contributors,
+// MinSpamResistance on sources.
+func (a *Assessor[R]) Query(records []*R, q Query) (*QueryResult, error) {
+	return a.engine.rankTopK(records, q)
 }
 
 // Spine evaluates q's scope, predicates and sort over every record and
@@ -164,12 +165,9 @@ func (a *SourceAssessor) Query(records []*SourceRecord, q Query) (*QueryResult, 
 // of the filter-placement idea: rank once per assessment round, then fan
 // any number of windows (cursor pages, watch diffs) out of it via Window
 // at O(window) cost each. TopK, Limit, After and Fields are ignored here;
-// they apply at Window time.
-func (a *SourceAssessor) Spine(records []*SourceRecord, q Query) (*Spine, error) {
-	if q.MinSpamResistance > 0 {
-		return nil, fmt.Errorf("quality: MinSpamResistance applies to contributor queries only")
-	}
-	return a.engine.spine(records, q, sourceKeep(q), nil)
+// they apply at Window time. It rejects what Query rejects.
+func (a *Assessor[R]) Spine(records []*R, q Query) (*Spine, error) {
+	return a.engine.spine(records, q)
 }
 
 // Window slices one page out of a previously built Spine and materializes
@@ -177,13 +175,24 @@ func (a *SourceAssessor) Spine(records []*SourceRecord, q Query) (*Spine, error)
 // built by this assessor over the same records with the same scope,
 // predicates and sort; the result is then bit-identical to Query(records,
 // q) at a fraction of the cost.
-func (a *SourceAssessor) Window(records []*SourceRecord, sp *Spine, q Query) (*QueryResult, error) {
+func (a *Assessor[R]) Window(records []*R, sp *Spine, q Query) (*QueryResult, error) {
 	return a.engine.window(records, sp, q)
+}
+
+// RepairSpine derives the current round's spine for q from prev — built by
+// this assessor's predecessor over the previous round's records — by
+// re-evaluating only the rows the producing UpdateRows dirtied. ok is
+// false whenever a carry could be stale (fresh assessor, epoch moved,
+// benchmarks changed, invalid query — a field the record kind lacks
+// included); fall back to Spine then. On success the result is
+// bit-identical to a fresh Spine call.
+func (a *Assessor[R]) RepairSpine(records []*R, prev *Spine, q Query) (*Spine, bool) {
+	return a.engine.repairSpine(records, prev, q)
 }
 
 // RankTopK returns the k best records, best first — shorthand for a Query
 // with only TopK set.
-func (a *SourceAssessor) RankTopK(records []*SourceRecord, k int) []*Assessment {
+func (a *Assessor[R]) RankTopK(records []*R, k int) []*Assessment {
 	res, err := a.Query(records, Query{TopK: k})
 	if err != nil {
 		panic(err) // unreachable: a bare top-k query cannot be invalid
@@ -191,53 +200,50 @@ func (a *SourceAssessor) RankTopK(records []*SourceRecord, k int) []*Assessment 
 	return res.Items
 }
 
-// Query executes q over contributor records; see SourceAssessor.Query.
-// Contributor queries additionally understand MinSpamResistance; Kinds is
-// rejected (contributors have no source kind).
-func (a *ContributorAssessor) Query(records []*ContributorRecord, q Query) (*QueryResult, error) {
-	if len(q.Kinds) > 0 {
-		return nil, fmt.Errorf("quality: Kinds applies to source queries only")
-	}
-	return a.engine.rankTopK(records, q, contributorKeep(q), a.spamIdx(q))
+// recordKind is what the one assessment engine needs to know of a record
+// type beyond its measure catalogue.
+type recordKind[R any] struct {
+	// name is the kind's Report.Kind.
+	name string
+	// ident returns a record's ID and name.
+	ident func(*R) (id int, name string)
+	// note records a record's routing facts in its shard's router entry.
+	note func(*shard.Router, int, *R)
+	// keep compiles a query's scope fields into a record predicate, nil
+	// when the query is unscoped.
+	keep func(Query) func(*R) bool
+	// foreign rejects a query setting a field the kind lacks.
+	foreign func(Query) error
+	// spam lists the measures whose normalized average MinSpamResistance
+	// thresholds.
+	spam []string
 }
 
-// Spine ranks every contributor matching q's scope and predicates; see
-// SourceAssessor.Spine.
-func (a *ContributorAssessor) Spine(records []*ContributorRecord, q Query) (*Spine, error) {
-	if len(q.Kinds) > 0 {
-		return nil, fmt.Errorf("quality: Kinds applies to source queries only")
-	}
-	return a.engine.spine(records, q, contributorKeep(q), a.spamIdx(q))
-}
-
-// Window slices one page out of a contributor Spine; see
-// SourceAssessor.Window.
-func (a *ContributorAssessor) Window(records []*ContributorRecord, sp *Spine, q Query) (*QueryResult, error) {
-	return a.engine.window(records, sp, q)
-}
-
-// spamIdx resolves the relative-reaction measure positions backing the
-// MinSpamResistance predicate, or nil when the predicate is unset.
-func (a *ContributorAssessor) spamIdx(q Query) []int {
-	if q.MinSpamResistance <= 0 {
-		return nil
-	}
-	var idx []int
-	for _, id := range relativeReactionMeasures {
-		if m := a.engine.measurePos(id); m >= 0 {
-			idx = append(idx, m)
+var sourceKind = &recordKind[SourceRecord]{
+	name:  "sources",
+	ident: func(r *SourceRecord) (int, string) { return r.ID, r.Name },
+	note:  noteSourceRoute,
+	keep:  sourceKeep,
+	foreign: func(q Query) error {
+		if q.MinSpamResistance > 0 {
+			return fmt.Errorf("quality: MinSpamResistance applies to contributor queries only")
 		}
-	}
-	return idx
+		return nil
+	},
 }
 
-// RankTopK returns the k best contributors, best first.
-func (a *ContributorAssessor) RankTopK(records []*ContributorRecord, k int) []*Assessment {
-	res, err := a.Query(records, Query{TopK: k})
-	if err != nil {
-		panic(err) // unreachable: a bare top-k query cannot be invalid
-	}
-	return res.Items
+var contributorKind = &recordKind[ContributorRecord]{
+	name:  "contributors",
+	ident: func(r *ContributorRecord) (int, string) { return r.ID, r.Name },
+	note:  noteContributorRoute,
+	keep:  contributorKeep,
+	foreign: func(q Query) error {
+		if len(q.Kinds) > 0 {
+			return fmt.Errorf("quality: Kinds applies to source queries only")
+		}
+		return nil
+	},
+	spam: relativeReactionMeasures,
 }
 
 // sourceKeep compiles the source-scope fields into a record predicate, or
@@ -463,8 +469,8 @@ func (rq *resolvedQuery) slot(a int) int {
 }
 
 // resolveQuery resolves predicate and sort targets against the catalogue.
-// spamIdx lists the measures behind MinSpamResistance (nil when unset).
-func (e *matrixEngine[R]) resolveQuery(q Query, spamIdx []int) (*resolvedQuery, error) {
+// spam lists the measures behind MinSpamResistance.
+func (e *matrixEngine[R]) resolveQuery(q Query, spam []string) (*resolvedQuery, error) {
 	rq := &resolvedQuery{minSpam: q.MinSpamResistance}
 	if len(q.MinMeasure) > 0 {
 		ids := make([]string, 0, len(q.MinMeasure))
@@ -482,7 +488,11 @@ func (e *matrixEngine[R]) resolveQuery(q Query, spamIdx []int) (*resolvedQuery, 
 		}
 	}
 	if q.MinSpamResistance > 0 {
-		rq.measures = append(rq.measures, spamIdx...)
+		for _, id := range spam {
+			if m := e.measurePos(id); m >= 0 {
+				rq.measures = append(rq.measures, m)
+			}
+		}
 	}
 	rq.preds = append(rq.preds, axisThreshold{rq.slot(scoreAxis), q.MinScore})
 	var bars []axisThreshold // per-axis bars by axis, then by slot

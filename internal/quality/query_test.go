@@ -280,6 +280,62 @@ func TestContributorQuerySpamResistance(t *testing.T) {
 	}
 }
 
+// TestForeignFieldRejected pins, for both record kinds, the rejection of a
+// Query field the kind lacks on every entry point: Query and Spine return
+// the error, and RepairSpine refuses on an assessor that carries the same
+// query without the field.
+func TestForeignFieldRejected(t *testing.T) {
+	const (
+		spamErr  = "quality: MinSpamResistance applies to contributor queries only"
+		kindsErr = "quality: Kinds applies to source queries only"
+	)
+	w := webgen.Generate(webgen.Config{Seed: 41, NumSources: 40, NumUsers: 120})
+	sources := worldRecords(t, 40, 41)
+	contributors := ContributorRecordsFromWorld(w)
+	for _, shards := range []int{1, 3} {
+		opts := &AssessorOptions{Shards: shards}
+		sa := NewSourceAssessor(sources, defaultDI(), opts)
+		ca := NewContributorAssessor(contributors, defaultDI(), opts)
+		for _, q := range []Query{
+			{MinSpamResistance: 0.5},
+			{MinSpamResistance: 0.5, MinScore: 0.2, TopK: 3, Categories: []string{"pulse"}},
+		} {
+			checkForeignField(t, sa, sources, q, spamErr)
+		}
+		for _, q := range []Query{
+			{Kinds: []string{"blog"}},
+			{Kinds: []string{"forum"}, MinSpamResistance: 0.3, Limit: 2},
+		} {
+			checkForeignField(t, ca, contributors, q, kindsErr)
+		}
+	}
+}
+
+// checkForeignField checks one rejected query q against a, whose error
+// must read want.
+func checkForeignField[R any](t *testing.T, a *Assessor[R], records []*R, q Query, want string) {
+	t.Helper()
+	if _, err := a.Query(records, q); err == nil || err.Error() != want {
+		t.Errorf("Query(%+v): error %v, want %q", q, err, want)
+	}
+	if _, err := a.Spine(records, q); err == nil || err.Error() != want {
+		t.Errorf("Spine(%+v): error %v, want %q", q, err, want)
+	}
+	base := q
+	base.Kinds, base.MinSpamResistance = nil, 0
+	prev, err := a.Spine(records, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := a.UpdateRows(records, nil, false)
+	if _, ok := next.RepairSpine(records, prev, base); !ok {
+		t.Fatalf("RepairSpine(%+v) refused: the assessor must be carry-eligible", base)
+	}
+	if sp, ok := next.RepairSpine(records, prev, q); ok || sp != nil {
+		t.Errorf("RepairSpine(%+v): ok %v, spine returned %v; want a refusal", q, ok, sp != nil)
+	}
+}
+
 // TestQueryAfterUpdateRows pins that the lean query path reads the
 // repaired matrix, not stale construction state.
 func TestQueryAfterUpdateRows(t *testing.T) {

@@ -99,7 +99,7 @@ func (r *SourceRecord) IndexDiscussions() {
 	slices.Sort(ids)
 	// The merge copies the set out, so the record does not keep the
 	// per-comment buffer alive.
-	r.authors = mergeAuthors(nil, slices.Compact(ids))
+	r.authors = mergeSorted(nil, slices.Compact(ids))
 }
 
 // appendOpened extends an opening-instant column with t; the column turns
@@ -154,9 +154,10 @@ func (r *SourceRecord) threadAgeDays(i int, obsNs int64, fast bool) float64 {
 	return r.ObservedAt.Sub(r.Discussions[i].Opened).Hours() / 24
 }
 
-// mergeAuthors returns the union of two disjoint ascending author sets: a
-// itself when b is empty, otherwise a fresh exactly-sized slice.
-func mergeAuthors(a, b []int32) []int32 {
+// mergeSorted returns the union of two disjoint ascending ID sets — a
+// source's comment authors, a contributor's touched discussions: a itself
+// when b is empty, otherwise a fresh exactly-sized slice.
+func mergeSorted(a, b []int32) []int32 {
 	if len(b) == 0 {
 		return a
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"time"
 )
 
@@ -36,11 +37,11 @@ type ReportEntry struct {
 	Normalized map[string]float64 `json:"normalized"`
 }
 
-// NewSourceReport assembles a report from a source assessor and its ranked
-// assessments.
-func NewSourceReport(a *SourceAssessor, ranked []*Assessment, at time.Time) *Report {
+// NewReport assembles a report from an assessor and its ranked
+// assessments; Kind names the assessor's record kind.
+func NewReport[R any](a *Assessor[R], ranked []*Assessment, at time.Time) *Report {
 	r := &Report{
-		Kind:        "sources",
+		Kind:        a.engine.kind.name,
 		GeneratedAt: at,
 		DI: reportDI{
 			Categories: a.DI.Categories,
@@ -48,31 +49,7 @@ func NewSourceReport(a *SourceAssessor, ranked []*Assessment, at time.Time) *Rep
 			End:        a.DI.End,
 			Locations:  a.DI.Locations,
 		},
-		Benchmarks: map[string]Benchmark{},
-	}
-	for id, b := range a.benchmarks {
-		r.Benchmarks[id] = b
-	}
-	fillEntries(r, ranked)
-	return r
-}
-
-// NewContributorReport assembles a report from a contributor assessor and
-// its ranked assessments.
-func NewContributorReport(a *ContributorAssessor, ranked []*Assessment, at time.Time) *Report {
-	r := &Report{
-		Kind:        "contributors",
-		GeneratedAt: at,
-		DI: reportDI{
-			Categories: a.DI.Categories,
-			Start:      a.DI.Start,
-			End:        a.DI.End,
-			Locations:  a.DI.Locations,
-		},
-		Benchmarks: map[string]Benchmark{},
-	}
-	for id, b := range a.benchmarks {
-		r.Benchmarks[id] = b
+		Benchmarks: maps.Clone(a.benchmarks),
 	}
 	fillEntries(r, ranked)
 	return r
@@ -107,7 +84,7 @@ func ReadReport(rd io.Reader) (*Report, error) {
 	if err := json.NewDecoder(rd).Decode(&r); err != nil {
 		return nil, fmt.Errorf("quality: read report: %w", err)
 	}
-	if r.Kind != "sources" && r.Kind != "contributors" {
+	if r.Kind != sourceKind.name && r.Kind != contributorKind.name {
 		return nil, fmt.Errorf("quality: unknown report kind %q", r.Kind)
 	}
 	return &r, nil

@@ -12,7 +12,7 @@ func TestSourceReportRoundTrip(t *testing.T) {
 	a := NewSourceAssessor(records, defaultDI(), nil)
 	ranked := a.Rank(records)
 	at := time.Date(2011, 10, 1, 0, 0, 0, 0, time.UTC)
-	rep := NewSourceReport(a, ranked, at)
+	rep := NewReport(a, ranked, at)
 
 	if rep.Kind != "sources" || len(rep.Entries) != 25 {
 		t.Fatalf("report: %s / %d entries", rep.Kind, len(rep.Entries))
@@ -46,7 +46,7 @@ func TestSourceReportRoundTrip(t *testing.T) {
 func TestContributorReport(t *testing.T) {
 	recs := influencerFixture()
 	a := NewContributorAssessor(recs, DomainOfInterest{}, nil)
-	rep := NewContributorReport(a, a.Rank(recs), time.Now())
+	rep := NewReport(a, a.Rank(recs), time.Now())
 	if rep.Kind != "contributors" || len(rep.Entries) != len(recs) {
 		t.Fatalf("report: %s / %d", rep.Kind, len(rep.Entries))
 	}

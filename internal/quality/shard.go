@@ -1,7 +1,7 @@
 package quality
 
 // The sharded scatter-gather engine is the one assessment engine behind
-// SourceAssessor and ContributorAssessor, at every shard count: the
+// Assessor, for both record kinds and at every shard count: the
 // corpus is partitioned into contiguous record-range shards
 // (internal/shard plans the ranges and carries the routing metadata), each
 // a plain measure matrix (matrix.go) with its own ranked spine parts.
@@ -125,8 +125,7 @@ type shardedEngine[R any] struct {
 	opts  AssessorOptions
 	infos []measureInfo
 	evals []func(*R, *DomainOfInterest) (float64, bool)
-	ident func(*R) (int, string)
-	note  func(*shard.Router, int, *R)
+	kind  *recordKind[R]
 
 	plan    shard.Plan
 	engines []*matrixEngine[R] // one per shard; benchmarks slice shared from the ledger
@@ -166,11 +165,10 @@ func newShardedEngine[R any](
 	opts AssessorOptions,
 	infos []measureInfo,
 	evals []func(*R, *DomainOfInterest) (float64, bool),
-	ident func(*R) (int, string),
-	note func(*shard.Router, int, *R),
+	kind *recordKind[R],
 ) *shardedEngine[R] {
 	s := &shardedEngine[R]{
-		di: di, opts: opts, infos: infos, evals: evals, ident: ident, note: note,
+		di: di, opts: opts, infos: infos, evals: evals, kind: kind,
 		plan:     shard.NewPlan(len(corpus), opts.Shards),
 		fresh:    true,
 		counters: &spineCounters{},
@@ -181,7 +179,7 @@ func newShardedEngine[R any](
 	// the worker pool per shard, so the shard loop stays sequential.
 	for sh := 0; sh < ns; sh++ {
 		lo, hi := s.plan.Bounds(sh)
-		s.engines[sh] = newMatrixEngine(corpus[lo:hi], di, opts, infos, evals, ident)
+		s.engines[sh] = newMatrixEngine(corpus[lo:hi], di, opts, infos, evals, kind.ident)
 	}
 	// Phase 2: corpus-global gather — per measure, defined values across
 	// shards in global record order, benchmarks selected from them. The
@@ -208,10 +206,10 @@ func newShardedEngine[R any](
 		lo, hi := s.plan.Bounds(sh)
 		for row := lo; row < hi; row++ {
 			if s.col != nil {
-				id, _ := ident(corpus[row])
+				id, _ := kind.ident(corpus[row])
 				s.col[id] = row
 			}
-			note(rt, sh, corpus[row])
+			kind.note(rt, sh, corpus[row])
 		}
 	}
 	s.router = rt
@@ -284,7 +282,7 @@ func (s *shardedEngine[R]) shardOf(r *R) *matrixEngine[R] {
 	if s.col == nil {
 		return s.engines[0] // one shard
 	}
-	id, _ := s.ident(r)
+	id, _ := s.kind.ident(r)
 	if row, ok := s.col[id]; ok {
 		return s.engines[s.plan.Of(row)]
 	}
@@ -344,6 +342,19 @@ func (s *shardedEngine[R]) benchmarkMap() map[string]Benchmark {
 
 func (s *shardedEngine[R]) measurePos(id string) int { return s.engines[0].measurePos(id) }
 
+// compile checks q against the record kind and resolves it: the
+// once-per-execution part of every plan.
+func (s *shardedEngine[R]) compile(q Query) (*resolvedQuery, func(*R) bool, error) {
+	if err := s.kind.foreign(q); err != nil {
+		return nil, nil, err
+	}
+	rq, err := s.engines[0].resolveQuery(q, s.kind.spam)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rq, s.kind.keep(q), nil
+}
+
 // candBetter is MergeK's order: a ranks strictly before b.
 func candBetter(a, b leanCand) bool { return candWorse(b, a) }
 
@@ -357,8 +368,8 @@ func candBetter(a, b leanCand) bool { return candWorse(b, a) }
 // A resume cursor (q.After) makes every scan skip everything at or before
 // the cursor's ranked position, so a keyset-paginated page N+1 costs one
 // lean pass plus one page of materializations, never the prefix.
-func (s *shardedEngine[R]) rankTopK(records []*R, q Query, keep func(*R) bool, spamIdx []int) (*QueryResult, error) {
-	rq, err := s.engines[0].resolveQuery(q, spamIdx)
+func (s *shardedEngine[R]) rankTopK(records []*R, q Query) (*QueryResult, error) {
+	rq, keep, err := s.compile(q)
 	if err != nil {
 		return nil, err
 	}
@@ -404,8 +415,8 @@ func (s *shardedEngine[R]) scatter(records []*R, q Query, rq *resolvedQuery, kee
 // spine evaluates the standing query per shard — unbounded, fully ranked —
 // and keeps the per-shard decomposition on the Spine so the next round can
 // carry clean shards and repair dirty ones.
-func (s *shardedEngine[R]) spine(records []*R, q Query, keep func(*R) bool, spamIdx []int) (*Spine, error) {
-	rq, err := s.engines[0].resolveQuery(q, spamIdx)
+func (s *shardedEngine[R]) spine(records []*R, q Query) (*Spine, error) {
+	rq, keep, err := s.compile(q)
 	if err != nil {
 		return nil, err
 	}
@@ -437,7 +448,7 @@ func (s *shardedEngine[R]) window(records []*R, sp *Spine, q Query) (*QueryResul
 // moved observation instant or bitwise-moved benchmarks. prev must be a
 // spine for the same scope/predicates/sort built by this engine's
 // predecessor; the result is bit-identical to a fresh spine.
-func (s *shardedEngine[R]) repairSpine(records []*R, prev *Spine, q Query, keep func(*R) bool, spamIdx []int) (*Spine, bool) {
+func (s *shardedEngine[R]) repairSpine(records []*R, prev *Spine, q Query) (*Spine, bool) {
 	ns := s.plan.Shards()
 	if prev == nil || s.fresh || s.lastEpochMoved || s.benchChanged {
 		return nil, false
@@ -445,7 +456,7 @@ func (s *shardedEngine[R]) repairSpine(records []*R, prev *Spine, q Query, keep 
 	if len(prev.parts) != ns || len(prev.totals) != ns {
 		return nil, false // differently-sharded spine: no carry
 	}
-	rq, err := s.engines[0].resolveQuery(q, spamIdx)
+	rq, keep, err := s.compile(q)
 	if err != nil || rq.unmatchable {
 		return nil, false
 	}
@@ -493,12 +504,12 @@ func (s *shardedEngine[R]) update(corpus []*R, dirty []int, epochMoved bool) *sh
 	n := s.plan.Len()
 	if len(corpus) != n {
 		// Population changed shape: rebuild from scratch (same knobs).
-		return newShardedEngine(corpus, s.di, s.opts, s.infos, s.evals, s.ident, s.note)
+		return newShardedEngine(corpus, s.di, s.opts, s.infos, s.evals, s.kind)
 	}
 	ns := s.plan.Shards()
 	split := s.plan.SplitRows(dirty)
 	ne := &shardedEngine[R]{
-		di: s.di, opts: s.opts, infos: s.infos, evals: s.evals, ident: s.ident, note: s.note,
+		di: s.di, opts: s.opts, infos: s.infos, evals: s.evals, kind: s.kind,
 		plan:           s.plan,
 		lastEpochMoved: epochMoved,
 		dirtyLocal:     split,
@@ -599,7 +610,7 @@ func (s *shardedEngine[R]) update(corpus []*R, dirty []int, epochMoved bool) *sh
 	for _, sh := range dirtyShards {
 		lo, _ := s.plan.Bounds(sh)
 		for _, c := range split[sh] {
-			s.note(rt, sh, corpus[lo+c])
+			s.kind.note(rt, sh, corpus[lo+c])
 		}
 	}
 	ne.router = rt

@@ -27,6 +27,11 @@ type SourceMeasure struct {
 	Eval          func(r *SourceRecord, di *DomainOfInterest) (float64, bool)
 }
 
+// split separates the measure into the engine's metadata and evaluator.
+func (m SourceMeasure) split() (measureInfo, func(*SourceRecord, *DomainOfInterest) (float64, bool)) {
+	return measureInfo{id: m.ID, dimension: m.Dimension, attribute: m.Attribute, higherIsBetter: m.HigherIsBetter, timeSensitive: m.TimeSensitive}, m.Eval
+}
+
 // relevantDiscussion reports whether d belongs to the DI (category and time
 // window).
 func relevantDiscussion(d *DiscussionStat, di *DomainOfInterest) bool {

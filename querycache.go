@@ -49,23 +49,14 @@ type windowEntry struct {
 	err  error
 }
 
-// queryable is the assessor surface the cache executes against; both
-// SourceAssessor and ContributorAssessor satisfy it.
-type queryable[R any] interface {
-	Query([]*R, Query) (*QueryResult, error)
-	Spine([]*R, Query) (*quality.Spine, error)
-	Window([]*R, *quality.Spine, Query) (*QueryResult, error)
-	RepairSpine([]*R, *quality.Spine, Query) (*quality.Spine, bool)
-}
-
 // querySources answers a source query from the snapshot's cache.
 func (st *assessState) querySources(q Query) (*QueryResult, error) {
-	return cachedQuery[quality.SourceRecord](st, 's', st.env.Sources, st.env.SourceRecords, q)
+	return cachedQuery(st, 's', st.env.Sources, st.env.SourceRecords, q)
 }
 
 // queryContributors answers a contributor query from the snapshot's cache.
 func (st *assessState) queryContributors(q Query) (*QueryResult, error) {
-	return cachedQuery[quality.ContributorRecord](st, 'c', st.env.Contributors, st.env.ContributorRecords, q)
+	return cachedQuery(st, 'c', st.env.Contributors, st.env.ContributorRecords, q)
 }
 
 // cachedQuery answers q for one record population: window-cache hit, else
@@ -75,7 +66,7 @@ func (st *assessState) queryContributors(q Query) (*QueryResult, error) {
 // property tests in internal/quality/query_test.go.
 //
 //informer:mutates memoised per-round query cache guarded by queryMu and entry onces
-func cachedQuery[R any](st *assessState, kind byte, a queryable[R], records []*R, q Query) (*QueryResult, error) {
+func cachedQuery[R any](st *assessState, kind byte, a *quality.Assessor[R], records []*R, q Query) (*QueryResult, error) {
 	wKey := string(kind) + "\x00" + q.CanonicalKey()
 	st.queryMu.Lock()
 	if st.windows == nil {
@@ -120,7 +111,7 @@ func cachedQuery[R any](st *assessState, kind byte, a queryable[R], records []*R
 // scope + predicates + sort, building it on first demand this round.
 //
 //informer:mutates memoised per-round spine cache guarded by queryMu and entry onces
-func cachedSpine[R any](st *assessState, kind byte, a queryable[R], records []*R, q Query) (*quality.Spine, error) {
+func cachedSpine[R any](st *assessState, kind byte, a *quality.Assessor[R], records []*R, q Query) (*quality.Spine, error) {
 	sq := q.Windowless()
 	sKey := string(kind) + "\x00" + sq.CanonicalKey()
 	st.queryMu.Lock()
@@ -162,7 +153,7 @@ func cachedSpine[R any](st *assessState, kind byte, a queryable[R], records []*R
 // corpus. The repaired spine is pinned bit-identical to a fresh scan by
 // TestRepairedSpineEquivalence; any ineligibility — epoch moved,
 // benchmarks shifted, shard layout changed — falls through to a scan.
-func buildSpine[R any](st *assessState, sKey string, a queryable[R], records []*R, sq Query) (*quality.Spine, error) {
+func buildSpine[R any](st *assessState, sKey string, a *quality.Assessor[R], records []*R, sq Query) (*quality.Spine, error) {
 	if prev, ok := st.prevSpines[sKey]; ok {
 		if sp, ok := a.RepairSpine(records, prev, sq); ok {
 			return sp, nil

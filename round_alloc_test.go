@@ -9,14 +9,14 @@ import (
 )
 
 // roundAllocBudget caps the heap allocations of one daily ~1%-churn
-// Advance over 2000 sources: 1,006 measured (go1.24, linux/amd64; the
+// Advance over 2000 sources: 903 measured (go1.24, linux/amd64; the
 // same under -race) plus 25%. The per-row record copies of a round come
 // from one slab per round, not one allocation per record. The count is deterministic — AllocsPerRun runs at
 // GOMAXPROCS 1, so every worker pool sized from it runs one worker — which
 // makes it a CI gate where ns/op would be noise. A round that builds a
 // full Assessment per source for the score join (about 8,000 maps)
 // breaks it.
-const roundAllocBudget = 1258
+const roundAllocBudget = 1129
 
 func TestAdvanceRoundAllocBudget(t *testing.T) {
 	world := webgen.Generate(webgen.Config{Seed: 91, NumSources: 2000, ChurnScale: 0.27})
@@ -39,13 +39,13 @@ func TestAdvanceRoundAllocBudget(t *testing.T) {
 
 // roundBytesBudget caps the bytes one daily ~1%-churn Advance over 2000
 // sources allocates, on the world and ticks of
-// TestAdvanceRoundAllocBudget: 3,530,468 measured (go1.24, linux/amd64;
-// 3,530,888 under -race) plus 25%. At GOMAXPROCS 1 the figure repeats to
+// TestAdvanceRoundAllocBudget: 3,441,302 measured (go1.24, linux/amd64;
+// 3,441,738 under -race) plus 25%. At GOMAXPROCS 1 the figure repeats to
 // within a few bytes across runs, so it gates like the count does. It
 // guards what the count cannot: a round that rebuilds every comment stat
 // of a dirty source (4,820,172 bytes per round) allocates about as often
 // but far more.
-const roundBytesBudget = 4413085
+const roundBytesBudget = 4301628
 
 func TestAdvanceRoundBytesBudget(t *testing.T) {
 	world := webgen.Generate(webgen.Config{Seed: 91, NumSources: 2000, ChurnScale: 0.27})
