@@ -92,6 +92,51 @@ func TestAPISourcesByteIdenticalToInProcessQuery(t *testing.T) {
 	}
 }
 
+// TestAPIInfluencersByteIdenticalToInProcess pins /api/v1/influencers to
+// the in-process read: each binding of strategy, k and min_interactions
+// answers exactly the bytes of the matching Corpus.Influencers page in
+// the envelope, and bad parameters still answer 400.
+func TestAPIInfluencersByteIdenticalToInProcess(t *testing.T) {
+	c := New(Config{Seed: 179, NumSources: 60, NumUsers: 200, SpamRate: 0.2})
+	h := c.APIHandler()
+	cases := map[string]Query{
+		"/api/v1/influencers":                        influencerQuery(Combined, 1, 10),
+		"/api/v1/influencers?strategy=combined":      influencerQuery(Combined, 1, 10),
+		"/api/v1/influencers?strategy=by-activity":   influencerQuery(ByActivity, 1, 10),
+		"/api/v1/influencers?strategy=by-relative":   influencerQuery(ByRelative, 1, 10),
+		"/api/v1/influencers?min_interactions=50":    influencerQuery(Combined, 50, 10),
+		"/api/v1/influencers?min_interactions=0&k=4": influencerQuery(Combined, 1, 4),
+		"/api/v1/influencers?k=0":                    influencerQuery(Combined, 1, 0),
+		"/api/v1/influencers?k=3":                    influencerQuery(Combined, 1, 3),
+	}
+	for target, q := range cases {
+		rec := apiGet(t, h, target, nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", target, rec.Code, rec.Body.String())
+		}
+		infs, err := c.Influencers(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.QueryContributors(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(apiserve.NewEnvelope(c.SnapshotVersion(), res.Total, 0, "", apiserve.InfluencerItems(infs)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Body.String() != string(want) {
+			t.Fatalf("%s: HTTP body diverges from the in-process read\n http: %s\n want: %s", target, rec.Body.String(), want)
+		}
+	}
+	for _, target := range []string{"/api/v1/influencers?strategy=bogus", "/api/v1/influencers?k=x"} {
+		if rec := apiGet(t, h, target, nil); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", target, rec.Code)
+		}
+	}
+}
+
 // TestAPISmoke drives every mounted endpoint once — the serving layer
 // cannot rot while this runs in CI.
 func TestAPISmoke(t *testing.T) {

@@ -199,10 +199,15 @@ func BenchmarkAblationInfluencerStrategy(b *testing.B) {
 		b.Run(strat.String(), func(b *testing.B) {
 			var spamShare float64
 			for i := 0; i < b.N; i++ {
-				top := quality.Influencers(assessor, records, quality.InfluencerOptions{
-					Strategy: strat,
-					TopK:     10,
+				res, err := assessor.Query(records, quality.Query{
+					Sort:            quality.SortKey{By: quality.SortByInfluence, Strategy: strat},
+					TopK:            10,
+					MinInteractions: 1,
 				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				top := quality.InfluencersOf(res, records, strat)
 				spam := 0
 				for _, inf := range top {
 					if inf.Record.Spammer {

@@ -135,10 +135,12 @@ func main() {
 	}
 
 	if *influencers > 0 {
-		infs := c.Influencers(informer.InfluencerOptions{
-			Strategy: informer.Combined,
-			TopK:     *influencers,
-		})
+		infs, err := c.Influencers(informer.NewQuery().
+			SortByInfluence(informer.Combined).MinInteractions(1).TopK(*influencers).Build())
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "informer-rank:", err)
+			os.Exit(1)
+		}
 		fmt.Printf("\ntop %d influencers (combined absolute x relative strategy):\n", *influencers)
 		for i, inf := range infs {
 			fmt.Printf("%4d  %-28s influence %6.3f  interactions %5d  replies %5d\n",

@@ -25,7 +25,11 @@ func ExampleNew() {
 // detection (Section 3.2 of the paper).
 func ExampleCorpus_Influencers() {
 	c := informer.New(informer.Config{Seed: 11, NumSources: 40, NumUsers: 200, SpamRate: 0.2})
-	top := c.Influencers(informer.InfluencerOptions{Strategy: informer.Combined, TopK: 5})
+	top, err := c.Influencers(informer.NewQuery().
+		SortByInfluence(informer.Combined).MinInteractions(1).TopK(5).Build())
+	if err != nil {
+		panic(err)
+	}
 	spam := 0
 	for _, inf := range top {
 		if inf.Record.Spammer {

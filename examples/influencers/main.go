@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	informer "github.com/informing-observers/informer"
 )
@@ -38,11 +39,15 @@ func main() {
 		fmt.Printf("     -> %d/%d spam bots in the top list\n\n", spam, len(infs))
 	}
 
-	show("Naive ranking by absolute activity volume:",
-		c.Influencers(informer.InfluencerOptions{Strategy: informer.ByActivity, TopK: 10}))
-
-	show("The paper's combined strategy (absolute x relative):",
-		c.Influencers(informer.InfluencerOptions{Strategy: informer.Combined, TopK: 10}))
+	top10 := func(s informer.InfluencerStrategy) []informer.Influencer {
+		infs, err := c.Influencers(informer.NewQuery().SortByInfluence(s).MinInteractions(1).TopK(10).Build())
+		if err != nil {
+			log.Fatal(err)
+		}
+		return infs
+	}
+	show("Naive ranking by absolute activity volume:", top10(informer.ByActivity))
+	show("The paper's combined strategy (absolute x relative):", top10(informer.Combined))
 
 	// The microblog path: the Table 4 dataset assessed with Table 2
 	// measures.

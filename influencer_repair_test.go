@@ -1,98 +1,182 @@
 package informer
 
-// Satellite pin: the influencer roster is delta-aware. Across sparse
-// ticks the facade repairs the previous round's roster from the delta's
-// dirty contributors (quality.RepairInfluencers) instead of re-assessing
-// every contributor — and the repaired roster is identical to the one a
-// freshly built corpus computes. The suite also pins that the repair
-// path actually engages (a licence that never fires would make the
-// equivalence vacuous) and that clean contributors' assessments ride
-// over by pointer.
+// The influencer read is a contributor query ranked by influence, served
+// through the same spines, spine repairs and per-snapshot cache as every
+// other read. Across mixed rounds — Advance, AdvanceSameDay and Ingest +
+// DrainTick — at every equivalence shard count, Corpus.Influencers must
+// equal the retired roster model (refInfluencers below) computed on a
+// rebuild of the advanced world: same contributors in the same order,
+// bitwise-equal influence scores, equal assessments. Each round first
+// reads every influencer query, so the next round's reads repair the
+// carried spines (dirty rows re-ranked through leanEval) wherever the
+// carry is licensed; the suite pins that repairs actually happen.
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
-	"github.com/informing-observers/informer/internal/quality"
+	"github.com/informing-observers/informer/internal/webgen"
 )
 
+var influencerStrategies = []InfluencerStrategy{ByActivity, ByRelative, Combined}
+
+// refInfluence is the roster model's influence score: the mean of the
+// present absolute-activity measures times (Combined), or alone, the mean
+// of the present relative-reaction measures, 0 when none is present.
+func refInfluence(as *Assessment, s InfluencerStrategy) float64 {
+	avg := func(ids ...string) float64 {
+		var sum float64
+		n := 0
+		for _, id := range ids {
+			if v, ok := as.Normalized[id]; ok {
+				sum += v
+				n++
+			}
+		}
+		if n == 0 {
+			return 0
+		}
+		return sum / float64(n)
+	}
+	abs := avg("usr.completeness.activity", "usr.time.activity")
+	rel := avg("usr.authority.relevance", "usr.dependability.relevance")
+	switch s {
+	case ByActivity:
+		return abs
+	case ByRelative:
+		return rel
+	}
+	return abs * rel
+}
+
+// refInfluencers is the roster model: assess every contributor at or
+// above the floor, score, sort by (influence desc, ID asc), truncate.
+func refInfluencers(c *Corpus, s InfluencerStrategy, minInteractions, topK int) []Influencer {
+	env := c.state.Load().env
+	var kept []*ContributorRecord
+	for _, r := range env.ContributorRecords {
+		if r.Interactions >= minInteractions {
+			kept = append(kept, r)
+		}
+	}
+	out := make([]Influencer, len(kept))
+	for i, as := range env.Contributors.AssessAll(kept) {
+		out[i] = Influencer{Record: kept[i], Assessment: as, InfluenceScore: refInfluence(as, s)}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].InfluenceScore != out[j].InfluenceScore {
+			return out[i].InfluenceScore > out[j].InfluenceScore
+		}
+		return out[i].Record.ID < out[j].Record.ID
+	})
+	if topK > 0 && len(out) > topK {
+		out = out[:topK]
+	}
+	return out
+}
+
+func influencerQuery(s InfluencerStrategy, minInteractions, topK int) Query {
+	return NewQuery().SortByInfluence(s).MinInteractions(minInteractions).TopK(topK).Build()
+}
+
 func TestInfluencerRepairMatchesRebuild(t *testing.T) {
-	c := New(Config{Seed: 311, NumSources: 50, NumUsers: 220, CommentText: true, SyndicationRate: 0.1})
-	strategies := []quality.InfluencerStrategy{ByActivity, ByRelative, Combined}
-
-	repairsEngaged := 0
-	for tick := 0; tick < 5; tick++ {
-		// Fill this round's roster cache, so the next publish carries
-		// the rosters forward as repair substrate.
-		for _, s := range strategies {
-			c.Influencers(InfluencerOptions{Strategy: s})
-		}
-		prev := c.state.Load()
-		// Restrict the churn to two sources: a sparse tick dirties few
-		// contributors, so the corpus-wide contributor benchmarks (fixed
-		// quantiles over ~220 records) usually hold still — the licence
-		// the repair path needs.
-		c.AdvanceSameDay(int64(9000+tick), []int{tick % len(c.World().Sources), (tick + 7) % len(c.World().Sources)})
-		cur := c.state.Load()
-		if cur.infRepairOK && len(cur.prevInf) > 0 {
-			repairsEngaged++
-		}
-
-		fresh := FromWorld(c.World(), c.DI, 311)
-		for _, s := range strategies {
-			for _, topK := range []int{0, 10} {
-				opts := InfluencerOptions{Strategy: s, TopK: topK}
-				got, want := c.Influencers(opts), fresh.Influencers(opts)
-				if len(got) != len(want) {
-					t.Fatalf("tick %d %v topK=%d: %d influencers, rebuild has %d", tick, s, topK, len(got), len(want))
-				}
-				for i := range got {
-					if got[i].Record.ID != want[i].Record.ID || got[i].InfluenceScore != want[i].InfluenceScore {
-						t.Fatalf("tick %d %v topK=%d rank %d: (%d, %v) vs rebuild (%d, %v)",
-							tick, s, topK, i, got[i].Record.ID, got[i].InfluenceScore, want[i].Record.ID, want[i].InfluenceScore)
-					}
-					if !reflect.DeepEqual(got[i].Assessment.Normalized, want[i].Assessment.Normalized) {
-						t.Fatalf("tick %d %v rank %d: assessments diverge", tick, s, i)
+	const seed = 311
+	world := webgen.Generate(webgen.Config{Seed: seed, NumSources: 50, NumUsers: 220, CommentText: true})
+	repairs := int64(0)
+	for _, ns := range equivShardCounts {
+		c := FromWorldSharded(world, DomainOfInterest{}, seed, ns)
+		rng := rand.New(rand.NewSource(seed + int64(ns)))
+		for round := 0; round < 6; round++ {
+			for _, s := range influencerStrategies {
+				for _, mi := range []int{0, 1, 50} {
+					if _, err := c.Influencers(influencerQuery(s, mi, 0)); err != nil {
+						t.Fatal(err)
 					}
 				}
 			}
-		}
-
-		// When the repair licence held, clean contributors' assessments
-		// must be shared by pointer with the previous round's roster —
-		// the whole point of the repair.
-		if cur.infRepairOK {
-			key := fmt.Sprintf("%s|%d", Combined, 1)
-			prevRoster, curRoster := prev.infRosters[key], cur.infRosters[key]
-			if prevRoster != nil && curRoster != nil {
-				dirty := map[int]bool{}
-				for _, id := range cur.infDirty {
-					dirty[id] = true
+			switch round % 3 {
+			case 0:
+				c.Advance(1, int64(9000+round))
+			case 1:
+				n := len(c.World().Sources)
+				c.AdvanceSameDay(int64(9100+round), []int{round % n, (round + 7) % n})
+			case 2:
+				for i, id := range skewedTicks(rng, c.World(), 6) {
+					c.Ingest(id, int64(9200+round*10+i))
 				}
-				prevByID := map[int]*Assessment{}
-				for _, inf := range prevRoster {
-					prevByID[inf.Record.ID] = inf.Assessment
-				}
-				shared, clean := 0, 0
-				for _, inf := range curRoster {
-					if dirty[inf.Record.ID] {
-						continue
-					}
-					if pa, ok := prevByID[inf.Record.ID]; ok {
-						clean++
-						if inf.Assessment == pa {
-							shared++
+				c.DrainTick()
+			}
+			fresh := FromWorldSharded(c.World(), DomainOfInterest{}, seed, ns)
+			for _, s := range influencerStrategies {
+				for _, mi := range []int{0, 1, 50} {
+					for _, k := range []int{0, 10} {
+						label := fmt.Sprintf("shards %d round %d %v min %d k %d", ns, round, s, mi, k)
+						got, err := c.Influencers(influencerQuery(s, mi, k))
+						if err != nil {
+							t.Fatal(err)
 						}
+						requireSameInfluencers(t, label, got, refInfluencers(fresh, s, mi, k))
 					}
 				}
-				if clean > 0 && shared != clean {
-					t.Fatalf("tick %d: only %d/%d clean contributors share their assessment by pointer", tick, shared, clean)
-				}
 			}
+			s := influencerStrategies[round%len(influencerStrategies)]
+			walkInfluencers(t, c, s, refInfluencers(fresh, s, 1, 0), fmt.Sprintf("shards %d round %d walk", ns, round))
+			repairs += c.state.Load().env.Contributors.SpineStats().Repairs
 		}
 	}
-	if repairsEngaged == 0 {
-		t.Fatal("the influencer repair licence never engaged across 5 sparse ticks; the equivalence above is vacuous")
+	if repairs == 0 {
+		t.Fatal("no influencer spine was ever repaired; the equivalence above never exercised RepairSpine")
 	}
+}
+
+// requireSameInfluencers fails unless got equals want rank by rank.
+func requireSameInfluencers(t *testing.T, label string, got, want []Influencer) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d influencers, reference has %d", label, len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Record.ID != w.Record.ID || math.Float64bits(g.InfluenceScore) != math.Float64bits(w.InfluenceScore) {
+			t.Fatalf("%s rank %d: (%d, %v), reference (%d, %v)", label, i, g.Record.ID, g.InfluenceScore, w.Record.ID, w.InfluenceScore)
+		}
+		if !reflect.DeepEqual(g.Record, w.Record) || !reflect.DeepEqual(g.Assessment, w.Assessment) {
+			t.Fatalf("%s rank %d: record or assessment diverges", label, i)
+		}
+	}
+}
+
+// walkInfluencers pages through the influence ranking seven rows at a time
+// by keyset cursor and requires the concatenated pages to equal want.
+func walkInfluencers(t *testing.T, c *Corpus, s InfluencerStrategy, want []Influencer, label string) {
+	t.Helper()
+	var got []Influencer
+	var after *Cursor
+	for page := 0; ; page++ {
+		q := NewQuery().SortByInfluence(s).MinInteractions(1).Limit(7).Resume(after).Build()
+		res, err := c.QueryContributors(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Total != len(want) {
+			t.Fatalf("%s page %d: total %d, reference has %d", label, page, res.Total, len(want))
+		}
+		infs, err := c.Influencers(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, infs...)
+		if res.Next == nil {
+			break
+		}
+		if last := infs[len(infs)-1]; res.Next.ID != last.Record.ID || res.Next.Key != last.InfluenceScore {
+			t.Fatalf("%s page %d: cursor %+v does not name the last row", label, page, res.Next)
+		}
+		after = res.Next
+	}
+	requireSameInfluencers(t, label, got, want)
 }

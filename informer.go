@@ -53,7 +53,6 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,8 +92,9 @@ type (
 	ContributorRecord = quality.ContributorRecord
 	// Influencer is a detected opinion leader.
 	Influencer = quality.Influencer
-	// InfluencerOptions configures influencer detection.
-	InfluencerOptions = quality.InfluencerOptions
+	// InfluencerStrategy selects how influence is scored (Section 3.2);
+	// Query.Sort ranks contributors by one (QueryBuilder.SortByInfluence).
+	InfluencerStrategy = quality.InfluencerStrategy
 	// World is the synthetic Web 2.0 corpus.
 	World = webgen.World
 	// WorldConfig configures corpus generation.
@@ -258,19 +258,6 @@ type assessState struct {
 	// correlation engine at publish time; nil when the corpus carries no
 	// comment text.
 	stories *correlate.StorySet
-
-	// infMu guards the per-round influencer roster cache: full rosters
-	// (TopK unbounded) keyed by canonical options, computed once per
-	// round and per key. prevInf carries the previous round's completed
-	// rosters; when infRepairOK holds (epoch still, contributor
-	// benchmarks bitwise unchanged) a roster is repaired from its
-	// predecessor over infDirty instead of being rebuilt. Both are
-	// written only before the snapshot publishes.
-	infMu       sync.Mutex
-	infRosters  map[string][]Influencer
-	prevInf     map[string][]Influencer
-	infRepairOK bool
-	infDirty    []int
 
 	engineOnce sync.Once
 	engine     *search.Engine
@@ -446,64 +433,19 @@ func (c *Corpus) AssessContributor(id int) (*Assessment, bool) {
 	return st.env.Contributors.Assess(st.env.ContributorRecords[id]), true
 }
 
-// Influencers detects opinion leaders (Section 3.2).
-func (c *Corpus) Influencers(opts InfluencerOptions) []Influencer {
-	return c.state.Load().influencers(opts)
-}
-
-// influencers answers an influencer query from the round's roster cache.
-// The full roster (TopK unbounded) per canonical option key is computed
-// once per round; when the repair licence holds it is derived from the
-// previous round's roster by re-scoring only the tick's dirty
-// contributors (quality.RepairInfluencers), otherwise built fresh. TopK
-// truncation happens on a per-call copy so cached rosters stay shared.
-//
-//informer:mutates memoised roster cache guarded by infMu
-func (st *assessState) influencers(opts InfluencerOptions) []Influencer {
-	minInteractions := opts.MinInteractions
-	if minInteractions <= 0 {
-		minInteractions = 1
+// Influencers detects opinion leaders (Section 3.2): it executes q — a
+// contributor query, normally ranked by SortByInfluence with a
+// MinInteractions floor — through the per-snapshot query cache and pairs
+// each item of the page with its record and its influence under
+// q.Sort.Strategy, read off the page's Normalized measures (so q keeps the
+// full projection). Only the page is assessed.
+func (c *Corpus) Influencers(q Query) ([]Influencer, error) {
+	st := c.state.Load()
+	res, err := st.queryContributors(q)
+	if err != nil {
+		return nil, err
 	}
-	full := InfluencerOptions{Strategy: opts.Strategy, MinInteractions: minInteractions}
-	key := full.Strategy.String() + "|" + strconv.Itoa(minInteractions)
-
-	st.infMu.Lock()
-	roster, ok := st.infRosters[key]
-	if !ok {
-		if prev, has := st.prevInf[key]; has && st.infRepairOK {
-			roster = quality.RepairInfluencers(prev, st.env.Contributors, st.env.ContributorRecords, st.infDirty, full)
-		} else {
-			roster = quality.Influencers(st.env.Contributors, st.env.ContributorRecords, full)
-		}
-		if st.infRosters == nil {
-			st.infRosters = make(map[string][]Influencer)
-		}
-		st.infRosters[key] = roster
-	}
-	st.infMu.Unlock()
-
-	if opts.TopK > 0 && len(roster) > opts.TopK {
-		roster = roster[:opts.TopK]
-	}
-	out := make([]Influencer, len(roster))
-	copy(out, roster)
-	return out
-}
-
-// doneInfluencers snapshots the rosters completed during this round, for
-// the next snapshot's prevInf. It copies under infMu: late readers of a
-// superseded snapshot may still be filling the cache.
-func (st *assessState) doneInfluencers() map[string][]Influencer {
-	st.infMu.Lock()
-	defer st.infMu.Unlock()
-	if len(st.infRosters) == 0 {
-		return nil
-	}
-	out := make(map[string][]Influencer, len(st.infRosters))
-	for k, r := range st.infRosters {
-		out[k] = r
-	}
-	return out
+	return quality.InfluencersOf(res, st.env.ContributorRecords, q.Sort.Strategy), nil
 }
 
 // Stories returns the current round's story-cluster snapshot: groups of
@@ -637,8 +579,8 @@ func (s apiSnapshot) QueryContributors(q Query) (*QueryResult, error) {
 	return s.st.queryContributors(q)
 }
 
-func (s apiSnapshot) Influencers(opts InfluencerOptions) []Influencer {
-	return s.st.influencers(opts)
+func (s apiSnapshot) ContributorRecords() []*ContributorRecord {
+	return s.st.env.ContributorRecords
 }
 
 // Stories serves the story-cluster listing, enriching each cluster with
@@ -846,9 +788,6 @@ func (c *Corpus) publishAdvance(cur *assessState, world *World, delta *webgen.De
 	next := &assessState{world: world, panel: panel, env: env, seed: c.seed, version: cur.version + 1, delta: delta, stories: stories}
 	next.inheritScan(cur, delta)
 	next.prevSpines = cur.doneSpines()
-	next.prevInf = cur.doneInfluencers()
-	next.infRepairOK = !delta.EpochMoved() && env.Contributors.BenchmarksEqual(cur.env.Contributors)
-	next.infDirty = delta.DirtyContributorIDs()
 	c.state.Store(next)
 	// Publish the round to the subscription registry: every distinct
 	// standing query is evaluated once against the new snapshot (off its

@@ -82,7 +82,10 @@ func TestRankContributorsFacade(t *testing.T) {
 
 func TestInfluencersFacade(t *testing.T) {
 	c := testCorpus(t)
-	infs := c.Influencers(InfluencerOptions{Strategy: Combined, TopK: 5})
+	infs, err := c.Influencers(NewQuery().SortByInfluence(Combined).MinInteractions(1).TopK(5).Build())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(infs) == 0 || len(infs) > 5 {
 		t.Fatalf("influencers = %d", len(infs))
 	}

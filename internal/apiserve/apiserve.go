@@ -90,7 +90,9 @@ type Snapshot interface {
 	ShardCount() int
 	QuerySources(q quality.Query) (*quality.QueryResult, error)
 	QueryContributors(q quality.Query) (*quality.QueryResult, error)
-	Influencers(opts quality.InfluencerOptions) []quality.Influencer
+	// ContributorRecords are the records QueryContributors executes over,
+	// which pair an influencer page with its records.
+	ContributorRecords() []*quality.ContributorRecord
 	// Stories answers the story-cluster listing (nil-safe: a corpus
 	// without comment text serves an empty result, never an error). The
 	// snapshot enriches each story with member names and quality scores,
@@ -622,32 +624,34 @@ func handleContributors(st Snapshot, v url.Values) (page, error) {
 	return page{AssessmentItems(res.Items), res.Total, res.Start, NextCursorOf(res, st.ShardCount())}, nil
 }
 
+// handleInfluencers binds a contributor query ranked by influence: the
+// strategy is the sort key, k the top-k bound (default 10, 0 = all) and
+// min_interactions the activity floor (default and minimum 1).
 func handleInfluencers(st Snapshot, v url.Values) (page, error) {
-	opts := quality.InfluencerOptions{Strategy: quality.Combined}
+	q := quality.Query{Sort: quality.SortKey{By: quality.SortByInfluence, Strategy: quality.Combined}}
 	switch strat := v.Get("strategy"); strat {
 	case "", "combined":
 	case "by-activity":
-		opts.Strategy = quality.ByActivity
+		q.Sort.Strategy = quality.ByActivity
 	case "by-relative":
-		opts.Strategy = quality.ByRelative
+		q.Sort.Strategy = quality.ByRelative
 	default:
 		return page{}, fmt.Errorf("unknown strategy %q", strat)
 	}
-	k, err := intParam(v, "k", 10)
+	var err error
+	if q.TopK, err = intParam(v, "k", 10); err != nil {
+		return page{}, err
+	}
+	if q.MinInteractions, err = intParam(v, "min_interactions", 0); err != nil {
+		return page{}, err
+	}
+	q.MinInteractions = max(q.MinInteractions, 1)
+	res, err := st.QueryContributors(q)
 	if err != nil {
 		return page{}, err
 	}
-	if opts.MinInteractions, err = intParam(v, "min_interactions", 0); err != nil {
-		return page{}, err
-	}
-	// Rank unbounded and truncate here, so Total keeps its envelope
-	// meaning: qualifying influencers before top-k selection.
-	ranked := st.Influencers(opts)
-	total := len(ranked)
-	if k > 0 && len(ranked) > k {
-		ranked = ranked[:k]
-	}
-	return page{items: InfluencerItems(ranked), total: total}, nil
+	infs := quality.InfluencersOf(res, st.ContributorRecords(), q.Sort.Strategy)
+	return page{items: InfluencerItems(infs), total: res.Total}, nil
 }
 
 func handleSentiment(st Snapshot, v url.Values) (page, error) {

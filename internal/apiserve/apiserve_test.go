@@ -48,9 +48,7 @@ func (s *stubSnapshot) QueryContributors(q quality.Query) (*quality.QueryResult,
 	return &quality.QueryResult{Items: []*quality.Assessment{}, Total: 0}, nil
 }
 
-func (s *stubSnapshot) Influencers(opts quality.InfluencerOptions) []quality.Influencer {
-	return nil
-}
+func (s *stubSnapshot) ContributorRecords() []*quality.ContributorRecord { return nil }
 
 func (s *stubSnapshot) Stories(q correlate.StoryQuery) *StoriesResult {
 	s.lastStoryQ = q

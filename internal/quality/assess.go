@@ -192,8 +192,8 @@ func (a *Assessor[R]) Benchmark(id string) (Benchmark, bool) {
 // are bitwise identical to prev's. When true, any record whose raw
 // observations did not change assesses to exactly the same result under
 // both assessors — the licence for carrying a clean row's score across an
-// Advance (and likewise an influencer roster entry). Map-range order does
-// not escape: the result folds into a single bool.
+// Advance. Map-range order does not escape: the result folds into a
+// single bool.
 func (a *Assessor[R]) BenchmarksEqual(prev *Assessor[R]) bool {
 	if len(a.benchmarks) != len(prev.benchmarks) {
 		return false

@@ -1,17 +1,18 @@
 package quality
 
 // Axis columns are the per-engine cache behind every full scan. A ranking
-// axis is the overall score, one dimension average or one attribute
-// average; its column holds that value for every row of the engine's
-// shard. Columns are built lazily, at most once per engine and axis, and
-// only for the axes some read actually uses, so one round's standing
-// spines, cold reads and the services score join share a single
-// normalisation pass per axis instead of re-evaluating every row per
-// query.
+// axis is the overall score, one dimension average, one attribute average
+// or one influence strategy's score; its column holds that value for
+// every row of the engine's shard. Columns are built lazily, at most once
+// per engine and axis, and only for the axes some read actually uses, so
+// one round's standing spines, cold reads and the services score join
+// share a single normalisation pass per axis instead of re-evaluating
+// every row per query.
 //
 // A column build is measure-major over the matrix, but every row still
 // accumulates its measures in catalogue order, exactly as leanEval and
-// assessProject do, so each column value is bitwise the number those
+// assessProject do (an influence column in its signals' operand order, as
+// scoreInfluencer does), so each column value is bitwise the number those
 // paths compute. Columns depend only on the matrix, the weights and the
 // benchmarks: an engine derivation that shares all three (remap with an
 // unchanged benchmark slice) shares its parent's columns, and any other
@@ -24,14 +25,14 @@ import (
 
 // scoreAxis is the axis index of the overall score. Dimension index d
 // (offset by dimOff) is axis 1+d; attribute index a (offset by attOff) is
-// axis 1+nDims+a.
+// axis 1+nDims+a; influence strategy s is axis 1+nDims+nAtts+s.
 const scoreAxis = 0
 
 // axisColumn is one axis's value on every row of an engine's shard.
 type axisColumn struct {
 	once sync.Once
 	v    []float64
-	def  []bool // nil when the axis is defined on every row (the score)
+	def  []bool // nil when the axis is defined on every row (score, influence)
 }
 
 // axisColumns holds an engine's columns, one slot per axis, each built on
@@ -41,12 +42,16 @@ type axisColumns struct {
 }
 
 func newAxisColumns(nDims, nAtts int) *axisColumns {
-	return &axisColumns{cols: make([]axisColumn, 1+nDims+nAtts)}
+	return &axisColumns{cols: make([]axisColumn, 1+nDims+nAtts+numStrategies)}
 }
 
-// dimAxis and attAxis map dense dimension / attribute indices to axes.
+// dimAxis, attAxis and infAxis map dense dimension / attribute indices and
+// influence strategies to axes.
 func (e *matrixEngine[R]) dimAxis(idx int) int { return 1 + idx }
 func (e *matrixEngine[R]) attAxis(idx int) int { return 1 + e.nDims + idx }
+func (e *matrixEngine[R]) infAxis(s InfluencerStrategy) int {
+	return 1 + e.nDims + e.nAtts + int(s)
+}
 
 // axisColumn returns axis a's column, building it on first demand; each
 // build is counted into built. Concurrent callers of one axis block on
@@ -67,6 +72,9 @@ func (e *matrixEngine[R]) axisColumn(a int, built *atomic.Int64) *axisColumn {
 // row — the score weighted, the averages unweighted — then divide.
 func (e *matrixEngine[R]) buildAxis(a int) ([]float64, []bool) {
 	nr := e.nRecords
+	if a >= e.infAxis(0) {
+		return e.buildInfluence(InfluencerStrategy(a - e.infAxis(0))), nil
+	}
 	sum := make([]float64, nr)
 	den := make([]float64, nr)
 	for m := range e.infos {
@@ -116,6 +124,37 @@ func (e *matrixEngine[R]) buildAxis(a int) ([]float64, []bool) {
 		}
 	}
 	return sum, def
+}
+
+// buildInfluence computes strategy s's influence on every row: each
+// signal averages its operands present on the row, accumulated in operand
+// order as avgOf does, so every value is bitwise scoreInfluencer's.
+func (e *matrixEngine[R]) buildInfluence(s InfluencerStrategy) []float64 {
+	signal := func(ids []string) []float64 {
+		sum := make([]float64, e.nRecords)
+		cnt := make([]float64, e.nRecords)
+		for _, id := range ids {
+			m := e.measurePos(id)
+			if m < 0 {
+				continue
+			}
+			for c, ok := range e.present[m] {
+				if ok {
+					sum[c] += e.benchmarks[m].Normalize(e.vals[m][c], e.infos[m].higherIsBetter)
+					cnt[c]++
+				}
+			}
+		}
+		for c := range sum {
+			sum[c], _ = average(sum[c], cnt[c])
+		}
+		return sum
+	}
+	abs, rel := signal(absoluteActivityMeasures), signal(relativeReactionMeasures)
+	for c := range abs {
+		abs[c] = influence(s, abs[c], rel[c])
+	}
+	return abs
 }
 
 // rowAxes is one row's values on the axes and measures a resolved query
@@ -206,6 +245,9 @@ func (rr *rowReader[R]) fromLean(r *R) {
 		switch {
 		case a == scoreAxis:
 			v.axis[j], v.axisOK[j] = b.score, true
+		case a >= e.infAxis(0):
+			v.axis[j], v.axisOK[j] = influence(InfluencerStrategy(a-e.infAxis(0)),
+				e.leanSignal(b, absoluteActivityMeasures), e.leanSignal(b, relativeReactionMeasures)), true
 		case a <= e.nDims:
 			v.axis[j], v.axisOK[j] = average(b.dimSum[a-1], b.dimCnt[a-1])
 		default:
@@ -215,6 +257,20 @@ func (rr *rowReader[R]) fromLean(r *R) {
 	for j, m := range rr.rq.measures {
 		v.norm[j], v.normOK[j] = b.norm[m], b.def[m]
 	}
+}
+
+// leanSignal averages the operands of one influence signal present in a
+// leanEval buffer, in operand order: bitwise buildInfluence's value.
+func (e *matrixEngine[R]) leanSignal(b *leanBuf, ids []string) float64 {
+	var sum, cnt float64
+	for _, id := range ids {
+		if m := e.measurePos(id); m >= 0 && b.def[m] {
+			sum += b.norm[m]
+			cnt++
+		}
+	}
+	v, _ := average(sum, cnt)
+	return v
 }
 
 // average divides an axis accumulator; the axis is undefined on a row

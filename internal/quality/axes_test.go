@@ -97,6 +97,12 @@ func randomAxisQuery(rng *rand.Rand, d axisDomain) (q Query, pos int) {
 	case 2:
 		q.Sort = SortKey{By: SortByAttribute, Attribute: d.atts[rng.Intn(len(d.atts))]}
 	}
+	if !d.source && rng.Intn(4) == 0 {
+		q.Sort = SortKey{By: SortByInfluence, Strategy: InfluencerStrategy(rng.Intn(numStrategies))}
+	}
+	if !d.source && rng.Intn(4) == 0 {
+		q.MinInteractions = rng.Intn(60)
+	}
 	if rng.Intn(2) == 0 {
 		q.TopK = 1 + rng.Intn(50)
 	}

@@ -31,6 +31,8 @@ func (q Query) CanonicalKey() string {
 	writeBits(&b, q.MinScore)
 	b.WriteString(";spam=")
 	writeBits(&b, q.MinSpamResistance)
+	b.WriteString(";minint=")
+	b.WriteString(strconv.Itoa(q.MinInteractions))
 	b.WriteString(";dim=")
 	dims := make([]int, 0, len(q.MinDimension))
 	for d := range q.MinDimension {
@@ -83,6 +85,8 @@ func (q Query) CanonicalKey() string {
 	b.WriteString(strconv.Itoa(int(q.Sort.Dimension)))
 	b.WriteByte(':')
 	b.WriteString(strconv.Itoa(int(q.Sort.Attribute)))
+	b.WriteByte(':')
+	b.WriteString(strconv.Itoa(int(q.Sort.Strategy)))
 	b.WriteString(";k=")
 	b.WriteString(strconv.Itoa(q.TopK))
 	b.WriteString(";lim=")

@@ -1,7 +1,5 @@
 package quality
 
-import "sort"
-
 // InfluencerStrategy selects how influence is scored. Section 3.2 argues
 // that distinguishing absolute interaction volumes from relative (per-
 // contribution) reaction rates both identifies users who trigger reactions
@@ -22,6 +20,9 @@ const (
 	Combined
 )
 
+// numStrategies counts the strategies: one influence axis each.
+const numStrategies = int(Combined) + 1
+
 // String implements fmt.Stringer.
 func (s InfluencerStrategy) String() string {
 	switch s {
@@ -36,21 +37,20 @@ func (s InfluencerStrategy) String() string {
 	}
 }
 
-// InfluencerOptions configures detection.
-type InfluencerOptions struct {
-	Strategy InfluencerStrategy
-	// TopK bounds the result (0 = all, ranked).
-	TopK int
-	// MinInteractions drops users below a floor of absolute activity
-	// before scoring (default 1).
-	MinInteractions int
+// absoluteActivityMeasures form the absolute influence signal: the user's
+// own contribution volume and its raw visibility. Reactions received stay
+// out of it — they belong to the relative side, which is exactly what
+// lets the combination expose spammers (huge own volume, no reactions).
+var absoluteActivityMeasures = []string{
+	"usr.completeness.activity",
+	"usr.time.activity",
 }
 
 // relativeReactionMeasures are the normalised per-contribution reaction
 // rates forming the relative influence signal — the quantity that stays
 // near zero for spammers and bots however high their absolute volume.
-// Influencers' Combined strategy multiplies it in, and Query's
-// MinSpamResistance predicate thresholds it directly.
+// The Combined strategy multiplies it in, and Query's MinSpamResistance
+// predicate thresholds it directly.
 var relativeReactionMeasures = []string{
 	"usr.authority.relevance",
 	"usr.dependability.relevance",
@@ -65,46 +65,30 @@ type Influencer struct {
 	InfluenceScore float64
 }
 
-// Influencers detects opinion leaders among the contributors using the
-// given assessor for normalisation. Results are best-first.
-func Influencers(a *ContributorAssessor, records []*ContributorRecord, opts InfluencerOptions) []Influencer {
-	minInteractions := opts.MinInteractions
-	if minInteractions <= 0 {
-		minInteractions = 1
-	}
-	kept := make([]*ContributorRecord, 0, len(records))
-	for _, r := range records {
-		if r.Interactions >= minInteractions {
-			kept = append(kept, r)
-		}
-	}
-	assessments := a.AssessAll(kept)
-	out := make([]Influencer, 0, len(kept))
-	for i, r := range kept {
-		as := assessments[i]
-		out = append(out, Influencer{Record: r, Assessment: as,
-			InfluenceScore: scoreInfluencer(as, opts.Strategy)})
-	}
-	sortInfluencers(out)
-	if opts.TopK > 0 && len(out) > opts.TopK {
-		out = out[:opts.TopK]
+// InfluencersOf pairs each item of res — a page of a contributor query
+// executed over records, normally ranked by SortByInfluence — with its
+// record and its influence score under strategy. Only the page was ever
+// assessed; the ranking itself ran on the influence axis column.
+func InfluencersOf(res *QueryResult, records []*ContributorRecord, strategy InfluencerStrategy) []Influencer {
+	out := make([]Influencer, len(res.Items))
+	for i, as := range res.Items {
+		out[i] = Influencer{Record: records[res.cands[i].row], Assessment: as,
+			InfluenceScore: scoreInfluencer(as, strategy)}
 	}
 	return out
 }
 
 // scoreInfluencer computes the strategy-specific influence score from a
-// contributor's assessment.
+// contributor's assessment — bitwise the influence axis value the query
+// engine ranks by.
 func scoreInfluencer(as *Assessment, strategy InfluencerStrategy) float64 {
-	// Absolute signal: the user's own contribution volume and its raw
-	// visibility. Reactions received stay out of this signal — they
-	// belong to the relative side, which is exactly what lets the
-	// combination expose spammers (huge own volume, no reactions).
-	abs := avgOf(as.Normalized,
-		"usr.completeness.activity",
-		"usr.time.activity",
-	)
-	// Relative signal: normalised per-contribution reaction rates.
-	rel := avgOf(as.Normalized, relativeReactionMeasures...)
+	return influence(strategy,
+		avgOf(as.Normalized, absoluteActivityMeasures...),
+		avgOf(as.Normalized, relativeReactionMeasures...))
+}
+
+// influence combines the absolute and relative signals under a strategy.
+func influence(strategy InfluencerStrategy, abs, rel float64) float64 {
 	switch strategy {
 	case ByActivity:
 		return abs
@@ -113,65 +97,6 @@ func scoreInfluencer(as *Assessment, strategy InfluencerStrategy) float64 {
 	default:
 		return abs * rel
 	}
-}
-
-func sortInfluencers(out []Influencer) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].InfluenceScore != out[j].InfluenceScore {
-			return out[i].InfluenceScore > out[j].InfluenceScore
-		}
-		return out[i].Record.ID < out[j].Record.ID
-	})
-}
-
-// RepairInfluencers derives the current round's roster from prev — the
-// FULL roster (TopK == 0) the previous round's assessor produced — by
-// re-scoring only the contributors a tick dirtied. The caller must hold
-// the repair licence: the epoch did not move and a.BenchmarksEqual(the
-// previous assessor) — then a clean contributor's record, assessment and
-// score are all unchanged and ride over by reference; dirty contributors
-// are re-assessed against the current matrix, re-applying the
-// MinInteractions floor (newly qualifying contributors join, disqualified
-// ones drop). The result is identical to Influencers(a, records, opts)
-// with TopK == 0.
-func RepairInfluencers(prev []Influencer, a *ContributorAssessor, records []*ContributorRecord, dirty []int, opts InfluencerOptions) []Influencer {
-	minInteractions := opts.MinInteractions
-	if minInteractions <= 0 {
-		minInteractions = 1
-	}
-	byID := make(map[int]*ContributorRecord, len(records))
-	for _, r := range records {
-		byID[r.ID] = r
-	}
-	dirtySet := make(map[int]bool, len(dirty))
-	for _, id := range dirty {
-		dirtySet[id] = true
-	}
-	out := make([]Influencer, 0, len(prev)+len(dirty))
-	for _, inf := range prev {
-		id := inf.Record.ID
-		if dirtySet[id] {
-			continue // re-scored below
-		}
-		if rec, ok := byID[id]; ok {
-			// Clean row: the record content is unchanged; refresh the
-			// pointer to the current round's record and keep the shared
-			// assessment and score.
-			inf.Record = rec
-			out = append(out, inf)
-		}
-	}
-	for _, id := range dirty {
-		r, ok := byID[id]
-		if !ok || r.Interactions < minInteractions {
-			continue
-		}
-		as := a.Assess(r)
-		out = append(out, Influencer{Record: r, Assessment: as,
-			InfluenceScore: scoreInfluencer(as, opts.Strategy)})
-	}
-	sortInfluencers(out)
-	return out
 }
 
 // avgOf averages the values present among the given keys.

@@ -1,9 +1,101 @@
 package quality
 
 import (
+	"fmt"
+	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
+
+// InfluencerOptions, Influencers and sortInfluencers are the retired
+// roster read model, kept verbatim as the reference the query path must
+// equal: order, ties and InfluenceScore bits included.
+
+// InfluencerOptions configures detection.
+type InfluencerOptions struct {
+	Strategy InfluencerStrategy
+	// TopK bounds the result (0 = all, ranked).
+	TopK int
+	// MinInteractions drops users below a floor of absolute activity
+	// before scoring (default 1).
+	MinInteractions int
+}
+
+// Influencers detects opinion leaders among the contributors using the
+// given assessor for normalisation. Results are best-first.
+func Influencers(a *ContributorAssessor, records []*ContributorRecord, opts InfluencerOptions) []Influencer {
+	minInteractions := opts.MinInteractions
+	if minInteractions <= 0 {
+		minInteractions = 1
+	}
+	kept := make([]*ContributorRecord, 0, len(records))
+	for _, r := range records {
+		if r.Interactions >= minInteractions {
+			kept = append(kept, r)
+		}
+	}
+	assessments := a.AssessAll(kept)
+	out := make([]Influencer, 0, len(kept))
+	for i, r := range kept {
+		as := assessments[i]
+		out = append(out, Influencer{Record: r, Assessment: as,
+			InfluenceScore: scoreInfluencer(as, opts.Strategy)})
+	}
+	sortInfluencers(out)
+	if opts.TopK > 0 && len(out) > opts.TopK {
+		out = out[:opts.TopK]
+	}
+	return out
+}
+
+func sortInfluencers(out []Influencer) {
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].InfluenceScore != out[j].InfluenceScore {
+			return out[i].InfluenceScore > out[j].InfluenceScore
+		}
+		return out[i].Record.ID < out[j].Record.ID
+	})
+}
+
+// influencerQuery is the query-path form of reference options: the
+// strategy is the sort key and the floor of 1 the default.
+func influencerQuery(opts InfluencerOptions) Query {
+	return Query{
+		Sort:            SortKey{By: SortByInfluence, Strategy: opts.Strategy},
+		TopK:            opts.TopK,
+		MinInteractions: max(opts.MinInteractions, 1),
+	}
+}
+
+// queryInfluencers answers opts on the query path.
+func queryInfluencers(t *testing.T, a *ContributorAssessor, records []*ContributorRecord, opts InfluencerOptions) []Influencer {
+	t.Helper()
+	res, err := a.Query(records, influencerQuery(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return InfluencersOf(res, records, opts.Strategy)
+}
+
+// sameInfluencers fails unless got equals want: same records in the same
+// order, bitwise-equal influence scores and equal assessments.
+func sameInfluencers(t *testing.T, label string, got, want []Influencer) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d influencers, reference has %d", label, len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Record != w.Record || math.Float64bits(g.InfluenceScore) != math.Float64bits(w.InfluenceScore) {
+			t.Fatalf("%s rank %d: (%d, %v), reference (%d, %v)", label, i, g.Record.ID, g.InfluenceScore, w.Record.ID, w.InfluenceScore)
+		}
+		if !reflect.DeepEqual(g.Assessment, w.Assessment) {
+			t.Fatalf("%s rank %d: assessments diverge", label, i)
+		}
+	}
+}
 
 // influencerFixture builds a population with three behavioural archetypes:
 // genuine influencers (high volume, high reactions), spammers (high volume,
@@ -43,7 +135,7 @@ func influencerFixture() []*ContributorRecord {
 func TestInfluencersByActivityPromotesSpam(t *testing.T) {
 	recs := influencerFixture()
 	a := NewContributorAssessor(recs, DomainOfInterest{}, nil)
-	top := Influencers(a, recs, InfluencerOptions{Strategy: ByActivity, TopK: 5})
+	top := queryInfluencers(t, a, recs, InfluencerOptions{Strategy: ByActivity, TopK: 5})
 	spam := 0
 	for _, inf := range top {
 		if inf.Record.Spammer {
@@ -60,7 +152,7 @@ func TestInfluencersByActivityPromotesSpam(t *testing.T) {
 func TestInfluencersCombinedFiltersSpam(t *testing.T) {
 	recs := influencerFixture()
 	a := NewContributorAssessor(recs, DomainOfInterest{}, nil)
-	top := Influencers(a, recs, InfluencerOptions{Strategy: Combined, TopK: 5})
+	top := queryInfluencers(t, a, recs, InfluencerOptions{Strategy: Combined, TopK: 5})
 	if len(top) != 5 {
 		t.Fatalf("top = %d", len(top))
 	}
@@ -84,7 +176,7 @@ func TestInfluencersCombinedFiltersSpam(t *testing.T) {
 func TestInfluencersSortedAndBounded(t *testing.T) {
 	recs := influencerFixture()
 	a := NewContributorAssessor(recs, DomainOfInterest{}, nil)
-	all := Influencers(a, recs, InfluencerOptions{Strategy: Combined})
+	all := queryInfluencers(t, a, recs, InfluencerOptions{Strategy: Combined})
 	if len(all) != len(recs) {
 		t.Fatalf("unbounded result = %d, want %d", len(all), len(recs))
 	}
@@ -106,19 +198,84 @@ func TestInfluencersSortedAndBounded(t *testing.T) {
 func TestInfluencersMinInteractions(t *testing.T) {
 	recs := influencerFixture()
 	a := NewContributorAssessor(recs, DomainOfInterest{}, nil)
-	got := Influencers(a, recs, InfluencerOptions{Strategy: Combined, MinInteractions: 50})
+	got := queryInfluencers(t, a, recs, InfluencerOptions{Strategy: Combined, MinInteractions: 50})
 	for _, inf := range got {
 		if inf.Record.Interactions < 50 {
 			t.Errorf("record with %d interactions passed the floor", inf.Record.Interactions)
 		}
 	}
-	// Zero-interaction users are always dropped.
-	zero := append(recs, &ContributorRecord{ID: 99, CommentsByCategory: map[string]int{}})
-	got = Influencers(a, zero, InfluencerOptions{})
+	// Zero-interaction users are always dropped (in place of a lurker,
+	// so the query scans it).
+	zero := append([]*ContributorRecord(nil), recs...)
+	zero[29] = &ContributorRecord{ID: 99, CommentsByCategory: map[string]int{}}
+	got = queryInfluencers(t, a, zero, InfluencerOptions{})
+	if len(got) != len(recs)-1 {
+		t.Errorf("%d influencers, want every record but the zero-interaction one", len(got))
+	}
 	for _, inf := range got {
 		if inf.Record.ID == 99 {
 			t.Error("zero-interaction user detected as influencer")
 		}
+	}
+}
+
+// TestInfluencersMatchReference pins the query path to the retired roster
+// model across strategies, floors, bounds and shard counts — on the
+// engine's own rows (axis columns), on a record set with a foreign row
+// (leanEval) and after a repaired spine (RepairSpine re-evaluates the
+// dirty rows through leanEval).
+func TestInfluencersMatchReference(t *testing.T) {
+	recs := influencerFixture()
+	// A foreign row: a record the engine was not built over, in place of
+	// a lurker.
+	foreign := append([]*ContributorRecord(nil), recs...)
+	foreign[12] = &ContributorRecord{
+		ID: 12, Name: "late", Joined: recs[0].Joined, ObservedAt: recs[0].ObservedAt,
+		CommentsByCategory: map[string]int{"place": 80}, DiscussionsTouched: 30,
+		Interactions: 80, RepliesReceived: 250, FeedbacksReceived: 90,
+	}
+	repaired := 0
+	for _, shards := range []int{1, 3} {
+		a := NewContributorAssessor(recs, DomainOfInterest{}, &AssessorOptions{Shards: shards})
+		for _, s := range []InfluencerStrategy{ByActivity, ByRelative, Combined} {
+			for _, mi := range []int{0, 1, 50} {
+				for _, k := range []int{0, 4} {
+					opts := InfluencerOptions{Strategy: s, MinInteractions: mi, TopK: k}
+					for name, set := range map[string][]*ContributorRecord{"own": recs, "foreign": foreign} {
+						label := fmt.Sprintf("shards=%d %s %+v", shards, name, opts)
+						sameInfluencers(t, label, queryInfluencers(t, a, set, opts), Influencers(a, set, opts))
+					}
+				}
+			}
+			// Repair: move two rows' activity and re-derive the spine.
+			next := append([]*ContributorRecord(nil), recs...)
+			for _, row := range []int{2, 7} {
+				r := *next[row]
+				r.Interactions, r.RepliesReceived = r.Interactions+40, r.RepliesReceived+5
+				next[row] = &r
+			}
+			q := influencerQuery(InfluencerOptions{Strategy: s})
+			prev, err := a.Spine(recs, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			na := a.UpdateRows(next, []int{2, 7}, false)
+			sp, ok := na.RepairSpine(next, prev, q)
+			if !ok {
+				// The benchmarks moved: the carry is refused, as it must be.
+				continue
+			}
+			res, err := na.Window(next, sp, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("shards=%d repaired %v", shards, s)
+			sameInfluencers(t, label, InfluencersOf(res, next, s), Influencers(na, next, InfluencerOptions{Strategy: s}))
+			repaired++
+		}
+	}
+	if repaired == 0 {
+		t.Fatal("no spine repair was licensed; the repair check above is vacuous")
 	}
 }
 

@@ -53,16 +53,20 @@ const (
 	SortByDimension
 	// SortByAttribute ranks by one Web 2.0 attribute's average.
 	SortByAttribute
+	// SortByInfluence ranks contributors by their influence under one
+	// InfluencerStrategy (Section 3.2). Contributor queries only.
+	SortByInfluence
 )
 
-// SortKey is the ranking axis: the overall score, one dimension or one
-// attribute. Ranking is always best-first with ties broken by ascending ID
+// SortKey is the ranking axis: the overall score, one dimension, one
+// attribute or, for contributors, one influence strategy. Ranking is always best-first with ties broken by ascending ID
 // (the historical Rank order); records for which the axis is undefined
 // sort last.
 type SortKey struct {
 	By        SortBy
-	Dimension Dimension // read when By == SortByDimension
-	Attribute Attribute // read when By == SortByAttribute
+	Dimension Dimension          // read when By == SortByDimension
+	Attribute Attribute          // read when By == SortByAttribute
+	Strategy  InfluencerStrategy // read when By == SortByInfluence
 }
 
 // Cursor is a keyset-pagination bound: the ranked position of the last row
@@ -112,6 +116,10 @@ type Query struct {
 	// that is near zero for spammers and bots regardless of their volume)
 	// clears the bar. Contributor queries only.
 	MinSpamResistance float64
+	// MinInteractions keeps contributors with at least this many
+	// interactions (their absolute activity volume). Contributor queries
+	// only.
+	MinInteractions int
 
 	// Sort is the ranking axis (zero value: overall score, best first).
 	Sort SortKey
@@ -146,6 +154,9 @@ type QueryResult struct {
 	// Query's After). Nil when the walk is exhausted — the window reached
 	// Total, the TopK bound, or came back empty.
 	Next *Cursor
+	// cands are the ranked candidates behind Items, aligned with them:
+	// their rows pair each item with its record (InfluencersOf).
+	cands []leanCand
 }
 
 // Query executes q over the records: scope and predicates filter below the
@@ -154,8 +165,8 @@ type QueryResult struct {
 // matches stream through a bounded heap — O(N log k) with O(k)
 // materializations — instead of assessing and sorting the whole corpus.
 // Results are bit-identical to filtering and slicing Rank's output. A
-// field the record kind lacks is an error: Kinds on contributors,
-// MinSpamResistance on sources.
+// field the record kind lacks is an error: Kinds on contributors;
+// MinSpamResistance, MinInteractions and SortByInfluence on sources.
 func (a *Assessor[R]) Query(records []*R, q Query) (*QueryResult, error) {
 	return a.engine.rankTopK(records, q)
 }
@@ -225,8 +236,13 @@ var sourceKind = &recordKind[SourceRecord]{
 	note:  noteSourceRoute,
 	keep:  sourceKeep,
 	foreign: func(q Query) error {
-		if q.MinSpamResistance > 0 {
+		switch {
+		case q.MinSpamResistance > 0:
 			return fmt.Errorf("quality: MinSpamResistance applies to contributor queries only")
+		case q.MinInteractions > 0:
+			return fmt.Errorf("quality: MinInteractions applies to contributor queries only")
+		case q.Sort.By == SortByInfluence:
+			return fmt.Errorf("quality: SortByInfluence applies to contributor queries only")
 		}
 		return nil
 	},
@@ -280,12 +296,15 @@ func sourceKeep(q Query) func(*SourceRecord) bool {
 
 // contributorKeep compiles the contributor-scope fields into a predicate.
 func contributorKeep(q Query) func(*ContributorRecord) bool {
-	if len(q.IDs) == 0 && len(q.Categories) == 0 {
+	if len(q.IDs) == 0 && len(q.Categories) == 0 && q.MinInteractions <= 0 {
 		return nil
 	}
 	idSet := intSet(q.IDs)
 	catSet := stringSet(q.Categories)
 	return func(r *ContributorRecord) bool {
+		if r.Interactions < q.MinInteractions {
+			return false
+		}
 		if idSet != nil && !idSet[r.ID] {
 			return false
 		}
@@ -531,6 +550,11 @@ func (e *matrixEngine[R]) resolveQuery(q Query, spam []string) (*resolvedQuery, 
 			return nil, fmt.Errorf("quality: sort attribute %s not in catalogue", q.Sort.Attribute)
 		}
 		rq.sortSlot = rq.slot(e.attAxis(idx))
+	case SortByInfluence:
+		if q.Sort.Strategy < 0 || int(q.Sort.Strategy) >= numStrategies {
+			return nil, fmt.Errorf("quality: unknown influencer strategy %d", q.Sort.Strategy)
+		}
+		rq.sortSlot = rq.slot(e.infAxis(q.Sort.Strategy))
 	default:
 		return nil, fmt.Errorf("quality: unknown sort key %d", q.Sort.By)
 	}
@@ -740,7 +764,7 @@ func windowResult(items []*Assessment, cands []leanCand, start, total int, q Que
 		last := cands[len(cands)-1]
 		next = &Cursor{Key: last.key, ID: last.id, Pos: consumed}
 	}
-	return &QueryResult{Items: items, Total: total, Start: start, Next: next}
+	return &QueryResult{Items: items, Total: total, Start: start, Next: next, cands: cands}
 }
 
 // siftUp restores the min-heap property (candWorse order) after an append.

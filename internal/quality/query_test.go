@@ -286,8 +286,10 @@ func TestContributorQuerySpamResistance(t *testing.T) {
 // query without the field.
 func TestForeignFieldRejected(t *testing.T) {
 	const (
-		spamErr  = "quality: MinSpamResistance applies to contributor queries only"
-		kindsErr = "quality: Kinds applies to source queries only"
+		spamErr   = "quality: MinSpamResistance applies to contributor queries only"
+		minIntErr = "quality: MinInteractions applies to contributor queries only"
+		infErr    = "quality: SortByInfluence applies to contributor queries only"
+		kindsErr  = "quality: Kinds applies to source queries only"
 	)
 	w := webgen.Generate(webgen.Config{Seed: 41, NumSources: 40, NumUsers: 120})
 	sources := worldRecords(t, 40, 41)
@@ -301,6 +303,15 @@ func TestForeignFieldRejected(t *testing.T) {
 			{MinSpamResistance: 0.5, MinScore: 0.2, TopK: 3, Categories: []string{"pulse"}},
 		} {
 			checkForeignField(t, sa, sources, q, spamErr)
+		}
+		for _, q := range []Query{
+			{MinInteractions: 1},
+			{MinInteractions: 50, MinScore: 0.2, TopK: 3, Categories: []string{"pulse"}},
+		} {
+			checkForeignField(t, sa, sources, q, minIntErr)
+		}
+		for _, s := range []InfluencerStrategy{ByActivity, ByRelative, Combined} {
+			checkForeignField(t, sa, sources, Query{Sort: SortKey{By: SortByInfluence, Strategy: s}, TopK: 5}, infErr)
 		}
 		for _, q := range []Query{
 			{Kinds: []string{"blog"}},
@@ -322,7 +333,10 @@ func checkForeignField[R any](t *testing.T, a *Assessor[R], records []*R, q Quer
 		t.Errorf("Spine(%+v): error %v, want %q", q, err, want)
 	}
 	base := q
-	base.Kinds, base.MinSpamResistance = nil, 0
+	base.Kinds, base.MinSpamResistance, base.MinInteractions = nil, 0, 0
+	if base.Sort.By == SortByInfluence {
+		base.Sort = SortKey{}
+	}
 	prev, err := a.Spine(records, base)
 	if err != nil {
 		t.Fatal(err)
@@ -648,6 +662,14 @@ func TestQueryCanonicalKey(t *testing.T) {
 		{MinMeasure: map[string]float64{"src.time.liveliness": 0.5}},
 		{MinSpamResistance: 0.5},
 		{Sort: SortKey{By: SortByDimension, Dimension: Time}},
+		// A collision here would serve one strategy's or one floor's
+		// cached page for another.
+		{Sort: SortKey{By: SortByInfluence, Strategy: ByActivity}},
+		{Sort: SortKey{By: SortByInfluence, Strategy: ByRelative}},
+		{Sort: SortKey{By: SortByInfluence, Strategy: Combined}},
+		{MinInteractions: 1},
+		{MinInteractions: 50},
+		{MinInteractions: 1, Sort: SortKey{By: SortByInfluence, Strategy: Combined}},
 		{After: &Cursor{Key: 0.5, ID: 1, Pos: 3}},
 		{After: &Cursor{Key: 0.5, ID: 1, Pos: 4}},
 	}

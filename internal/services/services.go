@@ -425,48 +425,54 @@ func newInfluencerFilter(env *Env, p mashup.Params) (mashup.Component, error) {
 		return nil, fmt.Errorf("influencer-filter: unknown strategy %q", s)
 	}
 	f := &influencerFilter{env: env, topSet: map[int]bool{}, strategy: strat}
-	infs := quality.Influencers(env.Contributors, env.ContributorRecords, quality.InfluencerOptions{
-		Strategy:        strat,
+	res, err := env.Contributors.Query(env.ContributorRecords, quality.Query{
+		Sort:            quality.SortKey{By: quality.SortByInfluence, Strategy: strat},
 		TopK:            p.Int("top", 10),
-		MinInteractions: p.Int("min_interactions", 0),
+		MinInteractions: max(p.Int("min_interactions", 0), 1),
 	})
+	if err != nil {
+		return nil, fmt.Errorf("influencer-filter: %w", err)
+	}
+	infs := quality.InfluencersOf(res, env.ContributorRecords, strat)
 	for _, inf := range infs {
 		f.topSet[inf.Record.ID] = true
+	}
+	geo := lastGeo(env, f.topSet)
+	for _, inf := range infs {
 		item := mashup.Item{
 			"author_id": inf.Record.ID,
 			"name":      inf.Record.Name,
 			"title":     inf.Record.Name,
 			"score":     inf.InfluenceScore,
 		}
-		if lat, lon, ok := lastGeo(env, inf.Record.ID); ok {
-			item["lat"] = lat
-			item["lon"] = lon
+		if c := geo[inf.Record.ID]; c != nil {
+			item["lat"] = c.Geo.Lat
+			item["lon"] = c.Geo.Lon
 		}
 		f.roster = append(f.roster, item)
 	}
 	return f, nil
 }
 
-// lastGeo finds the most recent geo-tagged comment of a user, giving the
-// influencer a map location as in Figure 1.
-func lastGeo(env *Env, userID int) (lat, lon float64, ok bool) {
-	var best *webgen.Comment
+// lastGeo finds each given user's most recent geo-tagged comment in one
+// walk of the world, giving the influencers map locations as in Figure 1.
+// A later Posted wins; on a tie the first comment in iteration order
+// stays.
+func lastGeo(env *Env, users map[int]bool) map[int]*webgen.Comment {
+	best := make(map[int]*webgen.Comment, len(users))
 	for _, s := range env.World.Sources {
 		for _, d := range s.Discussions {
 			for _, c := range d.Comments {
-				if c.UserID != userID || c.Geo == nil {
+				if c.Geo == nil || !users[c.UserID] {
 					continue
 				}
-				if best == nil || c.Posted.After(best.Posted) {
-					best = c
+				if b := best[c.UserID]; b == nil || c.Posted.After(b.Posted) {
+					best[c.UserID] = c
 				}
 			}
 		}
 	}
-	if best == nil {
-		return 0, 0, false
-	}
-	return best.Geo.Lat, best.Geo.Lon, true
+	return best
 }
 
 func (f *influencerFilter) Process(_ *mashup.Context, in mashup.Inputs) (mashup.Outputs, error) {

@@ -145,6 +145,21 @@ func (b *QueryBuilder) SortByAttribute(a Attribute) *QueryBuilder {
 	return b
 }
 
+// SortByInfluence ranks contributors by their influence under one
+// strategy (Section 3.2); Corpus.Influencers pairs the page with its
+// records. Contributor queries only.
+func (b *QueryBuilder) SortByInfluence(s InfluencerStrategy) *QueryBuilder {
+	b.q.Sort = SortKey{By: quality.SortByInfluence, Strategy: s}
+	return b
+}
+
+// MinInteractions keeps contributors with at least n interactions.
+// Contributor queries only.
+func (b *QueryBuilder) MinInteractions(n int) *QueryBuilder {
+	b.q.MinInteractions = n
+	return b
+}
+
 // TopK bounds the ranked selection to the k best matches.
 func (b *QueryBuilder) TopK(k int) *QueryBuilder {
 	b.q.TopK = k
