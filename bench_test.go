@@ -199,15 +199,19 @@ func BenchmarkAblationInfluencerStrategy(b *testing.B) {
 		b.Run(strat.String(), func(b *testing.B) {
 			var spamShare float64
 			for i := 0; i < b.N; i++ {
-				res, err := assessor.Query(records, quality.Query{
+				q := quality.Query{
 					Sort:            quality.SortKey{By: quality.SortByInfluence, Strategy: strat},
 					TopK:            10,
 					MinInteractions: 1,
-				})
+				}
+				res, err := assessor.Query(records, q)
 				if err != nil {
 					b.Fatal(err)
 				}
-				top := quality.InfluencersOf(res, records, strat)
+				top, err := quality.InfluencersOf(q, res, records)
+				if err != nil {
+					b.Fatal(err)
+				}
 				spam := 0
 				for _, inf := range top {
 					if inf.Record.Spammer {

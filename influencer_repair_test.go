@@ -133,6 +133,34 @@ func TestInfluencerRepairMatchesRebuild(t *testing.T) {
 	}
 }
 
+// TestCorpusInfluencersScoresOnlyAndSortGuard: the influence score comes
+// from the ranking itself, so a scores-only page carries the reference
+// bits too, and a query ranked by anything but influence is refused.
+func TestCorpusInfluencersScoresOnlyAndSortGuard(t *testing.T) {
+	c := New(Config{Seed: 181, NumSources: 40, NumUsers: 150, SpamRate: 0.2})
+	for _, s := range influencerStrategies {
+		got, err := c.Influencers(NewQuery().SortByInfluence(s).MinInteractions(1).ScoresOnly().Build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refInfluencers(c, s, 1, 0)
+		if len(got) != len(want) {
+			t.Fatalf("%v: %d influencers, reference has %d", s, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Record != want[i].Record || math.Float64bits(got[i].InfluenceScore) != math.Float64bits(want[i].InfluenceScore) {
+				t.Fatalf("%v scores-only rank %d: (%d, %v), reference (%d, %v)", s, i,
+					got[i].Record.ID, got[i].InfluenceScore, want[i].Record.ID, want[i].InfluenceScore)
+			}
+		}
+	}
+	for _, q := range []Query{{}, NewQuery().MinInteractions(1).Build()} {
+		if _, err := c.Influencers(q); err == nil {
+			t.Errorf("Influencers accepted a query ranked by %v", q.Sort.By)
+		}
+	}
+}
+
 // requireSameInfluencers fails unless got equals want rank by rank.
 func requireSameInfluencers(t *testing.T, label string, got, want []Influencer) {
 	t.Helper()

@@ -434,18 +434,18 @@ func (c *Corpus) AssessContributor(id int) (*Assessment, bool) {
 }
 
 // Influencers detects opinion leaders (Section 3.2): it executes q — a
-// contributor query, normally ranked by SortByInfluence with a
+// contributor query ranked by SortByInfluence, normally with a
 // MinInteractions floor — through the per-snapshot query cache and pairs
-// each item of the page with its record and its influence under
-// q.Sort.Strategy, read off the page's Normalized measures (so q keeps the
-// full projection). Only the page is assessed.
+// each item of the page with its record and its influence score, under
+// any projection. A q ranked by anything else is an error. Only the page
+// is assessed.
 func (c *Corpus) Influencers(q Query) ([]Influencer, error) {
 	st := c.state.Load()
 	res, err := st.queryContributors(q)
 	if err != nil {
 		return nil, err
 	}
-	return quality.InfluencersOf(res, st.env.ContributorRecords, q.Sort.Strategy), nil
+	return quality.InfluencersOf(q, res, st.env.ContributorRecords)
 }
 
 // Stories returns the current round's story-cluster snapshot: groups of

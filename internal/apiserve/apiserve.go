@@ -628,7 +628,8 @@ func handleContributors(st Snapshot, v url.Values) (page, error) {
 // strategy is the sort key, k the top-k bound (default 10, 0 = all) and
 // min_interactions the activity floor (default and minimum 1).
 func handleInfluencers(st Snapshot, v url.Values) (page, error) {
-	q := quality.Query{Sort: quality.SortKey{By: quality.SortByInfluence, Strategy: quality.Combined}}
+	q := quality.Query{Sort: quality.SortKey{By: quality.SortByInfluence, Strategy: quality.Combined},
+		Fields: quality.ProjectScores}
 	switch strat := v.Get("strategy"); strat {
 	case "", "combined":
 	case "by-activity":
@@ -650,7 +651,10 @@ func handleInfluencers(st Snapshot, v url.Values) (page, error) {
 	if err != nil {
 		return page{}, err
 	}
-	infs := quality.InfluencersOf(res, st.ContributorRecords(), q.Sort.Strategy)
+	infs, err := quality.InfluencersOf(q, res, st.ContributorRecords())
+	if err != nil {
+		return page{}, err
+	}
 	return page{items: InfluencerItems(infs), total: res.Total}, nil
 }
 

@@ -9,14 +9,14 @@ package quality
 // share a single normalisation pass per axis instead of re-evaluating
 // every row per query.
 //
-// A column build is measure-major over the matrix, but every row still
-// accumulates its measures in catalogue order, exactly as leanEval and
-// assessProject do (an influence column in its signals' operand order, as
-// scoreInfluencer does), so each column value is bitwise the number those
-// paths compute. Columns depend only on the matrix, the weights and the
-// benchmarks: an engine derivation that shares all three (remap with an
-// unchanged benchmark slice) shares its parent's columns, and any other
-// derivation starts with empty ones.
+// A score or average column build is measure-major over the matrix, but
+// every row still accumulates its measures in catalogue order, exactly as
+// leanEval and assessProject do, so each column value is bitwise the
+// number those paths compute; an influence column is built row by row
+// through influenceAt, which fromLean calls too. Columns depend only on
+// the matrix, the weights and the benchmarks: an engine derivation that
+// shares all three (remap with an unchanged benchmark slice) shares its
+// parent's columns, and any other derivation starts with empty ones.
 
 import (
 	"sync"
@@ -126,35 +126,40 @@ func (e *matrixEngine[R]) buildAxis(a int) ([]float64, []bool) {
 	return sum, def
 }
 
-// buildInfluence computes strategy s's influence on every row: each
-// signal averages its operands present on the row, accumulated in operand
-// order as avgOf does, so every value is bitwise scoreInfluencer's.
+// buildInfluence computes strategy s's influence on every row.
 func (e *matrixEngine[R]) buildInfluence(s InfluencerStrategy) []float64 {
-	signal := func(ids []string) []float64 {
-		sum := make([]float64, e.nRecords)
-		cnt := make([]float64, e.nRecords)
-		for _, id := range ids {
-			m := e.measurePos(id)
-			if m < 0 {
-				continue
+	col := make([]float64, e.nRecords)
+	for c := range col {
+		col[c] = e.influenceAt(s, func(m int) (float64, bool) {
+			if !e.present[m][c] {
+				return 0, false
 			}
-			for c, ok := range e.present[m] {
-				if ok {
-					sum[c] += e.benchmarks[m].Normalize(e.vals[m][c], e.infos[m].higherIsBetter)
-					cnt[c]++
+			return e.benchmarks[m].Normalize(e.vals[m][c], e.infos[m].higherIsBetter), true
+		})
+	}
+	return col
+}
+
+// influenceAt is strategy s's influence on one row, whose normalised
+// value of measure m norm reports (false when m is absent): each signal
+// averages its operands present on the row, accumulated in operand order
+// as the reference avgOf does, so the column and fromLean both give
+// bitwise scoreInfluencer's value (both in influencer_test.go).
+func (e *matrixEngine[R]) influenceAt(s InfluencerStrategy, norm func(m int) (float64, bool)) float64 {
+	signal := func(ids []string) float64 {
+		var sum, cnt float64
+		for _, id := range ids {
+			if m := e.measurePos(id); m >= 0 {
+				if x, ok := norm(m); ok {
+					sum += x
+					cnt++
 				}
 			}
 		}
-		for c := range sum {
-			sum[c], _ = average(sum[c], cnt[c])
-		}
-		return sum
+		v, _ := average(sum, cnt)
+		return v
 	}
-	abs, rel := signal(absoluteActivityMeasures), signal(relativeReactionMeasures)
-	for c := range abs {
-		abs[c] = influence(s, abs[c], rel[c])
-	}
-	return abs
+	return influence(s, signal(absoluteActivityMeasures), signal(relativeReactionMeasures))
 }
 
 // rowAxes is one row's values on the axes and measures a resolved query
@@ -246,8 +251,9 @@ func (rr *rowReader[R]) fromLean(r *R) {
 		case a == scoreAxis:
 			v.axis[j], v.axisOK[j] = b.score, true
 		case a >= e.infAxis(0):
-			v.axis[j], v.axisOK[j] = influence(InfluencerStrategy(a-e.infAxis(0)),
-				e.leanSignal(b, absoluteActivityMeasures), e.leanSignal(b, relativeReactionMeasures)), true
+			v.axis[j], v.axisOK[j] = e.influenceAt(InfluencerStrategy(a-e.infAxis(0)), func(m int) (float64, bool) {
+				return b.norm[m], b.def[m]
+			}), true
 		case a <= e.nDims:
 			v.axis[j], v.axisOK[j] = average(b.dimSum[a-1], b.dimCnt[a-1])
 		default:
@@ -257,20 +263,6 @@ func (rr *rowReader[R]) fromLean(r *R) {
 	for j, m := range rr.rq.measures {
 		v.norm[j], v.normOK[j] = b.norm[m], b.def[m]
 	}
-}
-
-// leanSignal averages the operands of one influence signal present in a
-// leanEval buffer, in operand order: bitwise buildInfluence's value.
-func (e *matrixEngine[R]) leanSignal(b *leanBuf, ids []string) float64 {
-	var sum, cnt float64
-	for _, id := range ids {
-		if m := e.measurePos(id); m >= 0 && b.def[m] {
-			sum += b.norm[m]
-			cnt++
-		}
-	}
-	v, _ := average(sum, cnt)
-	return v
 }
 
 // average divides an axis accumulator; the axis is undefined on a row

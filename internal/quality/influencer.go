@@ -1,5 +1,7 @@
 package quality
 
+import "fmt"
+
 // InfluencerStrategy selects how influence is scored. Section 3.2 argues
 // that distinguishing absolute interaction volumes from relative (per-
 // contribution) reaction rates both identifies users who trigger reactions
@@ -65,26 +67,20 @@ type Influencer struct {
 	InfluenceScore float64
 }
 
-// InfluencersOf pairs each item of res — a page of a contributor query
-// executed over records, normally ranked by SortByInfluence — with its
-// record and its influence score under strategy. Only the page was ever
-// assessed; the ranking itself ran on the influence axis column.
-func InfluencersOf(res *QueryResult, records []*ContributorRecord, strategy InfluencerStrategy) []Influencer {
+// InfluencersOf pairs each item of res — the page of q, a contributor
+// query ranked by SortByInfluence, executed over records — with its record
+// and its influence under q's strategy: the candidate's sort key, so the
+// score is there under any projection. Only the page was ever assessed;
+// the ranking itself ran on the influence axis column.
+func InfluencersOf(q Query, res *QueryResult, records []*ContributorRecord) ([]Influencer, error) {
+	if q.Sort.By != SortByInfluence {
+		return nil, fmt.Errorf("quality: influencers need SortByInfluence, got sort key %d", q.Sort.By)
+	}
 	out := make([]Influencer, len(res.Items))
 	for i, as := range res.Items {
-		out[i] = Influencer{Record: records[res.cands[i].row], Assessment: as,
-			InfluenceScore: scoreInfluencer(as, strategy)}
+		out[i] = Influencer{Record: records[res.cands[i].row], Assessment: as, InfluenceScore: res.cands[i].key}
 	}
-	return out
-}
-
-// scoreInfluencer computes the strategy-specific influence score from a
-// contributor's assessment — bitwise the influence axis value the query
-// engine ranks by.
-func scoreInfluencer(as *Assessment, strategy InfluencerStrategy) float64 {
-	return influence(strategy,
-		avgOf(as.Normalized, absoluteActivityMeasures...),
-		avgOf(as.Normalized, relativeReactionMeasures...))
+	return out, nil
 }
 
 // influence combines the absolute and relative signals under a strategy.
@@ -97,20 +93,4 @@ func influence(strategy InfluencerStrategy, abs, rel float64) float64 {
 	default:
 		return abs * rel
 	}
-}
-
-// avgOf averages the values present among the given keys.
-func avgOf(m map[string]float64, keys ...string) float64 {
-	var sum float64
-	n := 0
-	for _, k := range keys {
-		if v, ok := m[k]; ok {
-			sum += v
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }

@@ -9,9 +9,10 @@ import (
 	"time"
 )
 
-// InfluencerOptions, Influencers and sortInfluencers are the retired
-// roster read model, kept verbatim as the reference the query path must
-// equal: order, ties and InfluenceScore bits included.
+// InfluencerOptions, Influencers, scoreInfluencer, avgOf and
+// sortInfluencers are the retired roster read model, kept verbatim as the
+// reference the query path must equal: order, ties and InfluenceScore bits
+// included.
 
 // InfluencerOptions configures detection.
 type InfluencerOptions struct {
@@ -50,6 +51,31 @@ func Influencers(a *ContributorAssessor, records []*ContributorRecord, opts Infl
 	return out
 }
 
+// scoreInfluencer computes the strategy-specific influence score from a
+// contributor's assessment — bitwise the influence axis value the query
+// engine ranks by.
+func scoreInfluencer(as *Assessment, strategy InfluencerStrategy) float64 {
+	return influence(strategy,
+		avgOf(as.Normalized, absoluteActivityMeasures...),
+		avgOf(as.Normalized, relativeReactionMeasures...))
+}
+
+// avgOf averages the values present among the given keys.
+func avgOf(m map[string]float64, keys ...string) float64 {
+	var sum float64
+	n := 0
+	for _, k := range keys {
+		if v, ok := m[k]; ok {
+			sum += v
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
 func sortInfluencers(out []Influencer) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].InfluenceScore != out[j].InfluenceScore {
@@ -72,11 +98,16 @@ func influencerQuery(opts InfluencerOptions) Query {
 // queryInfluencers answers opts on the query path.
 func queryInfluencers(t *testing.T, a *ContributorAssessor, records []*ContributorRecord, opts InfluencerOptions) []Influencer {
 	t.Helper()
-	res, err := a.Query(records, influencerQuery(opts))
+	q := influencerQuery(opts)
+	res, err := a.Query(records, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return InfluencersOf(res, records, opts.Strategy)
+	infs, err := InfluencersOf(q, res, records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return infs
 }
 
 // sameInfluencers fails unless got equals want: same records in the same
@@ -269,13 +300,58 @@ func TestInfluencersMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			got, err := InfluencersOf(q, res, next)
+			if err != nil {
+				t.Fatal(err)
+			}
 			label := fmt.Sprintf("shards=%d repaired %v", shards, s)
-			sameInfluencers(t, label, InfluencersOf(res, next, s), Influencers(na, next, InfluencerOptions{Strategy: s}))
+			sameInfluencers(t, label, got, Influencers(na, next, InfluencerOptions{Strategy: s}))
 			repaired++
 		}
 	}
 	if repaired == 0 {
 		t.Fatal("no spine repair was licensed; the repair check above is vacuous")
+	}
+}
+
+// TestInfluencersOfProjectionAndSort: the influence score is the
+// candidate's sort key, so a scores-only page carries the reference bits
+// too; a page ranked by anything but influence is refused rather than
+// labelled with a score it was not ranked by.
+func TestInfluencersOfProjectionAndSort(t *testing.T) {
+	recs := influencerFixture()
+	a := NewContributorAssessor(recs, DomainOfInterest{}, nil)
+	for _, s := range []InfluencerStrategy{ByActivity, ByRelative, Combined} {
+		opts := InfluencerOptions{Strategy: s}
+		q := influencerQuery(opts)
+		q.Fields = ProjectScores
+		res, err := a.Query(recs, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := InfluencersOf(q, res, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Influencers(a, recs, opts)
+		if len(got) != len(want) {
+			t.Fatalf("%v: %d influencers, reference has %d", s, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Record != want[i].Record || math.Float64bits(got[i].InfluenceScore) != math.Float64bits(want[i].InfluenceScore) {
+				t.Fatalf("%v scores-only rank %d: (%d, %v), reference (%d, %v)", s, i,
+					got[i].Record.ID, got[i].InfluenceScore, want[i].Record.ID, want[i].InfluenceScore)
+			}
+		}
+	}
+	for _, q := range []Query{{}, {Sort: SortKey{By: SortByScore, Strategy: Combined}}} {
+		res, err := a.Query(recs, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := InfluencersOf(q, res, recs); err == nil {
+			t.Errorf("sort %v: InfluencersOf accepted a page not ranked by influence", q.Sort)
+		}
 	}
 }
 

@@ -59,9 +59,9 @@ const (
 )
 
 // SortKey is the ranking axis: the overall score, one dimension, one
-// attribute or, for contributors, one influence strategy. Ranking is always best-first with ties broken by ascending ID
-// (the historical Rank order); records for which the axis is undefined
-// sort last.
+// attribute or, for contributors, one influence strategy. Ranking is
+// always best-first with ties broken by ascending ID (the historical Rank
+// order); records for which the axis is undefined sort last.
 type SortKey struct {
 	By        SortBy
 	Dimension Dimension          // read when By == SortByDimension

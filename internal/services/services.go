@@ -406,10 +406,9 @@ func (f *qualityFilter) Process(_ *mashup.Context, in mashup.Inputs) (mashup.Out
 // Params: "top" (default 10), "strategy" ("combined", "by-activity",
 // "by-relative"), "min_interactions".
 type influencerFilter struct {
-	env      *Env
-	topSet   map[int]bool
-	roster   []mashup.Item
-	strategy quality.InfluencerStrategy
+	env    *Env
+	topSet map[int]bool
+	roster []mashup.Item
 }
 
 func newInfluencerFilter(env *Env, p mashup.Params) (mashup.Component, error) {
@@ -424,16 +423,21 @@ func newInfluencerFilter(env *Env, p mashup.Params) (mashup.Component, error) {
 	default:
 		return nil, fmt.Errorf("influencer-filter: unknown strategy %q", s)
 	}
-	f := &influencerFilter{env: env, topSet: map[int]bool{}, strategy: strat}
-	res, err := env.Contributors.Query(env.ContributorRecords, quality.Query{
+	f := &influencerFilter{env: env, topSet: map[int]bool{}}
+	q := quality.Query{
 		Sort:            quality.SortKey{By: quality.SortByInfluence, Strategy: strat},
 		TopK:            p.Int("top", 10),
 		MinInteractions: max(p.Int("min_interactions", 0), 1),
-	})
+		Fields:          quality.ProjectScores,
+	}
+	res, err := env.Contributors.Query(env.ContributorRecords, q)
 	if err != nil {
 		return nil, fmt.Errorf("influencer-filter: %w", err)
 	}
-	infs := quality.InfluencersOf(res, env.ContributorRecords, strat)
+	infs, err := quality.InfluencersOf(q, res, env.ContributorRecords)
+	if err != nil {
+		return nil, fmt.Errorf("influencer-filter: %w", err)
+	}
 	for _, inf := range infs {
 		f.topSet[inf.Record.ID] = true
 	}
