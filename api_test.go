@@ -9,9 +9,12 @@ package informer
 // concurrently (run under -race in CI).
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -21,6 +24,7 @@ import (
 	"time"
 
 	"github.com/informing-observers/informer/internal/apiserve"
+	"github.com/informing-observers/informer/internal/webgen"
 )
 
 func apiGet(t *testing.T, h http.Handler, target string, hdr map[string]string) *httptest.ResponseRecorder {
@@ -743,4 +747,104 @@ func TestAPIConcurrentCursorWalksAndWatchDuringAdvance(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestAPIBodyCacheDuringSameDayTicks reads a mix of endpoints in both
+// representations from concurrent readers while same-day ticks publish
+// rounds over an 8-shard corpus — run with -race in CI. Every answer's
+// envelope names the round in its X-Informer-Snapshot header, and every
+// answer to one read of one round (the misses that fill the per-round
+// body cache and the hits it serves) carries the same bytes and ETag.
+// After the ticks, the current round's pages still equal the in-process
+// queries byte for byte.
+func TestAPIBodyCacheDuringSameDayTicks(t *testing.T) {
+	world := webgen.Generate(webgen.Config{Seed: 183, NumSources: 64, NumUsers: 160})
+	c := FromWorldSharded(world, DomainOfInterest{}, 183, 8)
+	h := c.APIHandler()
+	targets := []string{
+		"/api/v1/sources?k=10",
+		"/api/v1/sources?limit=30&fields=scores",
+		"/api/v1/contributors?limit=20",
+		"/api/v1/influencers?k=5",
+	}
+	type readKey struct{ snapshot, target, enc string }
+	type answer struct {
+		body []byte
+		tag  string
+	}
+	var mu sync.Mutex
+	seen := map[readKey]answer{}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	reader := func(r int) {
+		defer wg.Done()
+		for i := r; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			target, enc := targets[i%len(targets)], []string{"", "gzip"}[i/len(targets)%2]
+			rec := apiGet(t, h, target, map[string]string{"Accept-Encoding": enc})
+			if rec.Code != http.StatusOK {
+				t.Errorf("%s: status %d during ticks", target, rec.Code)
+				return
+			}
+			body := rec.Body.Bytes()
+			if rec.Header().Get("Content-Encoding") == "gzip" {
+				zr, err := gzip.NewReader(bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if body, err = io.ReadAll(zr); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			var env apiserve.Envelope
+			if err := json.Unmarshal(body, &env); err != nil {
+				t.Errorf("%s: %v", target, err)
+				return
+			}
+			snap := rec.Header().Get("X-Informer-Snapshot")
+			if fmt.Sprint(env.Snapshot) != snap {
+				t.Errorf("%s: envelope of round %d under header %s", target, env.Snapshot, snap)
+				return
+			}
+			k, a := readKey{snap, target, enc}, answer{rec.Body.Bytes(), rec.Header().Get("ETag")}
+			mu.Lock()
+			prev, ok := seen[k]
+			seen[k] = a
+			mu.Unlock()
+			if ok && (!bytes.Equal(prev.body, a.body) || prev.tag != a.tag) {
+				t.Errorf("%s (%q) on round %s: two different answers", target, enc, snap)
+				return
+			}
+		}
+	}
+	wg.Add(4)
+	for r := 0; r < 4; r++ {
+		go reader(r)
+	}
+	for i := 0; i < 6; i++ {
+		c.AdvanceSameDay(int64(1830+i), nil)
+	}
+	close(stop)
+	wg.Wait()
+
+	res, err := c.QuerySources(NewQuery().TopK(10).Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(apiserve.NewEnvelope(c.SnapshotVersion(), res.Total, res.Start,
+		apiserve.NextCursorOf(res, c.ShardCount()), apiserve.AssessmentItems(res.Items)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // the miss, then the hit
+		if rec := apiGet(t, h, "/api/v1/sources?k=10", nil); rec.Body.String() != string(want) {
+			t.Fatalf("sources page diverges from the in-process query\n http: %s\n want: %s", rec.Body.String(), want)
+		}
+	}
 }

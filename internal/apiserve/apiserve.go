@@ -135,12 +135,34 @@ type SubscriptionProvider interface {
 // cheap; the bound exists only to cap worst-case memory on fast tickers.
 const retainedSnapshots = 8
 
+// bodyCacheBytes is each ring slot's response-body budget: the bytes of
+// request keys, bodies as sent and ETags it may hold. A body that would
+// pass it is served uncached; the slot's bodies go when it leaves the
+// ring, so the ring holds at most retainedSnapshots times this.
+const bodyCacheBytes = 1 << 20
+
 // retained is one ring slot: the round plus the wall-clock instant the
 // server first observed it — the snapshot tick timeline Last-Modified is
-// derived from.
+// derived from — and the round's cache of encoded responses (DESIGN.md
+// section 8). A snapshot never changes, so neither does the answer to the
+// same request against it.
 type retained struct {
 	snap Snapshot
 	at   time.Time
+
+	// bodies maps a request key (bodyKey) to its 200 answer; size counts
+	// the bytes held against bodyCacheBytes. Both are guarded by
+	// Server.mu.
+	bodies map[string]cachedBody
+	size   int
+}
+
+// cachedBody is one stored 200 answer: the body exactly as sent (gzipped
+// when gzip is set) and its representation-specific ETag.
+type cachedBody struct {
+	body []byte
+	tag  string
+	gzip bool
 }
 
 // Server is the /api/v1 handler.
@@ -157,7 +179,7 @@ type Server struct {
 	StreamHeartbeat time.Duration
 
 	mu     sync.Mutex
-	recent map[int64]retained
+	recent map[int64]*retained
 	order  []int64 // retained versions, oldest first (versions are monotonic)
 }
 
@@ -168,7 +190,7 @@ type Server struct {
 // bare providers — by one registry-wide poll loop. Call Close when
 // discarding a server over a bare/notifier provider to stop that pump.
 func New(p Provider) *Server {
-	s := &Server{provider: p, recent: map[int64]retained{}, StreamHeartbeat: defaultStreamHeartbeat}
+	s := &Server{provider: p, recent: map[int64]*retained{}, StreamHeartbeat: defaultStreamHeartbeat}
 	if sp, ok := p.(SubscriptionProvider); ok {
 		s.subs = sp.Subscriptions()
 	} else {
@@ -224,6 +246,15 @@ type page struct {
 	next  string
 }
 
+// encode renders the page's envelope: an assessment page by the hand
+// encoder (encode.go), any other item type through encoding/json.
+func (pg page) encode(snapshot int64) ([]byte, error) {
+	if ap, ok := pg.items.(assessmentPage); ok {
+		return ap.appendEnvelope(nil, snapshot, pg.total, pg.start, pg.next)
+	}
+	return json.Marshal(NewEnvelope(snapshot, pg.total, pg.start, pg.next, pg.items))
+}
+
 // handlerFunc answers one endpoint from a pinned snapshot, or a
 // binding/validation error (answered as 400).
 type handlerFunc func(st Snapshot, v url.Values) (page, error)
@@ -233,8 +264,9 @@ type handlerFunc func(st Snapshot, v url.Values) (page, error)
 const gzipMinSize = 512
 
 // endpoint wraps a handler with the shared serving machinery: method
-// check, snapshot resolution/pinning, envelope, conditional serving
-// (ETag/If-None-Match and Last-Modified/If-Modified-Since) and gzip.
+// check, snapshot resolution/pinning, the per-round body cache, envelope,
+// conditional serving (ETag/If-None-Match and
+// Last-Modified/If-Modified-Since) and gzip.
 func (s *Server) endpoint(fn handlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
@@ -242,63 +274,110 @@ func (s *Server) endpoint(fn handlerFunc) http.HandlerFunc {
 			return
 		}
 		v := r.URL.Query()
-		st, status, err := s.resolveSnapshot(v.Get("snapshot"))
+		slot, status, err := s.resolveSnapshot(v.Get("snapshot"))
 		if err != nil {
 			writeError(w, status, err.Error())
 			return
 		}
-		pg, err := fn(st, v)
-		if err != nil {
-			status := http.StatusBadRequest
-			var se *statusError
-			if errors.As(err, &se) {
-				status = se.status
+		st := slot.snap
+		gzOK := acceptsGzip(r)
+		key := bodyKey(r.URL.Path, v, gzOK)
+		cb, hit := s.lookupBody(slot, key)
+		if !hit {
+			if cb, status, err = render(fn, st, v, gzOK); err != nil {
+				writeError(w, status, err.Error())
+				return
 			}
-			writeError(w, status, err.Error())
-			return
+			s.storeBody(slot, key, cb)
 		}
-		body, err := json.Marshal(NewEnvelope(st.Version(), pg.total, pg.start, pg.next, pg.items))
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		gz := acceptsGzip(r) && len(body) >= gzipMinSize
-		// The ETag is strong and representation-specific: the gzip variant
-		// carries a distinct tag (nginx-style suffix), so a cache can
-		// never serve compressed bytes against an identity validator.
-		tag := `"` + etag.Hash(body)
-		if gz {
-			tag += "-gzip"
-		}
-		tag += `"`
 		h := w.Header()
 		h.Set("Content-Type", "application/json; charset=utf-8")
 		h.Set("Vary", "Accept-Encoding")
-		h.Set("ETag", tag)
+		h.Set("ETag", cb.tag)
 		h.Set("X-Informer-Snapshot", strconv.FormatInt(st.Version(), 10))
-		modTime, haveMod := s.modTime(st.Version())
-		if haveMod {
-			h.Set("Last-Modified", modTime.UTC().Format(http.TimeFormat))
-		}
+		h.Set("Last-Modified", slot.at.UTC().Format(http.TimeFormat))
 		// Conditional serving: If-None-Match wins when present (RFC 9110);
 		// If-Modified-Since compares against the round's tick instant.
 		if inm := r.Header.Get("If-None-Match"); inm != "" {
-			if inm == tag {
+			if etag.Match(inm, cb.tag) {
 				w.WriteHeader(http.StatusNotModified)
 				return
 			}
-		} else if ims := r.Header.Get("If-Modified-Since"); ims != "" && haveMod {
-			if t, err := http.ParseTime(ims); err == nil && !modTime.Truncate(time.Second).After(t) {
+		} else if ims := r.Header.Get("If-Modified-Since"); ims != "" {
+			if t, err := http.ParseTime(ims); err == nil && !slot.at.Truncate(time.Second).After(t) {
 				w.WriteHeader(http.StatusNotModified)
 				return
 			}
 		}
-		if gz {
+		if cb.gzip {
 			h.Set("Content-Encoding", "gzip")
-			body = gzipBytes(body)
 		}
-		w.Write(body)
+		w.Write(cb.body)
 	}
+}
+
+// render answers one request from a snapshot: the handler's page,
+// encoded, tagged and compressed as it is sent. Binding errors answer 400
+// (or the status a statusError carries), encoding errors 500.
+func render(fn handlerFunc, st Snapshot, v url.Values, gzOK bool) (cachedBody, int, error) {
+	pg, err := fn(st, v)
+	if err != nil {
+		status := http.StatusBadRequest
+		var se *statusError
+		if errors.As(err, &se) {
+			status = se.status
+		}
+		return cachedBody{}, status, err
+	}
+	body, err := pg.encode(st.Version())
+	if err != nil {
+		return cachedBody{}, http.StatusInternalServerError, err
+	}
+	gz := gzOK && len(body) >= gzipMinSize
+	// The ETag is strong and representation-specific: the gzip variant
+	// carries a distinct tag (nginx-style suffix), so a cache can never
+	// serve compressed bytes against an identity validator.
+	tag := `"` + etag.Hash(body)
+	if gz {
+		tag += "-gzip"
+		body = gzipBytes(body)
+	}
+	return cachedBody{body: body, tag: tag + `"`, gzip: gz}, 0, nil
+}
+
+// bodyKey names one response within a round: the path, the query string
+// in its sorted form and the representation the client accepts.
+func bodyKey(path string, v url.Values, gzOK bool) string {
+	rep := "identity"
+	if gzOK {
+		rep = "gzip"
+	}
+	return path + "?" + v.Encode() + " " + rep
+}
+
+// lookupBody looks a request up in its round's body cache.
+func (s *Server) lookupBody(slot *retained, key string) (cachedBody, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cb, ok := slot.bodies[key]
+	return cb, ok
+}
+
+// storeBody keeps a 200 answer in its round's body cache while the slot's
+// budget allows. A slot that already left the ring may still be stored
+// into by a request in flight; it is unreachable, so the body goes with it.
+func (s *Server) storeBody(slot *retained, key string, cb cachedBody) {
+	n := len(key) + len(cb.body) + len(cb.tag)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, dup := slot.bodies[key]; dup || slot.size+n > bodyCacheBytes {
+		return
+	}
+	if slot.bodies == nil {
+		slot.bodies = map[string]cachedBody{}
+	}
+	slot.bodies[key] = cb
+	slot.size += n
 }
 
 // acceptsGzip reports whether the request allows a gzip response body: the
@@ -320,63 +399,64 @@ func acceptsGzip(r *http.Request) bool {
 	return false
 }
 
-// gzipBytes compresses one response body.
+// gzipWriters pools compressors: a gzip.Writer at DefaultCompression
+// holds about 0.8 MB of deflate state, which Reset reuses.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
+// gzipBytes compresses one response body; the bytes equal a fresh
+// gzip.NewWriter's.
 func gzipBytes(body []byte) []byte {
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
+	// JSON pages compress about four to one.
+	buf := bytes.NewBuffer(make([]byte, 0, len(body)/4+1024))
+	zw := gzipWriters.Get().(*gzip.Writer)
+	zw.Reset(buf)
 	zw.Write(body)
 	zw.Close()
+	gzipWriters.Put(zw)
 	return buf.Bytes()
 }
 
 // observe reads the provider's current snapshot and remembers it in the
 // retention ring, so any version a client has ever seen in an envelope was
-// retained at that moment.
-func (s *Server) observe() Snapshot {
-	cur := s.provider.Snapshot()
-	s.remember(cur)
-	return cur
+// retained at that moment. It returns the round's slot.
+func (s *Server) observe() *retained {
+	return s.remember(s.provider.Snapshot())
 }
 
 // remember records a round in the retention ring (first observation wins,
-// stamping the round's Last-Modified instant).
-func (s *Server) remember(st Snapshot) {
+// stamping the round's Last-Modified instant) and returns its slot. A
+// round leaving the ring takes its body cache with it.
+func (s *Server) remember(st Snapshot) *retained {
 	if st == nil {
-		return
+		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, seen := s.recent[st.Version()]; !seen {
-		s.recent[st.Version()] = retained{snap: st, at: time.Now()}
+	slot, seen := s.recent[st.Version()]
+	if !seen {
+		slot = &retained{snap: st, at: time.Now()}
+		s.recent[st.Version()] = slot
 		s.order = append(s.order, st.Version())
 		for len(s.order) > retainedSnapshots {
 			delete(s.recent, s.order[0])
 			s.order = s.order[1:]
 		}
 	}
+	return slot
 }
 
-// retained looks a version up in the retention ring.
-func (s *Server) retained(v int64) (Snapshot, bool) {
+// slot looks a version up in the retention ring.
+func (s *Server) slot(v int64) (*retained, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rt, ok := s.recent[v]
-	return rt.snap, ok
+	slot, ok := s.recent[v]
+	return slot, ok
 }
 
-// modTime returns the instant a version was first observed — the round's
-// position on the snapshot tick timeline.
-func (s *Server) modTime(v int64) (time.Time, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rt, ok := s.recent[v]
-	return rt.at, ok
-}
-
-// resolveSnapshot returns the snapshot a request is served from: the pinned
-// round when ?snapshot=N names a retained version, the current round
-// otherwise.
-func (s *Server) resolveSnapshot(param string) (Snapshot, int, error) {
+// resolveSnapshot returns the ring slot a request is served from: the
+// pinned round when ?snapshot=N names a retained version, the current
+// round otherwise.
+func (s *Server) resolveSnapshot(param string) (*retained, int, error) {
 	cur := s.observe()
 	if param == "" {
 		return cur, 0, nil
@@ -385,10 +465,10 @@ func (s *Server) resolveSnapshot(param string) (Snapshot, int, error) {
 	if err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("bad snapshot token %q", param)
 	}
-	if want == cur.Version() {
+	if want == cur.snap.Version() {
 		return cur, 0, nil
 	}
-	if pinned, ok := s.retained(want); ok {
+	if pinned, ok := s.slot(want); ok {
 		return pinned, 0, nil
 	}
 	return nil, http.StatusGone, fmt.Errorf("snapshot %d is no longer retained; restart from the current round", want)
@@ -472,7 +552,9 @@ func checkCursorShards(st Snapshot, v url.Values) error {
 }
 
 // Item is the wire form of one Assessment. Raw and Normalized appear only
-// under fields=full (the ProjectFull projection).
+// under fields=full (the ProjectFull projection). It is the reference
+// wire type: the sources and contributors handlers write the same bytes
+// by hand (encode.go) instead of marshalling it.
 type Item struct {
 	ID         int                `json:"id"`
 	Name       string             `json:"name"`
@@ -483,7 +565,8 @@ type Item struct {
 	Normalized map[string]float64 `json:"normalized,omitempty"`
 }
 
-// AssessmentItems converts assessments to their wire form.
+// AssessmentItems converts assessments to their wire form, for tests and
+// in-process consumers that marshal the reference Item type.
 func AssessmentItems(as []*quality.Assessment) []Item {
 	items := make([]Item, len(as))
 	for i, a := range as {
@@ -595,21 +678,17 @@ func SearchItems(results []search.Result) []SearchItem {
 }
 
 func handleSources(st Snapshot, v url.Values) (page, error) {
-	q, err := BindQuery(v)
-	if err != nil {
-		return page{}, err
-	}
-	if err := checkCursorShards(st, v); err != nil {
-		return page{}, err
-	}
-	res, err := st.QuerySources(q)
-	if err != nil {
-		return page{}, err
-	}
-	return page{AssessmentItems(res.Items), res.Total, res.Start, NextCursorOf(res, st.ShardCount())}, nil
+	return assessmentQuery(st, v, st.QuerySources, sourceMeasureOrder)
 }
 
 func handleContributors(st Snapshot, v url.Values) (page, error) {
+	return assessmentQuery(st, v, st.QueryContributors, contributorMeasureOrder)
+}
+
+// assessmentQuery answers a windowed assessment endpoint: the bound query
+// run by query, its page written by the hand encoder in the catalogue's
+// measure order.
+func assessmentQuery(st Snapshot, v url.Values, query func(quality.Query) (*quality.QueryResult, error), measures []named[string]) (page, error) {
 	q, err := BindQuery(v)
 	if err != nil {
 		return page{}, err
@@ -617,11 +696,11 @@ func handleContributors(st Snapshot, v url.Values) (page, error) {
 	if err := checkCursorShards(st, v); err != nil {
 		return page{}, err
 	}
-	res, err := st.QueryContributors(q)
+	res, err := query(q)
 	if err != nil {
 		return page{}, err
 	}
-	return page{AssessmentItems(res.Items), res.Total, res.Start, NextCursorOf(res, st.ShardCount())}, nil
+	return page{assessmentPage{res.Items, measures}, res.Total, res.Start, NextCursorOf(res, st.ShardCount())}, nil
 }
 
 // handleInfluencers binds a contributor query ranked by influence: the
@@ -1153,7 +1232,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	deadline := time.NewTimer(wait)
 	defer deadline.Stop()
 	for {
-		cur := s.observe()
+		cur := s.observe().snap
 		if cur.Version() < since {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("snapshot %d has not been published (current is %d)", since, cur.Version()))
 			return
@@ -1217,11 +1296,11 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 // filter applies to the spanning diff exactly as it would to the per-tick
 // events it replaces.
 func (s *Server) catchUp(since int64, cur Snapshot, q quality.Query, f subscribe.Filter) (WatchEnvelope, int, error) {
-	old, ok := s.retained(since)
+	old, ok := s.slot(since)
 	if !ok {
 		return WatchEnvelope{}, http.StatusGone, fmt.Errorf("snapshot %d is no longer retained; re-sync from the current round", since)
 	}
-	oldRes, err := old.QuerySources(q)
+	oldRes, err := old.snap.QuerySources(q)
 	if err != nil {
 		return WatchEnvelope{}, http.StatusBadRequest, err
 	}

@@ -134,3 +134,36 @@ func TestLastModifiedConditional(t *testing.T) {
 		t.Fatalf("advanced round version %s", v)
 	}
 }
+
+// TestIfNoneMatchForms pins RFC 9110 §13.1.2 on both representations: a
+// list, a weak tag and "*" answer 304; the other representation's tag,
+// weak or strong, does not.
+func TestIfNoneMatchForms(t *testing.T) {
+	ids := make([]int, 24)
+	for i := range ids {
+		ids[i] = i
+	}
+	s := New(newWatchProvider(watchWindow(1, ids...)))
+	defer s.Close()
+	const target = "/api/v1/sources?k=30"
+	plainTag := get(t, s, target, nil).Header().Get("ETag")
+	gzTag := get(t, s, target, map[string]string{"Accept-Encoding": "gzip"}).Header().Get("ETag")
+	for _, c := range []struct{ enc, tag, other string }{{"", plainTag, gzTag}, {"gzip", gzTag, plainTag}} {
+		for inm, want := range map[string]int{
+			c.tag:                http.StatusNotModified,
+			`"nope", ` + c.tag:   http.StatusNotModified,
+			c.tag + `,"nope"`:    http.StatusNotModified,
+			"W/" + c.tag:         http.StatusNotModified,
+			"*":                  http.StatusNotModified,
+			c.other:              http.StatusOK,
+			"W/" + c.other:       http.StatusOK,
+			`"nope", ` + c.other: http.StatusOK,
+			`W/"nope"`:           http.StatusOK,
+		} {
+			rec := get(t, s, target, map[string]string{"Accept-Encoding": c.enc, "If-None-Match": inm})
+			if rec.Code != want {
+				t.Errorf("Accept-Encoding %q, If-None-Match %s: status %d, want %d", c.enc, inm, rec.Code, want)
+			}
+		}
+	}
+}

@@ -89,7 +89,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	cur := s.observe()
+	cur := s.observe().snap
 	if since > cur.Version() {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("snapshot %d has not been published (current is %d)", since, cur.Version()))
 		return
@@ -110,12 +110,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	var catchup *WatchEnvelope
 	if baseline < sub.Since() {
-		old, ok := s.retained(baseline)
+		old, ok := s.slot(baseline)
 		if !ok {
 			writeError(w, http.StatusGone, fmt.Sprintf("snapshot %d is no longer retained; re-sync from the current round", baseline))
 			return
 		}
-		oldRes, err := old.QuerySources(q)
+		oldRes, err := old.snap.QuerySources(q)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return

@@ -6,7 +6,10 @@
 // enforces that.
 package etag
 
-import "strconv"
+import (
+	"strconv"
+	"strings"
+)
 
 // Hash renders the FNV-1a hash of a response body as hex.
 func Hash(p []byte) string {
@@ -16,4 +19,35 @@ func Hash(p []byte) string {
 		h *= 1099511628211
 	}
 	return strconv.FormatUint(h, 16)
+}
+
+// Match reports whether an If-None-Match header value matches the current
+// representation's entity-tag (RFC 9110 §13.1.2): "*" matches any
+// representation, otherwise the header is a comma-separated list of
+// entity-tags compared weakly — W/"x" matches "x" and W/"x", because only
+// the opaque quoted part is compared. A malformed list element ends the
+// scan without a match for it or anything after it.
+func Match(header, tag string) bool {
+	want := strings.TrimPrefix(tag, "W/")
+	for {
+		header = strings.TrimLeft(header, " \t,")
+		if header == "" {
+			return false
+		}
+		if header[0] == '*' {
+			return true
+		}
+		header = strings.TrimPrefix(header, "W/")
+		if header == "" || header[0] != '"' {
+			return false
+		}
+		end := strings.IndexByte(header[1:], '"')
+		if end < 0 {
+			return false
+		}
+		if header[:end+2] == want {
+			return true
+		}
+		header = header[end+2:]
+	}
 }

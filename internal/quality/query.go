@@ -166,7 +166,10 @@ type QueryResult struct {
 // materializations — instead of assessing and sorting the whole corpus.
 // Results are bit-identical to filtering and slicing Rank's output. A
 // field the record kind lacks is an error: Kinds on contributors;
-// MinSpamResistance, MinInteractions and SortByInfluence on sources.
+// MinSpamResistance, MinInteractions and SortByInfluence on sources. So is
+// a record slice whose length is not the assessor's row count: records
+// are read row for row (a record may be replaced, not added or removed).
+// Spine and Window check the same; RepairSpine answers ok=false.
 func (a *Assessor[R]) Query(records []*R, q Query) (*QueryResult, error) {
 	return a.engine.rankTopK(records, q)
 }

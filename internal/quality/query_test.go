@@ -785,6 +785,48 @@ func TestQueryExtremeWindowValuesDoNotPanic(t *testing.T) {
 // one shard and at several: reads answer empty, the update and spine
 // carry succeed, and an off-corpus record assesses against the degenerate
 // all-zero benchmarks (every normalized value 0.5).
+// TestRecordSliceLengthMismatch pins the row-for-row contract of the read
+// methods: a record slice shorter or longer than the assessor's corpus is
+// an error from Query, Spine and Window and a refused repair from
+// RepairSpine, never a silently truncated scan or a panic in a worker.
+func TestRecordSliceLengthMismatch(t *testing.T) {
+	records := worldRecords(t, 40, 43)
+	for _, shards := range []int{1, 7} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			a := NewSourceAssessor(records, defaultDI(), &AssessorOptions{Shards: shards})
+			q := Query{TopK: 10}
+			sp, err := a.Spine(records, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A tick that dirtied nothing: every shard carries.
+			next := a.UpdateRows(records, nil, false)
+			if _, ok := next.RepairSpine(records, sp, q); !ok {
+				t.Fatal("RepairSpine refused the matching record slice")
+			}
+			extra := *records[0]
+			extra.ID = len(records)
+			for name, bad := range map[string][]*SourceRecord{
+				"shorter": records[:len(records)-3],
+				"longer":  append(append([]*SourceRecord(nil), records...), &extra),
+			} {
+				if _, err := a.Query(bad, q); err == nil {
+					t.Errorf("%s: Query accepted %d records over %d rows", name, len(bad), len(records))
+				}
+				if _, err := a.Spine(bad, q); err == nil {
+					t.Errorf("%s: Spine accepted %d records", name, len(bad))
+				}
+				if _, err := a.Window(bad, sp, q); err == nil {
+					t.Errorf("%s: Window accepted %d records", name, len(bad))
+				}
+				if _, ok := next.RepairSpine(bad, sp, q); ok {
+					t.Errorf("%s: RepairSpine carried over %d records", name, len(bad))
+				}
+			}
+		})
+	}
+}
+
 func TestEmptyCorpus(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {

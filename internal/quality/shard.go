@@ -32,6 +32,7 @@ package quality
 // of this at shard counts {1, 2, 7, 16}.
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -369,6 +370,9 @@ func candBetter(a, b leanCand) bool { return candWorse(b, a) }
 // the cursor's ranked position, so a keyset-paginated page N+1 costs one
 // lean pass plus one page of materializations, never the prefix.
 func (s *shardedEngine[R]) rankTopK(records []*R, q Query) (*QueryResult, error) {
+	if err := s.checkRecords(records); err != nil {
+		return nil, err
+	}
 	rq, keep, err := s.compile(q)
 	if err != nil {
 		return nil, err
@@ -383,6 +387,17 @@ func (s *shardedEngine[R]) rankTopK(records []*R, q Query) (*QueryResult, error)
 	parts, totals := s.scatter(records, q, rq, keep, p, nil)
 	merged := shard.MergeK(parts, candBetter, p.width) // an unbounded width of -1 keeps all
 	return s.finishWindow(records, merged, p.start, sum(totals), q), nil
+}
+
+// checkRecords rejects a record slice that does not line up with the
+// engine's rows: scans and materialisation index records by the row plan,
+// so a longer slice would silently drop its tail and a shorter one would
+// index past its end inside a worker goroutine.
+func (s *shardedEngine[R]) checkRecords(records []*R) error {
+	if len(records) != s.plan.Len() {
+		return fmt.Errorf("quality: %d records passed to an assessor over %d rows", len(records), s.plan.Len())
+	}
+	return nil
 }
 
 // scatter runs the per-shard scans of one query evaluation in parallel.
@@ -416,6 +431,9 @@ func (s *shardedEngine[R]) scatter(records []*R, q Query, rq *resolvedQuery, kee
 // and keeps the per-shard decomposition on the Spine so the next round can
 // carry clean shards and repair dirty ones.
 func (s *shardedEngine[R]) spine(records []*R, q Query) (*Spine, error) {
+	if err := s.checkRecords(records); err != nil {
+		return nil, err
+	}
 	rq, keep, err := s.compile(q)
 	if err != nil {
 		return nil, err
@@ -431,6 +449,9 @@ func (s *shardedEngine[R]) spine(records []*R, q Query) (*Spine, error) {
 // window cuts a page out of a sharded spine at the location rankTopK
 // scans for, and materializes each row on its owning shard.
 func (s *shardedEngine[R]) window(records []*R, sp *Spine, q Query) (*QueryResult, error) {
+	if err := s.checkRecords(records); err != nil {
+		return nil, err
+	}
 	p, err := pageOf(q)
 	if err != nil {
 		return nil, err
@@ -450,7 +471,7 @@ func (s *shardedEngine[R]) window(records []*R, sp *Spine, q Query) (*QueryResul
 // predecessor; the result is bit-identical to a fresh spine.
 func (s *shardedEngine[R]) repairSpine(records []*R, prev *Spine, q Query) (*Spine, bool) {
 	ns := s.plan.Shards()
-	if prev == nil || s.fresh || s.lastEpochMoved || s.benchChanged {
+	if prev == nil || s.fresh || s.lastEpochMoved || s.benchChanged || s.checkRecords(records) != nil {
 		return nil, false
 	}
 	if len(prev.parts) != ns || len(prev.totals) != ns {

@@ -71,7 +71,7 @@ func (e *etagRecorder) flush(r *http.Request) {
 	if status == http.StatusOK && r.Method == http.MethodGet {
 		tag := fmt.Sprintf("%q", etag.Hash(e.body))
 		e.inner.Header().Set("ETag", tag)
-		if r.Header.Get("If-None-Match") == tag {
+		if etag.Match(r.Header.Get("If-None-Match"), tag) {
 			e.inner.WriteHeader(http.StatusNotModified)
 			return
 		}

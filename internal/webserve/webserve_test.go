@@ -234,6 +234,20 @@ func TestETagAndNotModified(t *testing.T) {
 		t.Errorf("304 carried a body of %d bytes", len(body))
 	}
 
+	// RFC 9110 §13.1.2 forms: a list, a weak tag and "*" all match.
+	for _, inm := range []string{`"deadbeef", ` + etag, "W/" + etag, "*"} {
+		req.Header.Set("If-None-Match", inm)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotModified {
+			t.Errorf("If-None-Match %s: status = %d, want 304", inm, resp.StatusCode)
+		}
+	}
+
 	// A stale ETag gets the full page again.
 	req.Header.Set("If-None-Match", `"deadbeef"`)
 	resp3, err := http.DefaultClient.Do(req)
