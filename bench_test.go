@@ -533,35 +533,45 @@ func dailyWatchQueries() []Query {
 	}
 }
 
-// BenchmarkEpochSpines measures one epoch-moving round of the assessment
-// layer at web scale: an UpdateRows over 2000 sources whose observation
-// instant moved (every time-sensitive measure re-evaluated, every
-// benchmark re-derived), then the eight daily-watch standing spines built
-// from scratch on the derived assessor — nothing can carry across an
-// epoch move. Each spine is a full scan; spine-scans/op reports them.
-func BenchmarkEpochSpines(b *testing.B) {
+// epochSpinesRound sets up one epoch-moving round of the assessment layer
+// at web scale and returns it: an UpdateRows over 2000 sources whose
+// observation instant moved (every time-sensitive measure re-evaluated,
+// every benchmark re-derived), then the eight daily-watch standing spines
+// built from scratch on the derived assessor — nothing can carry across
+// an epoch move. The round returns the derived assessor.
+func epochSpinesRound(tb testing.TB) func() *quality.SourceAssessor {
+	tb.Helper()
 	world := webgen.Generate(webgen.Config{Seed: 91, NumSources: 2000, ChurnScale: 0.27})
 	panel := analytics.Build(world, 92)
 	nworld, delta := webgen.Advance(world, 1, 93)
 	if !delta.EpochMoved() {
-		b.Fatal("a one-day advance must move the epoch")
+		tb.Fatal("a one-day advance must move the epoch")
 	}
 	di := quality.DomainOfInterest{Categories: world.Categories}
 	records := quality.SourceRecordsFromWorld(world, panel)
 	base := quality.NewSourceAssessor(records, di, nil)
 	next, dirty := quality.UpdateSourceRecordsFromWorld(records, nworld, panel.Refresh(nworld), delta.DirtySourceIDs())
 	queries := dailyWatchQueries()
+	return func() *quality.SourceAssessor {
+		a := base.UpdateRows(next, dirty, true)
+		for _, q := range queries {
+			if _, err := a.Spine(next, q); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		return a
+	}
+}
+
+// BenchmarkEpochSpines measures epochSpinesRound. Each spine is a full
+// scan; spine-scans/op reports them.
+func BenchmarkEpochSpines(b *testing.B) {
+	round := epochSpinesRound(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var scans int64
 	for i := 0; i < b.N; i++ {
-		a := base.UpdateRows(next, dirty, true)
-		for _, q := range queries {
-			if _, err := a.Spine(next, q); err != nil {
-				b.Fatal(err)
-			}
-		}
-		scans += a.SpineStats().Scans
+		scans += round().SpineStats().Scans
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(scans)/float64(b.N), "spine-scans/op")

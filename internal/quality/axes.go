@@ -197,13 +197,14 @@ func (e *matrixEngine[R]) newRowReader(rq *resolvedQuery, built *atomic.Int64) *
 }
 
 // cand evaluates record r — local position c in the engine's shard,
-// global row row — against the scope and the resolved query. When it
-// matches, its ranked candidate is returned with ok true.
-func (rr *rowReader[R]) cand(r *R, c, row int, keep func(*R) bool) (leanCand, bool) {
-	if keep != nil && !keep(r) {
+// global row row — against the scope (nil when unscoped) and the resolved
+// query. When it matches, its ranked candidate is returned with ok true.
+func (rr *rowReader[R]) cand(r *R, c, row int, sc *scopeFilter[R]) (leanCand, bool) {
+	own := rr.built != nil && c < len(rr.e.recs) && rr.e.recs[c] == r
+	if sc != nil && !sc.admits(rr.e, r, c, own) {
 		return leanCand{}, false
 	}
-	if rr.built != nil && c < len(rr.e.recs) && rr.e.recs[c] == r {
+	if own {
 		rr.fromColumns(c)
 	} else {
 		rr.fromLean(r)

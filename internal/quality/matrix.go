@@ -73,6 +73,10 @@ type matrixEngine[R any] struct {
 	// axes caches the per-axis score and average columns full scans read
 	// (axes.go), built lazily against benchmarks.
 	axes *axisColumns
+	// scope holds each row's scope bits (scope.go), against the
+	// coordinator's dictionary; derivations share it until a dirty row's
+	// bits change.
+	scope scopeColumn
 }
 
 // newMatrixEngine fills the matrix only: shard members get their
@@ -160,12 +164,15 @@ func makeRows[T any](nm, nr int) [][]T {
 // copied only before the first cell that actually changes. Benchmarks are
 // left alone — the coordinator repairs its corpus-global ledger from the
 // old and new matrices afterwards and assigns the shared benchmarks. The
-// receiver is left untouched and keeps serving concurrent readers.
+// dirty rows' scope bits are re-derived through sb; the clean rows' are
+// carried, since scope does not depend on time. The receiver is left
+// untouched and keeps serving concurrent readers.
 //
 //informer:mutates fills the derived successor engine before it is published
-func (e *matrixEngine[R]) updateMatrix(corpus []*R, dirty []int, epochMoved bool) *matrixEngine[R] {
+func (e *matrixEngine[R]) updateMatrix(corpus []*R, dirty []int, epochMoved bool, sb *scopeBuilder[R]) *matrixEngine[R] {
 	nm, nr := len(e.infos), e.nRecords
 	ne := e.derive(corpus)
+	ne.rescope(corpus, dirty, sb)
 	e.forEachChunk(nm, func(lo, hi int) {
 		for m := lo; m < hi; m++ {
 			if e.infos[m].timeSensitive && epochMoved {
@@ -221,6 +228,7 @@ func (e *matrixEngine[R]) derive(corpus []*R) *matrixEngine[R] {
 		vals:     append([][]float64(nil), e.vals...),
 		present:  append([][]bool(nil), e.present...),
 		axes:     newAxisColumns(e.nDims, e.nAtts),
+		scope:    e.scope,
 	}
 	ne.col = e.shareOrRebuildCol(corpus)
 	return ne

@@ -21,10 +21,10 @@ package quality
 // resume cursor of the next page in QueryResult.Next.
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"github.com/informing-observers/informer/internal/shard"
@@ -226,6 +226,9 @@ type recordKind[R any] struct {
 	// keep compiles a query's scope fields into a record predicate, nil
 	// when the query is unscoped.
 	keep func(Query) func(*R) bool
+	// scope lists a record's scope facts, the values the scope column
+	// interns (scope.go).
+	scope func(*R, func(v string, kind bool))
 	// foreign rejects a query setting a field the kind lacks.
 	foreign func(Query) error
 	// spam lists the measures whose normalized average MinSpamResistance
@@ -238,6 +241,7 @@ var sourceKind = &recordKind[SourceRecord]{
 	ident: func(r *SourceRecord) (int, string) { return r.ID, r.Name },
 	note:  noteSourceRoute,
 	keep:  sourceKeep,
+	scope: sourceScope,
 	foreign: func(q Query) error {
 		switch {
 		case q.MinSpamResistance > 0:
@@ -256,6 +260,7 @@ var contributorKind = &recordKind[ContributorRecord]{
 	ident: func(r *ContributorRecord) (int, string) { return r.ID, r.Name },
 	note:  noteContributorRoute,
 	keep:  contributorKeep,
+	scope: contributorScope,
 	foreign: func(q Query) error {
 		if len(q.Kinds) > 0 {
 			return fmt.Errorf("quality: Kinds applies to source queries only")
@@ -428,31 +433,6 @@ type leanCand struct {
 	row int
 }
 
-// candWorse orders candidates for selection: a is worse than b when its
-// key is lower, or equal with a higher ID (ranking is best-first, ties by
-// ascending ID).
-func candWorse(a, b leanCand) bool {
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	return a.id > b.id
-}
-
-// candCmp is candWorse as a best-first three-way comparison for
-// slices.SortFunc: -1 when a ranks before b, 1 when after. Keys that
-// compare neither way (NaN) tie without the ID break, as in candWorse.
-func candCmp(a, b leanCand) int {
-	switch {
-	case a.key > b.key:
-		return -1
-	case a.key < b.key:
-		return 1
-	case a.key != b.key:
-		return 0
-	}
-	return cmp.Compare(a.id, b.id)
-}
-
 // axisThreshold is a resolved per-axis predicate: the slot of its axis in
 // resolvedQuery.axes (the axis itself while resolving) and the bar.
 type axisThreshold struct {
@@ -607,17 +587,24 @@ func (rq *resolvedQuery) match(v *rowAxes) (key float64, ok bool) {
 // shifts stored row indices: a shard engine scanning its local record
 // slice passes its global range start so candidates carry global rows and
 // merge directly into the corpus-wide ranking. built counts the axis
-// columns the scan builds.
-func (e *matrixEngine[R]) scanMatches(records []*R, rowOff int, rq *resolvedQuery, keep func(*R) bool, built *atomic.Int64, p pageWindow) ([]leanCand, int) {
+// columns the scan builds. An unbounded scan appends into pooled scratch
+// and returns an exact-size copy, so a spine part costs its own bytes,
+// not the growth of an append.
+func (e *matrixEngine[R]) scanMatches(records []*R, rowOff int, rq *resolvedQuery, sc *scopeFilter[R], built *atomic.Int64, p pageWindow) ([]leanCand, int) {
 	rr := e.newRowReader(rq, built)
 	var cands []leanCand
-	if p.width > 0 {
+	var scratch *[]leanCand
+	switch {
+	case p.width > 0:
 		// Never keep more candidates than records.
 		cands = make([]leanCand, 0, min(p.width, len(records)))
+	case p.width < 0:
+		scratch = scanScratchPool.Get().(*[]leanCand)
+		cands = (*scratch)[:0]
 	}
 	total := 0
 	for i, r := range records {
-		c, ok := rr.cand(r, i, rowOff+i, keep)
+		c, ok := rr.cand(r, i, rowOff+i, sc)
 		if !ok {
 			continue
 		}
@@ -644,8 +631,16 @@ func (e *matrixEngine[R]) scanMatches(records []*R, rowOff int, rq *resolvedQuer
 			siftDown(cands, 0)
 		}
 	}
+	if scratch != nil {
+		kept := append([]leanCand(nil), cands...)
+		*scratch = cands[:0]
+		scanScratchPool.Put(scratch)
+		cands = kept
+	}
 	return cands, total
 }
+
+var scanScratchPool = sync.Pool{New: func() any { return new([]leanCand) }}
 
 // pageWindow is where one requested page sits in a ranking — the three
 // numbers both query plans take from pageOf: rankTopK bounds its scans and
@@ -720,7 +715,7 @@ func (sp *Spine) Total() int { return sp.total }
 // O(prev + dirty·log) instead of O(shard) cost. rowOff is the shard's
 // global record-range start; dirtyLocal indexes records relative to it,
 // while prev, records and the result all use global rows.
-func (e *matrixEngine[R]) repairCands(records []*R, rowOff int, dirtyLocal []int, prev []leanCand, rq *resolvedQuery, keep func(*R) bool) []leanCand {
+func (e *matrixEngine[R]) repairCands(records []*R, rowOff int, dirtyLocal []int, prev []leanCand, rq *resolvedQuery, sc *scopeFilter[R]) []leanCand {
 	dirty := make(map[int]bool, len(dirtyLocal))
 	for _, c := range dirtyLocal {
 		dirty[rowOff+c] = true
@@ -738,7 +733,7 @@ func (e *matrixEngine[R]) repairCands(records []*R, rowOff int, dirtyLocal []int
 		if row < 0 || row >= len(records) {
 			continue
 		}
-		c, ok := rr.cand(records[row], c0, row, keep)
+		c, ok := rr.cand(records[row], c0, row, sc)
 		if !ok {
 			continue
 		}

@@ -20,10 +20,10 @@ package quality
 //     whatever the partition — into one ledger of columns, and
 //     every shard engine shares the ledger's benchmark slice. Normalized
 //     values are therefore bitwise the same numbers.
-//  2. The candidate order (key desc, ID asc) is a strict total order, so
-//     the k-way merge of per-shard ranked lists is deterministic and equal
-//     to ranking the union; a per-shard bound of k keeps every candidate
-//     the global top k can need.
+//  2. The candidate order (key desc with NaN last, ID asc; rank.go) is a
+//     strict total order, so the k-way merge of per-shard ranked lists is
+//     deterministic and equal to ranking the union; a per-shard bound of
+//     k keeps every candidate the global top k can need.
 //  3. Every read finishes through the same pagination arithmetic — one
 //     page location (pageOf) and one cursor derivation (windowResult) —
 //     whatever the shard count and whichever the plan.
@@ -132,6 +132,9 @@ type shardedEngine[R any] struct {
 	engines []*matrixEngine[R] // one per shard; benchmarks slice shared from the ledger
 	router  *shard.Router
 	ledger  *benchLedger
+	// dict interns the scope facts behind every shard's scope column
+	// (scope.go); the shards share it.
+	dict *scopeDict
 	// col routes a record ID to its global row (nil on one shard, where
 	// there is nothing to route). It is keyed by ID, not pointer, because
 	// it only picks the shard engine that serves a record — the shard's
@@ -198,13 +201,16 @@ func newShardedEngine[R any](
 	for _, eng := range s.engines {
 		eng.benchmarks = led.benchmarks
 	}
-	// Routing metadata and, past one shard, the global ID→row map.
+	// Scope columns, routing metadata and, past one shard, the global
+	// ID→row map.
+	sb := newScopeBuilder(nil, kind.scope)
 	rt := shard.NewRouter(ns)
 	if ns > 1 {
 		s.col = make(map[int]int, len(corpus))
 	}
 	for sh := 0; sh < ns; sh++ {
 		lo, hi := s.plan.Bounds(sh)
+		s.engines[sh].scope = sb.column(corpus[lo:hi])
 		for row := lo; row < hi; row++ {
 			if s.col != nil {
 				id, _ := kind.ident(corpus[row])
@@ -214,6 +220,7 @@ func newShardedEngine[R any](
 		}
 	}
 	s.router = rt
+	s.dict = sb.dict
 	return s
 }
 
@@ -306,11 +313,8 @@ func (s *shardedEngine[R]) assessAll(records []*R) []*Assessment {
 
 func (s *shardedEngine[R]) rank(records []*R) []*Assessment {
 	out := s.assessAll(records)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].ID < out[j].ID
+	slices.SortFunc(out, func(a, b *Assessment) int {
+		return candCmp(leanCand{key: a.Score, id: a.ID}, leanCand{key: b.Score, id: b.ID})
 	})
 	return out
 }
@@ -345,7 +349,7 @@ func (s *shardedEngine[R]) measurePos(id string) int { return s.engines[0].measu
 
 // compile checks q against the record kind and resolves it: the
 // once-per-execution part of every plan.
-func (s *shardedEngine[R]) compile(q Query) (*resolvedQuery, func(*R) bool, error) {
+func (s *shardedEngine[R]) compile(q Query) (*resolvedQuery, *scopeFilter[R], error) {
 	if err := s.kind.foreign(q); err != nil {
 		return nil, nil, err
 	}
@@ -353,11 +357,8 @@ func (s *shardedEngine[R]) compile(q Query) (*resolvedQuery, func(*R) bool, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	return rq, s.kind.keep(q), nil
+	return rq, s.compileScope(q), nil
 }
-
-// candBetter is MergeK's order: a ranks strictly before b.
-func candBetter(a, b leanCand) bool { return candWorse(b, a) }
 
 // rankTopK is the scatter-gather query plan: every shard the router cannot
 // prune runs the same bounded lean scan over its own record range (rows
@@ -373,7 +374,7 @@ func (s *shardedEngine[R]) rankTopK(records []*R, q Query) (*QueryResult, error)
 	if err := s.checkRecords(records); err != nil {
 		return nil, err
 	}
-	rq, keep, err := s.compile(q)
+	rq, sc, err := s.compile(q)
 	if err != nil {
 		return nil, err
 	}
@@ -384,7 +385,7 @@ func (s *shardedEngine[R]) rankTopK(records []*R, q Query) (*QueryResult, error)
 	if rq.unmatchable {
 		return &QueryResult{Items: []*Assessment{}}, nil
 	}
-	parts, totals := s.scatter(records, q, rq, keep, p, nil)
+	parts, totals := s.scatter(records, q, rq, sc, p, nil)
 	merged := shard.MergeK(parts, candBetter, p.width) // an unbounded width of -1 keeps all
 	return s.finishWindow(records, merged, p.start, sum(totals), q), nil
 }
@@ -404,7 +405,7 @@ func (s *shardedEngine[R]) checkRecords(records []*R) error {
 // Shards the router proves scope-incompatible are skipped: they cannot
 // contain a match, so they contribute zero candidates and zero total.
 // scanned, when non-nil, gets a counter bump per shard actually scanned.
-func (s *shardedEngine[R]) scatter(records []*R, q Query, rq *resolvedQuery, keep func(*R) bool, p pageWindow, onScan func(sh int)) (parts [][]leanCand, totals []int) {
+func (s *shardedEngine[R]) scatter(records []*R, q Query, rq *resolvedQuery, sc *scopeFilter[R], p pageWindow, onScan func(sh int)) (parts [][]leanCand, totals []int) {
 	ns := s.plan.Shards()
 	parts = make([][]leanCand, ns)
 	totals = make([]int, ns)
@@ -417,10 +418,10 @@ func (s *shardedEngine[R]) scatter(records []*R, q Query, rq *resolvedQuery, kee
 				onScan(sh)
 			}
 			rlo, rhi := s.plan.Bounds(sh)
-			cands, total := s.engines[sh].scanMatches(records[rlo:rhi], rlo, rq, keep, &s.counters.columns, p)
-			// The bounded heap is heap-ordered; rank it best-first for the
-			// merge (k log k per shard).
-			slices.SortFunc(cands, candCmp)
+			cands, total := s.engines[sh].scanMatches(records[rlo:rhi], rlo, rq, sc, &s.counters.columns, p)
+			// Rank the row-ordered matches (the heap-ordered ones of a
+			// bounded scan) best-first for the merge.
+			rankCands(cands)
 			parts[sh], totals[sh] = cands, total
 		}
 	})
@@ -434,14 +435,14 @@ func (s *shardedEngine[R]) spine(records []*R, q Query) (*Spine, error) {
 	if err := s.checkRecords(records); err != nil {
 		return nil, err
 	}
-	rq, keep, err := s.compile(q)
+	rq, sc, err := s.compile(q)
 	if err != nil {
 		return nil, err
 	}
 	if rq.unmatchable {
 		return &Spine{}, nil
 	}
-	parts, totals := s.scatter(records, q, rq, keep, pageWindow{width: -1}, func(int) { s.counters.scans.Add(1) })
+	parts, totals := s.scatter(records, q, rq, sc, pageWindow{width: -1}, func(int) { s.counters.scans.Add(1) })
 	merged := shard.MergeK(parts, candBetter, 0)
 	return &Spine{cands: merged, total: sum(totals), parts: parts, totals: totals}, nil
 }
@@ -477,7 +478,7 @@ func (s *shardedEngine[R]) repairSpine(records []*R, prev *Spine, q Query) (*Spi
 	if len(prev.parts) != ns || len(prev.totals) != ns {
 		return nil, false // differently-sharded spine: no carry
 	}
-	rq, keep, err := s.compile(q)
+	rq, sc, err := s.compile(q)
 	if err != nil || rq.unmatchable {
 		return nil, false
 	}
@@ -490,7 +491,7 @@ func (s *shardedEngine[R]) repairSpine(records []*R, prev *Spine, q Query) (*Spi
 			continue
 		}
 		rlo, _ := s.plan.Bounds(sh)
-		parts[sh] = s.engines[sh].repairCands(records, rlo, s.dirtyLocal[sh], prev.parts[sh], rq, keep)
+		parts[sh] = s.engines[sh].repairCands(records, rlo, s.dirtyLocal[sh], prev.parts[sh], rq, sc)
 		totals[sh] = len(parts[sh])
 		s.counters.repairs.Add(1)
 	}
@@ -543,17 +544,20 @@ func (s *shardedEngine[R]) update(corpus []*R, dirty []int, epochMoved bool) *sh
 		}
 	}
 	// Phase 1: repair the touched shards' matrices (all of them when the
-	// epoch moved — every time-sensitive column shifts).
+	// epoch moved — every time-sensitive column shifts) and their dirty
+	// rows' scope bits.
 	ne.engines = make([]*matrixEngine[R], ns)
 	cur := make([]*matrixEngine[R], ns) // matrix to read post-update values from
+	sb := newScopeBuilder(s.dict, s.kind.scope)
 	for sh := 0; sh < ns; sh++ {
 		cur[sh] = s.engines[sh]
 		if len(split[sh]) > 0 || epochMoved {
 			lo, hi := s.plan.Bounds(sh)
-			ne.engines[sh] = s.engines[sh].updateMatrix(corpus[lo:hi], split[sh], epochMoved)
+			ne.engines[sh] = s.engines[sh].updateMatrix(corpus[lo:hi], split[sh], epochMoved, sb)
 			cur[sh] = ne.engines[sh]
 		}
 	}
+	ne.dict = sb.dict
 	// Phase 2: repair the global ledger. Per measure: epoch-moved
 	// time-sensitive columns re-gather wholesale (their values shifted for
 	// every record), and so does heavy dirt; sparse dirt batch-repairs the

@@ -47,7 +47,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // etagRecorder buffers a response, stamps an ETag over the body, and
-// answers 304 when the client already holds the current version.
+// answers 304 when the client already holds the current version. A HEAD
+// request gets GET's validator and the same 304, as RFC 9110 has it, and
+// no body.
 type etagRecorder struct {
 	inner  http.ResponseWriter
 	status int
@@ -68,7 +70,8 @@ func (e *etagRecorder) flush(r *http.Request) {
 	if status == 0 {
 		status = http.StatusOK
 	}
-	if status == http.StatusOK && r.Method == http.MethodGet {
+	head := r.Method == http.MethodHead
+	if status == http.StatusOK && (r.Method == http.MethodGet || head) {
 		tag := fmt.Sprintf("%q", etag.Hash(e.body))
 		e.inner.Header().Set("ETag", tag)
 		if etag.Match(r.Header.Get("If-None-Match"), tag) {
@@ -77,7 +80,9 @@ func (e *etagRecorder) flush(r *http.Request) {
 		}
 	}
 	e.inner.WriteHeader(status)
-	e.inner.Write(e.body)
+	if !head {
+		e.inner.Write(e.body)
+	}
 }
 
 func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {

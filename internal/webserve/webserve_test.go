@@ -271,3 +271,37 @@ func TestETagAndNotModified(t *testing.T) {
 		t.Errorf("status = %d", resp4.StatusCode)
 	}
 }
+
+// TestHeadCarriesETag pins HEAD to GET's validators: the same ETag, a 304
+// for a matching If-None-Match, and no body either way.
+func TestHeadCarriesETag(t *testing.T) {
+	world := webgen.Generate(webgen.Config{Seed: 5, NumSources: 8, NumUsers: 30, CommentText: true})
+	srv := New(world)
+	serve := func(method, inm string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(method, "/s/0/", nil)
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		return rec
+	}
+	full := serve(http.MethodGet, "")
+	tag := full.Header().Get("ETag")
+	if full.Code != http.StatusOK || tag == "" || full.Body.Len() == 0 {
+		t.Fatalf("GET: status %d, ETag %q, %d bytes", full.Code, tag, full.Body.Len())
+	}
+	head := serve(http.MethodHead, "")
+	if head.Code != http.StatusOK || head.Header().Get("ETag") != tag {
+		t.Fatalf("HEAD: status %d, ETag %q, want 200 and GET's %q", head.Code, head.Header().Get("ETag"), tag)
+	}
+	cond := serve(http.MethodHead, tag)
+	if cond.Code != http.StatusNotModified {
+		t.Fatalf("conditional HEAD: status %d, want 304", cond.Code)
+	}
+	for name, rec := range map[string]*httptest.ResponseRecorder{"HEAD": head, "conditional HEAD": cond} {
+		if rec.Body.Len() != 0 {
+			t.Errorf("%s carried a body of %d bytes", name, rec.Body.Len())
+		}
+	}
+}

@@ -71,3 +71,34 @@ func TestAdvanceRoundBytesBudget(t *testing.T) {
 		t.Fatalf("one Advance round allocates %d bytes, budget %d", perRound, roundBytesBudget)
 	}
 }
+
+// epochSpinesBytesBudget caps the bytes one BenchmarkEpochSpines round
+// (an epoch-moving UpdateRows over 2000 sources plus the eight
+// daily-watch spines) allocates, at GOMAXPROCS 1 like
+// TestAdvanceRoundBytesBudget: 832,488 measured (go1.24, linux/amd64)
+// plus 25%. It guards the ranking kernel's pooled scratch and the scans'
+// exact-size spine parts: ranking with fresh scratch per call costs about
+// 220 KB more per round, and keeping each scan's append-grown slice about
+// 350 KB more.
+const epochSpinesBytesBudget = 1040610
+
+func TestEpochSpinesBytesBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled ranking scratch at random, so the bytes do not repeat")
+	}
+	round := epochSpinesRound(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const rounds = 4
+	round() // warm-up: fills the pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	perRound := (after.TotalAlloc - before.TotalAlloc) / rounds
+	t.Logf("one epoch spine round allocates %d bytes", perRound)
+	if perRound > epochSpinesBytesBudget {
+		t.Fatalf("one epoch spine round allocates %d bytes, budget %d", perRound, epochSpinesBytesBudget)
+	}
+}
