@@ -7,6 +7,7 @@ package informer
 // must stay safe while a writer ticks the world (run under -race in CI).
 
 import (
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -43,8 +44,13 @@ func assertCorpusEquals(t *testing.T, inc, full *Corpus) {
 			t.Fatalf("benchmark %s: %+v vs %+v", m.ID, bi, bf)
 		}
 	}
-	if !reflect.DeepEqual(inc.state.Load().env.SourceScores, full.state.Load().env.SourceScores) {
-		t.Fatal("source score joins differ")
+	ie, fe := inc.state.Load().env, full.state.Load().env
+	for _, r := range fe.SourceRecords {
+		si, iok := ie.SourceScore(r.ID)
+		sf, fok := fe.SourceScore(r.ID)
+		if iok != fok || math.Float64bits(si) != math.Float64bits(sf) {
+			t.Fatalf("source score joins differ at source %d: %v vs %v", r.ID, si, sf)
+		}
 	}
 	si, sf := inc.SentimentByCategory(), full.SentimentByCategory()
 	if !reflect.DeepEqual(si, sf) {

@@ -550,7 +550,7 @@ func epochSpinesRound(tb testing.TB) func() *quality.SourceAssessor {
 	di := quality.DomainOfInterest{Categories: world.Categories}
 	records := quality.SourceRecordsFromWorld(world, panel)
 	base := quality.NewSourceAssessor(records, di, nil)
-	next, dirty := quality.UpdateSourceRecordsFromWorld(records, nworld, panel.Refresh(nworld), delta.DirtySourceIDs())
+	next, dirty := quality.UpdateSourceRecordsFromWorld(records, panel, nworld, panel.Refresh(nworld), delta.DirtySourceIDs())
 	queries := dailyWatchQueries()
 	return func() *quality.SourceAssessor {
 		a := base.UpdateRows(next, dirty, true)

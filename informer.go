@@ -590,7 +590,7 @@ func (s apiSnapshot) ContributorRecords() []*ContributorRecord {
 func (s apiSnapshot) Stories(q correlate.StoryQuery) *apiserve.StoriesResult {
 	pg := s.st.stories.Query(q)
 	res := &apiserve.StoriesResult{Items: make([]apiserve.StoryItem, 0, len(pg.Stories)), Total: pg.Total, Next: pg.Next}
-	world, scores := s.st.world, s.st.env.SourceScores
+	world, env := s.st.world, s.st.env
 	for _, story := range pg.Stories {
 		item := apiserve.StoryItem{
 			ID:           story.ID,
@@ -609,10 +609,11 @@ func (s apiSnapshot) Stories(q correlate.StoryQuery) *apiserve.StoriesResult {
 			}
 		}
 		for _, sid := range story.Sources {
+			score, _ := env.SourceScore(sid)
 			item.Members = append(item.Members, apiserve.StoryMember{
 				SourceID: sid,
 				Name:     world.Sources[sid].Name,
-				Score:    scores[sid],
+				Score:    score,
 			})
 		}
 		// Best-assessed member first; the member list arrives sorted by

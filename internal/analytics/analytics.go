@@ -138,25 +138,34 @@ func sampleGeometric(rng *rand.Rand, mean float64) int {
 }
 
 // Refresh re-derives the panel for an advanced world without replaying the
-// session simulation. The panel's session log (visitors, bounce rate,
-// dwell) depends only on the seed and the sources' latent factors, so it
-// is reusable as-is; only the per-day activity estimate moves with the
-// timeline (each source's discussion count over the grown window, scaled
-// by the retained noise draw). The result is bit-identical to
-// Build(world, seed) with the original seed — the substrate for
-// incremental corpus advancement. The receiver is left untouched for
-// concurrent readers of the pre-advance snapshot.
+// session simulation: the session log depends only on the seed and the
+// sources' latent factors, so only the per-day activity estimate moves
+// (discussion count over the window, scaled by the retained noise draw).
+// The result is bit-identical to Build(world, seed) with the original
+// seed. Refresh is copy-on-write and returns the receiver itself when no
+// estimate's bits move (a tick that kept the window and opened no
+// discussion): services.Env.Advance relies on that identity, reading a
+// returned receiver as "every source's metrics are bitwise unchanged", to
+// skip the panel join of clean records. The receiver is never written.
 func (p *Panel) Refresh(world *webgen.World) *Panel {
-	np := &Panel{
-		metrics:       append([]Metrics(nil), p.metrics...),
-		byHost:        p.byHost,
-		activityNoise: p.activityNoise,
-	}
+	np := p
+	days := world.Days()
 	for i, src := range world.Sources {
-		if i >= len(np.metrics) {
+		if i >= len(p.metrics) {
 			break
 		}
-		np.metrics[i].NewDiscussionsPerDay = float64(len(src.Discussions)) / world.Days() * np.activityNoise[i]
+		est := float64(len(src.Discussions)) / days * p.activityNoise[i]
+		if math.Float64bits(est) == math.Float64bits(np.metrics[i].NewDiscussionsPerDay) {
+			continue
+		}
+		if np == p {
+			np = &Panel{
+				metrics:       append([]Metrics(nil), p.metrics...),
+				byHost:        p.byHost,
+				activityNoise: p.activityNoise,
+			}
+		}
+		np.metrics[i].NewDiscussionsPerDay = est
 	}
 	return np
 }

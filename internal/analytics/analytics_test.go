@@ -187,3 +187,49 @@ func TestSampleGeometric(t *testing.T) {
 		t.Errorf("empirical mean %v, want ~%v", got, mean)
 	}
 }
+
+// TestRefreshCopyOnWrite pins Refresh's identity contract: a tick that
+// moves no per-day estimate (a same-day tick, which opens no discussion)
+// returns the receiver itself, and one that moves some (a poll opening a
+// discussion, a day's advance) returns a fresh panel equal to a full Build
+// while the receiver keeps its own metrics.
+func TestRefreshCopyOnWrite(t *testing.T) {
+	world := webgen.Generate(webgen.Config{Seed: 8, NumSources: 40, ChurnScale: 8})
+	p := Build(world, 99)
+	before := append([]Metrics(nil), p.metrics...)
+
+	same, _ := webgen.AdvanceSameDay(world, 11, nil)
+	if got := p.Refresh(same); got != p {
+		t.Fatal("a same-day tick moved no estimate, yet Refresh returned a new panel")
+	}
+
+	var polled *webgen.World
+	for seed := int64(1); seed <= 200 && polled == nil; seed++ {
+		w, delta := webgen.AdvanceSource(world, int(seed)%40, seed, nil)
+		opened := false
+		delta.ForEachNewDiscussion(func(int, *webgen.Discussion) { opened = true })
+		if opened {
+			polled = w
+		}
+	}
+	if polled == nil {
+		t.Fatal("no poll in 200 seeds opened a discussion")
+	}
+	day, _ := webgen.Advance(world, 1, 12)
+	for _, w := range []*webgen.World{polled, day} {
+		np := p.Refresh(w)
+		if np == p {
+			t.Fatal("a tick that moved an estimate returned the receiver")
+		}
+		want := Build(w, 99)
+		for i := range before {
+			got, _ := np.BySource(i)
+			if exp, _ := want.BySource(i); got != exp {
+				t.Fatalf("source %d: refreshed %+v, built %+v", i, got, exp)
+			}
+			if p.metrics[i] != before[i] {
+				t.Fatalf("Refresh wrote the receiver's metrics of source %d", i)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package quality
 
 import (
 	"maps"
+	"math"
 	"slices"
 	"time"
 
@@ -163,28 +164,44 @@ func (r *SourceRecord) extendIndex(old *SourceRecord, s *webgen.Source) {
 }
 
 // UpdateSourceRecordsFromWorld refreshes observation records after an
-// Advance tick without re-walking the whole corpus. Every record is
-// shallow-copied (the pre-advance slice stays immutable for concurrent
-// readers) with its observation metadata refreshed — ObservedAt,
-// WindowDays, MaxOpenDiscussions and the panel join, the inputs that move
-// with the timeline for every source — while only the records of dirty
-// sources extend their predecessors' discussion statistics and carried
-// statistics with what the tick appended (extendIndex). The result is
-// bit-identical to SourceRecordsFromWorld over the advanced world; the
-// second return value lists the row indices of the dirty records, ready
-// for Assessor.UpdateRows.
-func UpdateSourceRecordsFromWorld(old []*SourceRecord, w *webgen.World, panel *analytics.Panel, dirtySourceIDs []int) ([]*SourceRecord, []int) {
-	records := make([]*SourceRecord, len(old))
-	slab := make([]SourceRecord, len(old)) // one allocation for every copy
-	for i, r := range old {
-		nr := &slab[i]
-		*nr = *r
-		m, _ := panel.BySource(nr.ID)
-		nr.Panel = panelStat(m)
-		nr.ObservedAt = w.Config.End
-		nr.WindowDays = w.Days()
-		nr.MaxOpenDiscussions = w.MaxOpenDiscussions
-		records[i] = nr
+// Advance tick without re-walking the whole corpus; oldPanel is the panel
+// old was built against (nil when unknown). A clean record whose
+// refreshed inputs — the observation metadata every record shares
+// (ObservedAt, WindowDays, MaxOpenDiscussions) and its panel join — are
+// bitwise unchanged is shared by pointer: when the metadata held and
+// panel is oldPanel, that is every clean record, and only dirty rows are
+// touched. Any other clean record is a fresh copy, from one slab when the
+// metadata moved. A dirty record is a fresh copy extending its
+// predecessor's statistics with what the tick appended (extendIndex). No
+// record of old is written. The result is bit-identical to
+// SourceRecordsFromWorld over the advanced world; the second return value
+// lists the dirty rows, ready for Assessor.UpdateRows.
+func UpdateSourceRecordsFromWorld(old []*SourceRecord, oldPanel *analytics.Panel, w *webgen.World, panel *analytics.Panel, dirtySourceIDs []int) ([]*SourceRecord, []int) {
+	records := slices.Clone(old)
+	obs, days, maxOpen := w.Config.End, w.Days(), w.MaxOpenDiscussions
+	refresh := func(r *SourceRecord, m analytics.Metrics) {
+		r.Panel = panelStat(m)
+		r.ObservedAt, r.WindowDays, r.MaxOpenDiscussions = obs, days, maxOpen
+	}
+	switch {
+	case len(old) == 0:
+	case old[0].ObservedAt != obs || math.Float64bits(old[0].WindowDays) != math.Float64bits(days) || old[0].MaxOpenDiscussions != maxOpen:
+		slab := make([]SourceRecord, len(old)) // one allocation for every copy
+		for i, r := range old {
+			slab[i] = *r
+			m, _ := panel.BySource(r.ID)
+			refresh(&slab[i], m)
+			records[i] = &slab[i]
+		}
+	case panel != oldPanel:
+		for i, r := range old {
+			m, _ := panel.BySource(r.ID)
+			if p := panelStat(m); !samePanel(p, r.Panel) {
+				nr := *r
+				nr.Panel = p
+				records[i] = &nr
+			}
+		}
 	}
 	dirtyRows := make([]int, 0, len(dirtySourceIDs))
 	for _, id := range dirtySourceIDs {
@@ -193,10 +210,32 @@ func UpdateSourceRecordsFromWorld(old []*SourceRecord, w *webgen.World, panel *a
 		if row < 0 || s == nil {
 			continue // source unknown to this corpus (defensive)
 		}
-		records[row].extendIndex(old[row], s)
+		nr := records[row]
+		if nr == old[row] {
+			nr = new(SourceRecord)
+			*nr = *old[row]
+			m, _ := panel.BySource(id)
+			refresh(nr, m)
+			records[row] = nr
+		}
+		nr.extendIndex(old[row], s)
 		dirtyRows = append(dirtyRows, row)
 	}
 	return records, dirtyRows
+}
+
+// samePanel reports whether two panel joins are bitwise equal; a float
+// field compares by bits, so a NaN counts as unchanged and a sign flip of
+// zero as moved.
+func samePanel(a, b PanelStat) bool {
+	bits := math.Float64bits
+	return a.TrafficRank == b.TrafficRank &&
+		bits(a.DailyVisitors) == bits(b.DailyVisitors) &&
+		bits(a.DailyPageViews) == bits(b.DailyPageViews) &&
+		bits(a.BounceRate) == bits(b.BounceRate) &&
+		bits(a.AvgTimeOnSiteSeconds) == bits(b.AvgTimeOnSiteSeconds) &&
+		bits(a.PageViewsPerVisitor) == bits(b.PageViewsPerVisitor) &&
+		bits(a.NewDiscussionsPerDay) == bits(b.NewDiscussionsPerDay)
 }
 
 // recordRow finds the row of source id: records built from a world sit at
@@ -325,35 +364,46 @@ func NewContributorIndex(w *webgen.World) *ContributorIndex {
 // Records exposes the contributor records, ordered by user ID.
 func (ix *ContributorIndex) Records() []*ContributorRecord { return ix.records }
 
-// Apply folds an Advance delta into the index: every record is
-// shallow-copied with the new observation instant (account ages move for
-// everyone) and the records of contributors with fresh activity get their
-// counters and category map updated. A touched set grows by the
-// discussions its old set lacks, found by binary search and merged into a
-// copy. Results are bit-identical to NewContributorIndex over the advanced
-// world. The returned row indices of the dirty contributors feed
-// Assessor.UpdateRows; the receiver stays untouched for concurrent
-// readers.
+// Apply folds an Advance delta into the index. Its one refreshed input,
+// the observation instant, is shared by every record: when the tick held
+// it, clean records are shared by pointer; when it moved (account ages
+// move for everyone), every record is copied from one slab. Each dirty
+// contributor — a new discussion's opener included, comment or not — gets
+// a fresh copy with its counters and category map updated. A touched set
+// grows by the discussions its old set lacks, found by binary search and
+// merged into a copy. Results are bit-identical to NewContributorIndex
+// over the advanced world; the returned dirty rows feed
+// Assessor.UpdateRows; no record of the receiver is written.
 func (ix *ContributorIndex) Apply(w *webgen.World, delta *webgen.Delta) (*ContributorIndex, []int) {
 	dirtyIDs := delta.DirtyContributorIDs()
+	obs := w.Config.End
 	nix := &ContributorIndex{
-		records: make([]*ContributorRecord, len(ix.records)),
+		records: slices.Clone(ix.records),
 		touched: slices.Clone(ix.touched),
 	}
-	slab := make([]ContributorRecord, len(ix.records)) // one allocation for every copy
-	for i, r := range ix.records {
-		nr := &slab[i]
-		*nr = *r
-		nr.ObservedAt = w.Config.End
-		nix.records[i] = nr
+	if len(ix.records) > 0 && ix.records[0].ObservedAt != obs {
+		slab := make([]ContributorRecord, len(ix.records)) // one allocation for every copy
+		for i, r := range ix.records {
+			slab[i] = *r
+			slab[i].ObservedAt = obs
+			nix.records[i] = &slab[i]
+		}
 	}
+	// Every opener and commenter of the delta is among its dirty
+	// contributors, so the writes below reach fresh copies only.
 	dirtyRows := make([]int, 0, len(dirtyIDs))
 	for _, id := range dirtyIDs {
 		if id < 0 || id >= len(nix.records) {
 			continue
 		}
 		dirtyRows = append(dirtyRows, id)
-		nix.records[id].CommentsByCategory = maps.Clone(nix.records[id].CommentsByCategory)
+		r := nix.records[id]
+		if r == ix.records[id] {
+			r = new(ContributorRecord)
+			*r = *ix.records[id]
+			nix.records[id] = r
+		}
+		r.CommentsByCategory = maps.Clone(r.CommentsByCategory)
 	}
 	delta.ForEachNewDiscussion(func(_ int, d *webgen.Discussion) {
 		if d.OpenerID >= 0 && d.OpenerID < len(nix.records) {

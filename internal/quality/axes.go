@@ -200,14 +200,15 @@ func (e *matrixEngine[R]) newRowReader(rq *resolvedQuery, built *atomic.Int64) *
 // global row row — against the scope (nil when unscoped) and the resolved
 // query. When it matches, its ranked candidate is returned with ok true.
 func (rr *rowReader[R]) cand(r *R, c, row int, sc *scopeFilter[R]) (leanCand, bool) {
-	own := rr.built != nil && c < len(rr.e.recs) && rr.e.recs[c] == r
+	col := rr.e.colOf(r, c)
+	own := rr.built != nil && col >= 0
 	if sc != nil && !sc.admits(rr.e, r, c, own) {
 		return leanCand{}, false
 	}
 	if own {
 		rr.fromColumns(c)
 	} else {
-		rr.fromLean(r)
+		rr.fromLean(r, col)
 	}
 	key, ok := rr.rq.match(&rr.v)
 	if !ok {
@@ -238,15 +239,16 @@ func (rr *rowReader[R]) fromColumns(c int) {
 	}
 }
 
-// fromLean evaluates r with leanEval and reads the query's axes and
-// measures off the scratch accumulators.
-func (rr *rowReader[R]) fromLean(r *R) {
+// fromLean evaluates r, served from matrix column col (-1: none), with
+// leanEval and reads the query's axes and measures off the scratch
+// accumulators.
+func (rr *rowReader[R]) fromLean(r *R, col int) {
 	e, v := rr.e, &rr.v
 	if rr.buf == nil {
 		rr.buf = e.newLeanBuf()
 	}
 	b := rr.buf
-	e.leanEval(r, b)
+	e.leanEval(r, col, b)
 	for j, a := range rr.rq.axes {
 		switch {
 		case a == scoreAxis:

@@ -306,7 +306,7 @@ func TestColumnScanMatchesLeanEvalBitwise(t *testing.T) {
 		}
 	}
 	records := append(SourceRecordsFromWorld(w, panel), &SourceRecord{ID: 9999})
-	next, dirty := UpdateSourceRecordsFromWorld(records, nw, npanel, delta.DirtySourceIDs())
+	next, dirty := UpdateSourceRecordsFromWorld(records, panel, nw, npanel, delta.DirtySourceIDs())
 	if len(dirty) == 0 {
 		t.Fatal("the tick dirtied no source")
 	}
@@ -466,7 +466,7 @@ func builtColumns(a any, shard int) int64 {
 func TestAxisColumnsConcurrentFirstBuild(t *testing.T) {
 	w, nw, delta, panel, npanel := advancedWorld(t, 120, 917, 1)
 	records := SourceRecordsFromWorld(w, panel)
-	next, dirty := UpdateSourceRecordsFromWorld(records, nw, npanel, delta.DirtySourceIDs())
+	next, dirty := UpdateSourceRecordsFromWorld(records, panel, nw, npanel, delta.DirtySourceIDs())
 	queries := []Query{
 		{MinScore: 0.4},
 		{Sort: SortKey{By: SortByDimension, Dimension: Time}},

@@ -60,8 +60,10 @@ type matrixEngine[R any] struct {
 	attOff, nAtts int
 
 	nRecords int
-	recs     []*R       // the corpus the engine was built (or last derived) over
-	col      map[*R]int // corpus record -> matrix column; never mutated after construction, so derivations with identical record pointers share it
+	// recs is the corpus the engine was built (or last derived) over: a
+	// record is served from matrix column c exactly when it is recs[c]
+	// (colOf).
+	recs []*R
 	// vals[m][c] / present[m][c]: the raw value of measure m on record c
 	// and whether the measure is defined there, stored measure-major. Rows
 	// are immutable once an engine is published: derive shares every row
@@ -103,7 +105,6 @@ func newMatrixEngine[R any](
 		weights:  make([]float64, nm),
 		nRecords: nr,
 		recs:     corpus,
-		col:      make(map[*R]int, nr),
 		vals:     makeRows[float64](nm, nr),
 		present:  makeRows[bool](nm, nr),
 	}
@@ -125,9 +126,6 @@ func newMatrixEngine[R any](
 	e.dimOff, e.nDims = -int(minDim), int(maxDim-minDim)+1
 	e.attOff, e.nAtts = -int(minAtt), int(maxAtt-minAtt)+1
 	e.axes = newAxisColumns(e.nDims, e.nAtts)
-	for c, r := range corpus {
-		e.col[r] = c
-	}
 	// Fill the matrix: workers own contiguous record chunks, every cell is
 	// written exactly once, so the result is independent of scheduling.
 	e.forEachChunk(nr, func(lo, hi int) {
@@ -214,7 +212,7 @@ func sameCell(v float64, ok bool, oldV float64, oldOk bool) bool {
 //
 //informer:mutates initialises the clone before it is published
 func (e *matrixEngine[R]) derive(corpus []*R) *matrixEngine[R] {
-	ne := &matrixEngine[R]{
+	return &matrixEngine[R]{
 		di:      e.di,
 		opts:    e.opts,
 		infos:   e.infos,
@@ -230,8 +228,6 @@ func (e *matrixEngine[R]) derive(corpus []*R) *matrixEngine[R] {
 		axes:     newAxisColumns(e.nDims, e.nAtts),
 		scope:    e.scope,
 	}
-	ne.col = e.shareOrRebuildCol(corpus)
-	return ne
 }
 
 // cowRows takes ownership of measure m's matrix rows in a freshly derived
@@ -246,40 +242,13 @@ func (e *matrixEngine[R]) cowRows(m int) {
 	e.present[m] = append([]bool(nil), e.present[m]...)
 }
 
-// shareOrRebuildCol returns the record→column map for a derivation over
-// corpus: when every record pointer is unchanged from the engine's own
-// corpus — the common case for clean shards and in-place churn — the
-// existing map is shared (it is never mutated after construction);
-// otherwise a fresh map is built for the refreshed pointers.
-func (e *matrixEngine[R]) shareOrRebuildCol(corpus []*R) map[*R]int {
-	if len(corpus) == len(e.recs) {
-		same := true
-		for i := range corpus {
-			if corpus[i] != e.recs[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return e.col
-		}
-	}
-	col := make(map[*R]int, len(corpus))
-	for c, r := range corpus {
-		col[r] = c
-	}
-	return col
-}
-
 // remap returns a shallow derivation of a clean shard-member engine for
 // the current round's record pointers: matrix and weights are shared (the
-// shard's content did not change, so they are still exact), the
-// record→column map is shared or rebuilt depending on whether the pointers
-// actually moved, and the corpus-global benchmark slice swapped in. The
-// axis columns are shared too when that slice is the parent's own — the
-// ledger keeps its identity exactly when no benchmark moved — and start
-// empty otherwise. The receiver keeps serving readers of the previous
-// snapshot untouched.
+// shard's content did not change, so they are still exact) and the
+// corpus-global benchmark slice swapped in. The axis columns are shared
+// too when that slice is the parent's own — the ledger keeps its identity
+// exactly when no benchmark moved — and start empty otherwise. The
+// receiver keeps serving readers of the previous snapshot untouched.
 //
 //informer:mutates fills the derived successor engine before it is published
 func (e *matrixEngine[R]) remap(corpus []*R, benchmarks []Benchmark) *matrixEngine[R] {
@@ -287,7 +256,6 @@ func (e *matrixEngine[R]) remap(corpus []*R, benchmarks []Benchmark) *matrixEngi
 	*ne = *e
 	ne.benchmarks = benchmarks
 	ne.recs = corpus
-	ne.col = e.shareOrRebuildCol(corpus)
 	if len(benchmarks) > 0 && &benchmarks[0] != &e.benchmarks[0] {
 		ne.axes = newAxisColumns(e.nDims, e.nAtts)
 	}
@@ -300,13 +268,13 @@ func (e *matrixEngine[R]) forEachChunk(n int, fn func(lo, hi int)) {
 	parallel.ForEachChunk(n, e.opts.Workers, fn)
 }
 
-// assess builds the public Assessment for one record. Corpus records are
-// served from the matrix; unknown records fall back to evaluating the
-// catalogue directly (still once per call). The arithmetic — accumulation
-// order, weighting, per-axis averaging — mirrors the historical sequential
-// implementation exactly, so scores are bit-for-bit reproducible.
-func (e *matrixEngine[R]) assess(r *R) *Assessment {
-	return e.assessProject(r, ProjectFull)
+// colOf returns c when r is the engine's record c — the matrix column
+// that serves r — and -1 otherwise.
+func (e *matrixEngine[R]) colOf(r *R, c int) int {
+	if c >= 0 && c < len(e.recs) && e.recs[c] == r {
+		return c
+	}
+	return -1
 }
 
 // scoreAt is the score-only kernel of matrix column c: assessProject's
@@ -329,14 +297,19 @@ func (e *matrixEngine[R]) scoreAt(c int) float64 {
 	return 0
 }
 
-// assessProject is assess with a projection: ProjectScores skips the
-// per-measure Raw/Normalized maps (the query serving path).
-func (e *matrixEngine[R]) assessProject(r *R, fields Projection) *Assessment {
+// assessProject builds the public Assessment for record r under a
+// projection (ProjectScores skips the per-measure Raw/Normalized maps,
+// the query serving path). c is r's matrix column (colOf), whose cached
+// values serve it; with c = -1 the catalogue is evaluated directly (still
+// once per call). The arithmetic — accumulation order, weighting,
+// per-axis averaging — mirrors the historical sequential implementation
+// exactly, so scores are bit-for-bit reproducible.
+func (e *matrixEngine[R]) assessProject(r *R, c int, fields Projection) *Assessment {
 	nm := len(e.infos)
 
 	raw := make([]float64, nm)
 	def := make([]bool, nm)
-	if c, cached := e.col[r]; cached {
+	if c >= 0 {
 		for m := 0; m < nm; m++ {
 			raw[m] = e.vals[m][c]
 			def[m] = e.present[m][c]

@@ -26,8 +26,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"github.com/informing-observers/informer/internal/shard"
 )
 
 // Projection selects how much of each Assessment a query materializes.
@@ -221,8 +219,6 @@ type recordKind[R any] struct {
 	name string
 	// ident returns a record's ID and name.
 	ident func(*R) (id int, name string)
-	// note records a record's routing facts in its shard's router entry.
-	note func(*shard.Router, int, *R)
 	// keep compiles a query's scope fields into a record predicate, nil
 	// when the query is unscoped.
 	keep func(Query) func(*R) bool
@@ -239,7 +235,6 @@ type recordKind[R any] struct {
 var sourceKind = &recordKind[SourceRecord]{
 	name:  "sources",
 	ident: func(r *SourceRecord) (int, string) { return r.ID, r.Name },
-	note:  noteSourceRoute,
 	keep:  sourceKeep,
 	scope: sourceScope,
 	foreign: func(q Query) error {
@@ -258,7 +253,6 @@ var sourceKind = &recordKind[SourceRecord]{
 var contributorKind = &recordKind[ContributorRecord]{
 	name:  "contributors",
 	ident: func(r *ContributorRecord) (int, string) { return r.ID, r.Name },
-	note:  noteContributorRoute,
 	keep:  contributorKeep,
 	scope: contributorScope,
 	foreign: func(q Query) error {
@@ -380,13 +374,14 @@ func (e *matrixEngine[R]) newLeanBuf() *leanBuf {
 }
 
 // leanEval computes one record's score, axis accumulators and normalized
-// values into b without building any maps. The arithmetic — accumulation
-// order, weighting, normalisation — is exactly assessProject's, so every
-// number a query filters or sorts on is bit-identical to the materialized
-// Assessment.
-func (e *matrixEngine[R]) leanEval(r *R, b *leanBuf) {
+// values into b without building any maps; c is r's matrix column, or -1
+// to evaluate the catalogue, as for assessProject. The arithmetic —
+// accumulation order, weighting, normalisation — is exactly
+// assessProject's, so every number a query filters or sorts on is
+// bit-identical to the materialized Assessment.
+func (e *matrixEngine[R]) leanEval(r *R, c int, b *leanBuf) {
 	nm := len(e.infos)
-	if c, cached := e.col[r]; cached {
+	if c >= 0 {
 		for m := 0; m < nm; m++ {
 			b.raw[m] = e.vals[m][c]
 			b.def[m] = e.present[m][c]

@@ -360,7 +360,7 @@ func TestQueryAfterUpdateRows(t *testing.T) {
 	records := SourceRecordsFromWorld(w, panel)
 	a := NewSourceAssessor(records, defaultDI(), nil)
 
-	records2, dirty := UpdateSourceRecordsFromWorld(records, w2, panel2, delta.DirtySourceIDs())
+	records2, dirty := UpdateSourceRecordsFromWorld(records, panel, w2, panel2, delta.DirtySourceIDs())
 	updated := a.UpdateRows(records2, dirty, delta.EpochMoved())
 
 	fresh := NewSourceAssessor(records2, defaultDI(), nil)

@@ -122,9 +122,10 @@ func TestCarriedRecordStatistics(t *testing.T) {
 		for row, r := range prev {
 			before[row] = slices.Clone(r.authors)
 		}
+		prevPanel := panel
 		panel = panel.Refresh(w)
 		var dirty []int
-		records, dirty = UpdateSourceRecordsFromWorld(prev, w, panel, delta.DirtySourceIDs())
+		records, dirty = UpdateSourceRecordsFromWorld(prev, prevPanel, w, panel, delta.DirtySourceIDs())
 		dirtied += len(dirty)
 		want := SourceRecordsFromWorld(w, panel)
 		for row := range records {
@@ -346,4 +347,72 @@ func TestThreadAgeColumnMatchesSub(t *testing.T) {
 	if want, _ := subBreadth(r); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("stale column: breadth %v, Sub gives %v", got, want)
 	}
+}
+
+// TestUpdateSourceRecordsSharing pins the three record paths of
+// UpdateSourceRecordsFromWorld on a same-day round. With the previous
+// panel, only the dirty rows get fresh records. With a panel whose joins
+// moved for clean rows too (rebuilt from another seed), exactly the rows
+// whose join moved get fresh ones. After an epoch move every record is
+// fresh. Each result equals a from-scratch build, and no record of the
+// previous slice is written: sharing a clean record whose join moved, or
+// refreshing one in place, fails it.
+func TestUpdateSourceRecordsSharing(t *testing.T) {
+	w := webgen.Generate(webgen.Config{Seed: 1604, NumSources: 40, NumUsers: 120})
+	panel := analytics.Build(w, 2604)
+	old := SourceRecordsFromWorld(w, panel)
+	nw, delta := webgen.AdvanceSameDay(w, 3604, []int{2, 9, 31})
+	fresh := func(next []*SourceRecord) (n int) {
+		for i := range next {
+			if next[i] != old[i] {
+				n++
+			}
+		}
+		return n
+	}
+	check := func(label string, next []*SourceRecord, npanel *analytics.Panel, nw *webgen.World) {
+		t.Helper()
+		for i, want := range SourceRecordsFromWorld(nw, npanel) {
+			if !reflect.DeepEqual(next[i], want) {
+				t.Fatalf("%s: record %d differs from a rebuild", label, i)
+			}
+		}
+		for i, want := range SourceRecordsFromWorld(w, panel) {
+			if !reflect.DeepEqual(old[i], want) {
+				t.Fatalf("%s: the refresh wrote previous record %d", label, i)
+			}
+		}
+	}
+
+	npanel := panel.Refresh(nw)
+	if npanel != panel {
+		t.Fatal("a same-day tick moved the panel")
+	}
+	next, dirty := UpdateSourceRecordsFromWorld(old, panel, nw, npanel, delta.DirtySourceIDs())
+	if len(dirty) == 0 || fresh(next) != len(dirty) {
+		t.Fatalf("held panel: %d fresh records for %d dirty rows", fresh(next), len(dirty))
+	}
+	check("held panel", next, npanel, nw)
+
+	other := analytics.Build(nw, 9604)
+	moved := 0
+	for i, r := range old {
+		m, _ := other.BySource(r.ID)
+		if !samePanel(panelStat(m), r.Panel) && !slices.Contains(dirty, i) {
+			moved++
+		}
+	}
+	next, _ = UpdateSourceRecordsFromWorld(old, panel, nw, other, delta.DirtySourceIDs())
+	if moved == 0 || fresh(next) != moved+len(dirty) {
+		t.Fatalf("moved panel: %d fresh records, want %d moved joins plus %d dirty rows", fresh(next), moved, len(dirty))
+	}
+	check("moved panel", next, other, nw)
+
+	ew, edelta := webgen.Advance(w, 1, 5604)
+	epanel := panel.Refresh(ew)
+	next, _ = UpdateSourceRecordsFromWorld(old, panel, ew, epanel, edelta.DirtySourceIDs())
+	if fresh(next) != len(old) {
+		t.Fatalf("epoch move: %d of %d records fresh", fresh(next), len(old))
+	}
+	check("epoch move", next, epanel, ew)
 }

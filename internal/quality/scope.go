@@ -20,6 +20,8 @@ import (
 	"maps"
 	"slices"
 	"strings"
+
+	"github.com/informing-observers/informer/internal/shard"
 )
 
 // scopeFact is one interned scope value: a content category, or a source
@@ -97,20 +99,6 @@ func (s *scopeColumn) put(c int, bits []uint64) {
 	}
 	copy(s.row(c), bits)
 	clear(s.row(c)[len(bits):])
-}
-
-// anyBit reports whether row shares a bit with mask; a nil mask is no
-// restriction.
-func anyBit(row, mask []uint64) bool {
-	if mask == nil {
-		return true
-	}
-	for i, m := range mask {
-		if i < len(row) && row[i]&m != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // scopeBuilder derives scope bits for one engine construction or update.
@@ -247,7 +235,7 @@ func (f *scopeFilter[R]) admits(e *matrixEngine[R], r *R, c int, own bool) bool 
 		return f.keep(r)
 	}
 	row := e.scope.row(c)
-	return anyBit(row, f.cats) && anyBit(row, f.kinds) && (f.rest == nil || f.rest(r))
+	return shard.Overlaps(row, f.cats) && shard.Overlaps(row, f.kinds) && (f.rest == nil || f.rest(r))
 }
 
 // sourceScope lists a source's scope facts: its kind and the category of

@@ -85,3 +85,78 @@ func TestScopeColumnGrowth(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterPrunesByScopeBits pins the router's scope-bit unions end to
+// end through SpineStats.Scans: a scoped spine scans only the shards
+// whose union holds one of its categories and one of its kinds, a value
+// never interned scans none, and an update moving a row into a category
+// grows that row's shard union on a copy, so the successor scans the
+// shard and the parent still does not.
+func TestRouterPrunesByScopeBits(t *testing.T) {
+	w := webgen.Generate(webgen.Config{Seed: 943, NumSources: 56})
+	records := SourceRecordsFromWorld(w, analytics.Build(w, 1943))
+	const shards = 7 // eight rows each
+	for i, r := range records {
+		c := *r
+		c.Discussions = slices.Clone(r.Discussions)
+		for j := range c.Discussions {
+			c.Discussions[j].Category = "common"
+			if i < 8 {
+				c.Discussions[j].Category = "first"
+			}
+		}
+		c.Kind = "forum"
+		if i >= 48 {
+			c.Kind = "blog"
+		}
+		records[i] = &c
+	}
+	spine := func(a *SourceAssessor, recs []*SourceRecord, q Query) (scans int64, total int) {
+		t.Helper()
+		before := a.SpineStats().Scans
+		sp, err := a.Spine(recs, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lean, err := a.Query(shallowCopies(recs), q); err != nil || lean.Total != sp.Total() {
+			t.Fatalf("%+v: spine total %d, keep total %v (%v)", q, sp.Total(), lean, err)
+		}
+		return a.SpineStats().Scans - before, sp.Total()
+	}
+	first := Query{Categories: []string{"first"}}
+	a := NewSourceAssessor(records, defaultDI(), &AssessorOptions{Shards: shards})
+	for _, tc := range []struct {
+		q    Query
+		want int64
+	}{
+		{Query{}, shards},
+		{first, 1},
+		{Query{Kinds: []string{"blog"}}, 1},
+		{Query{Categories: []string{"first", "common"}, Kinds: []string{"blog"}}, 1},
+		{Query{Categories: []string{"first"}, Kinds: []string{"blog"}}, 0},
+		{Query{Categories: []string{"never"}}, 0},
+		{Query{IDs: []int{3, 50}}, 2},
+	} {
+		if got, _ := spine(a, records, tc.q); got != tc.want {
+			t.Errorf("%+v scanned %d shards, want %d", tc.q, got, tc.want)
+		}
+	}
+
+	next := slices.Clone(records)
+	row := 3*8 + 2
+	if len(next[row].Discussions) == 0 {
+		t.Fatalf("row %d has no discussion to move", row)
+	}
+	moved := *next[row]
+	moved.Discussions = slices.Clone(moved.Discussions)
+	moved.Discussions[0].Category = "first"
+	next[row] = &moved
+	u := a.UpdateRows(next, []int{row}, false)
+	_, parentTotal := spine(a, records, first)
+	if got, total := spine(u, next, first); got != 2 || total != parentTotal+1 {
+		t.Errorf("after the update %+v scanned %d shards for %d matches, want 2 for %d", first, got, total, parentTotal+1)
+	}
+	if got, _ := spine(a, records, first); got != 1 {
+		t.Errorf("the update grew the parent's union: %+v scanned %d shards", first, got)
+	}
+}

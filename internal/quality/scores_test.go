@@ -39,7 +39,7 @@ func TestScoresMatchAssessBitwise(t *testing.T) {
 	}
 	records := append(SourceRecordsFromWorld(w, panel), &SourceRecord{ID: 9999})
 	emptyRow := len(records) - 1
-	next, dirty := UpdateSourceRecordsFromWorld(records, nw, npanel, delta.DirtySourceIDs())
+	next, dirty := UpdateSourceRecordsFromWorld(records, panel, nw, npanel, delta.DirtySourceIDs())
 
 	check := func(t *testing.T, stage string, a *SourceAssessor, records []*SourceRecord) {
 		t.Helper()

@@ -45,13 +45,14 @@ import (
 // benchLedger is the corpus-global normalisation state of the engine: one
 // column of defined values per measure and the benchmarks read from it.
 // A gathered column — every column at construction, and on update an
-// epoch-moved time-sensitive column or any column under heavy dirt —
-// keeps its gather order (unsorted[m]) and has its benchmarks read by
-// O(n) selection. Sparse dirt repairs a column incrementally instead —
-// batch remove+insert from the dirty rows' old and new values — sorting
-// a copy first if it is still unsorted, so maintaining corpus-global
-// benchmarks never costs a corpus-wide re-evaluation, and a column that
-// is re-gathered every round is never sorted at all.
+// epoch-moved time-sensitive column — keeps its gather order
+// (unsorted[m]) and has its benchmarks read by O(n) selection. Every
+// other update repairs a column incrementally instead — batch
+// remove+insert from the dirty rows' old and new values — sorting a copy
+// first if it is still unsorted, so maintaining corpus-global benchmarks
+// never costs a corpus-wide re-evaluation, a column sorted once stays
+// sorted, and a column that is re-gathered every round is never sorted at
+// all.
 type benchLedger struct {
 	cols       [][]float64
 	unsorted   []bool
@@ -94,26 +95,6 @@ func (c *spineCounters) stats() SpineStats {
 	return SpineStats{Scans: c.scans.Load(), Repairs: c.repairs.Load(), Carries: c.carries.Load(), Columns: c.columns.Load()}
 }
 
-// noteSourceRoute records a source record's routing identity — ID, kind,
-// and the categories it is active in — in its shard's router entry.
-func noteSourceRoute(rt *shard.Router, s int, r *SourceRecord) {
-	rt.Note(s, r.ID, r.Kind)
-	for i := range r.Discussions {
-		rt.NoteCategory(s, r.Discussions[i].Category)
-	}
-}
-
-// noteContributorRoute records a contributor's routing identity.
-// Contributors have no kind; categories come from where they commented.
-func noteContributorRoute(rt *shard.Router, s int, r *ContributorRecord) {
-	rt.Note(s, r.ID, "")
-	for cat, n := range r.CommentsByCategory {
-		if n > 0 {
-			rt.NoteCategory(s, cat)
-		}
-	}
-}
-
 // shardedEngine is the assessment engine over a sharded corpus (one shard
 // when AssessorOptions.Shards is below 2). Records keep their global
 // construction order; shard s owns the contiguous row range
@@ -135,14 +116,13 @@ type shardedEngine[R any] struct {
 	// dict interns the scope facts behind every shard's scope column
 	// (scope.go); the shards share it.
 	dict *scopeDict
-	// col routes a record ID to its global row (nil on one shard, where
-	// there is nothing to route). It is keyed by ID, not pointer, because
-	// it only picks the shard engine that serves a record — the shard's
-	// own pointer-keyed map still decides between matrix read and direct
-	// evaluation, and every shard normalizes against the same global
-	// benchmarks, so routing can never change a result. ID→row never
-	// changes while the corpus keeps its shape, so shape-preserving
-	// updates share the map instead of rebuilding it.
+	// col maps a record ID to its global row: the row whose shard
+	// engine serves the record, from its matrix column when the record is
+	// that engine's record there by pointer (colOf) and by direct
+	// evaluation otherwise. Every shard normalizes against the same global
+	// benchmarks, so the choice never changes a result. ID→row never
+	// changes while the corpus keeps its shape, so it is built once per
+	// shape and every update shares it.
 	col map[int]int
 
 	// Update provenance for spine carry/repair: a from-scratch engine is
@@ -201,22 +181,19 @@ func newShardedEngine[R any](
 	for _, eng := range s.engines {
 		eng.benchmarks = led.benchmarks
 	}
-	// Scope columns, routing metadata and, past one shard, the global
-	// ID→row map.
+	// Scope columns, routing metadata (each shard's IDs and scope-bit
+	// union) and the global ID→row map.
 	sb := newScopeBuilder(nil, kind.scope)
 	rt := shard.NewRouter(ns)
-	if ns > 1 {
-		s.col = make(map[int]int, len(corpus))
-	}
+	s.col = make(map[int]int, len(corpus))
 	for sh := 0; sh < ns; sh++ {
 		lo, hi := s.plan.Bounds(sh)
-		s.engines[sh].scope = sb.column(corpus[lo:hi])
+		sc := sb.column(corpus[lo:hi])
+		s.engines[sh].scope = sc
 		for row := lo; row < hi; row++ {
-			if s.col != nil {
-				id, _ := kind.ident(corpus[row])
-				s.col[id] = row
-			}
-			kind.note(rt, sh, corpus[row])
+			id, _ := kind.ident(corpus[row])
+			s.col[id] = row
+			rt.Note(sh, id, sc.row(row-lo))
 		}
 	}
 	s.router = rt
@@ -277,28 +254,24 @@ func benchmarksEqual(a, b []Benchmark) bool {
 	return true
 }
 
-// resortDenominator bounds the ledger's batch repair: past nRecords /
-// resortDenominator dirty records, re-gathering the whole column and
-// selecting its benchmarks is cheaper than merging the dirty values into
-// it.
-const resortDenominator = 8
-
-// shardOf routes a record to the engine owning its row; off-corpus records
-// fall back to shard 0, whose direct-evaluation path normalizes against
-// the same shared global benchmarks as every other shard.
-func (s *shardedEngine[R]) shardOf(r *R) *matrixEngine[R] {
-	if s.col == nil {
-		return s.engines[0] // one shard
-	}
+// assess routes a record to the engine owning its ID's row; off-corpus
+// records fall back to shard 0, whose direct-evaluation path normalizes
+// against the same shared global benchmarks as every other shard.
+func (s *shardedEngine[R]) assess(r *R) *Assessment {
 	id, _ := s.kind.ident(r)
 	if row, ok := s.col[id]; ok {
-		return s.engines[s.plan.Of(row)]
+		return s.assessRow(r, row, ProjectFull)
 	}
-	return s.engines[0]
+	return s.engines[0].assessProject(r, -1, ProjectFull)
 }
 
-func (s *shardedEngine[R]) assess(r *R) *Assessment {
-	return s.shardOf(r).assess(r)
+// assessRow materializes r on the shard engine owning global row row,
+// from its matrix column when r is the engine's record there.
+func (s *shardedEngine[R]) assessRow(r *R, row int, fields Projection) *Assessment {
+	sh := s.plan.Of(row)
+	lo, _ := s.plan.Bounds(sh)
+	e := s.engines[sh]
+	return e.assessProject(r, e.colOf(r, row-lo), fields)
 }
 
 func (s *shardedEngine[R]) assessAll(records []*R) []*Assessment {
@@ -411,7 +384,7 @@ func (s *shardedEngine[R]) scatter(records []*R, q Query, rq *resolvedQuery, sc 
 	totals = make([]int, ns)
 	parallel.ForEachChunk(ns, s.opts.Workers, func(lo, hi int) {
 		for sh := lo; sh < hi; sh++ {
-			if !s.router.CanMatch(sh, q.IDs, q.Kinds, q.Categories) {
+			if sc != nil && !s.router.CanMatch(sh, q.IDs, sc.kinds, sc.cats) {
 				continue
 			}
 			if onScan != nil {
@@ -506,7 +479,7 @@ func (s *shardedEngine[R]) finishWindow(records []*R, cands []leanCand, start, t
 	parallel.ForEachChunk(len(cands), s.opts.Workers, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			row := cands[j].row
-			items[j] = s.engines[s.plan.Of(row)].assessProject(records[row], q.Fields)
+			items[j] = s.assessRow(records[row], row, q.Fields)
 		}
 	})
 	return windowResult(items, cands, start, total, q)
@@ -560,15 +533,16 @@ func (s *shardedEngine[R]) update(corpus []*R, dirty []int, epochMoved bool) *sh
 	ne.dict = sb.dict
 	// Phase 2: repair the global ledger. Per measure: epoch-moved
 	// time-sensitive columns re-gather wholesale (their values shifted for
-	// every record), and so does heavy dirt; sparse dirt batch-repairs the
-	// retained column from the dirty rows' old and new values.
+	// every record); every other column batch-repairs the retained column
+	// from the dirty rows' old and new values, however many rows are
+	// dirty, so a column sorted once stays sorted.
 	nm := len(s.infos)
 	old := s.ledger
 	led := newBenchLedger(nm)
 	parallel.ForEachChunk(nm, s.opts.Workers, func(mlo, mhi int) {
 		for m := mlo; m < mhi; m++ {
 			switch {
-			case s.infos[m].timeSensitive && epochMoved, len(dirty)*resortDenominator > n:
+			case s.infos[m].timeSensitive && epochMoved:
 				led.cols[m], led.benchmarks[m] = gatherColumn(cur, m, n, s.opts)
 				led.unsorted[m] = true
 			default:
@@ -625,17 +599,19 @@ func (s *shardedEngine[R]) update(corpus []*R, dirty []int, epochMoved bool) *sh
 		lo, hi := s.plan.Bounds(sh)
 		ne.engines[sh] = s.engines[sh].remap(corpus[lo:hi], led.benchmarks)
 	}
-	// Routing metadata: union only the dirty rows' current facts into
-	// copy-on-write set copies; clean shards share the old sets. The sets
-	// grow monotonically — a kind or category a refreshed record dropped
-	// lingers in its shard's set — which is sound (the router is a
-	// may-match filter; stale facts only forfeit pruning opportunities,
+	// Routing metadata: OR only the dirty rows' current scope bits into
+	// copy-on-write copies of their shards' unions; clean shards share the
+	// old ones. A union grows monotonically — a fact a refreshed record
+	// dropped lingers in its shard's union — which is sound (the router is
+	// a may-match filter; stale bits only forfeit pruning opportunities,
 	// never rows) and keeps routing maintenance O(dirty), not O(shard).
 	rt := s.router.Derive(dirtyShards)
 	for _, sh := range dirtyShards {
 		lo, _ := s.plan.Bounds(sh)
+		sc := ne.engines[sh].scope
 		for _, c := range split[sh] {
-			s.kind.note(rt, sh, corpus[lo+c])
+			id, _ := s.kind.ident(corpus[lo+c])
+			rt.Note(sh, id, sc.row(c))
 		}
 	}
 	ne.router = rt

@@ -2,8 +2,8 @@ package quality
 
 // Incremental-vs-rebuild equivalence of the delta-aware assessment path:
 // UpdateRows must produce numbers bit-identical to a from-scratch assessor
-// over the same records — for partial dirt (sorted-column repair), full
-// dirt (threshold re-sort), and pure time advancement (time-sensitive
+// over the same records — for partial dirt and full dirt (both the
+// sorted-column batch repair) and pure time advancement (time-sensitive
 // re-evaluation) — and the pre-advance assessor must keep serving its
 // original snapshot.
 
@@ -48,7 +48,7 @@ func TestUpdateRowsPartialMatchesRebuild(t *testing.T) {
 	oldRecords := SourceRecordsFromWorld(w, panel)
 	base := NewSourceAssessor(oldRecords, di, nil)
 
-	records, dirtyRows := UpdateSourceRecordsFromWorld(oldRecords, nw, npanel, delta.DirtySourceIDs())
+	records, dirtyRows := UpdateSourceRecordsFromWorld(oldRecords, panel, nw, npanel, delta.DirtySourceIDs())
 	if len(dirtyRows) == 0 || len(dirtyRows) == len(records) {
 		t.Fatalf("want partial dirt for this seed, got %d/%d dirty rows", len(dirtyRows), len(records))
 	}
@@ -72,12 +72,12 @@ func TestUpdateRowsAllDirtyMatchesRebuild(t *testing.T) {
 	base := NewSourceAssessor(oldRecords, di, nil)
 
 	// Force the 100%-dirty path regardless of what the tick touched: every
-	// record rebuilt, every row re-evaluated (the threshold re-sort branch).
+	// record rebuilt, every row re-evaluated and batch-repaired.
 	allIDs := make([]int, len(oldRecords))
 	for i, r := range oldRecords {
 		allIDs[i] = r.ID
 	}
-	records, dirtyRows := UpdateSourceRecordsFromWorld(oldRecords, nw, npanel, allIDs)
+	records, dirtyRows := UpdateSourceRecordsFromWorld(oldRecords, panel, nw, npanel, allIDs)
 	if len(dirtyRows) != len(records) {
 		t.Fatalf("dirty rows = %d, want all %d", len(dirtyRows), len(records))
 	}
@@ -107,7 +107,7 @@ func TestUpdateRowsTimeOnly(t *testing.T) {
 	}
 	nw.Config.End = w.Config.End.AddDate(0, 0, 30)
 	npanel := panel.Refresh(nw)
-	records, dirtyRows := UpdateSourceRecordsFromWorld(oldRecords, nw, npanel, nil)
+	records, dirtyRows := UpdateSourceRecordsFromWorld(oldRecords, panel, nw, npanel, nil)
 	if len(dirtyRows) != 0 {
 		t.Fatalf("no source changed, got %d dirty rows", len(dirtyRows))
 	}
@@ -174,7 +174,7 @@ func TestUpdateRowsChained(t *testing.T) {
 		nw, delta := webgen.Advance(w, 4, int64(700+tick))
 		npanel := panel.Refresh(nw)
 		var dirtyRows []int
-		records, dirtyRows = UpdateSourceRecordsFromWorld(records, nw, npanel, delta.DirtySourceIDs())
+		records, dirtyRows = UpdateSourceRecordsFromWorld(records, panel, nw, npanel, delta.DirtySourceIDs())
 		assessor = assessor.UpdateRows(records, dirtyRows, delta.EpochMoved())
 		w, panel = nw, npanel
 	}
@@ -192,7 +192,7 @@ func TestUpdateRowsPreservesReceiver(t *testing.T) {
 	base := NewSourceAssessor(oldRecords, di, nil)
 	before := base.Rank(oldRecords)
 
-	records, dirtyRows := UpdateSourceRecordsFromWorld(oldRecords, nw, npanel, delta.DirtySourceIDs())
+	records, dirtyRows := UpdateSourceRecordsFromWorld(oldRecords, panel, nw, npanel, delta.DirtySourceIDs())
 	base.UpdateRows(records, dirtyRows, delta.EpochMoved())
 
 	rankedEqual(t, base.Rank(oldRecords), before)
@@ -259,7 +259,7 @@ func TestUpdateRowsNaNMeasureMatchesRebuild(t *testing.T) {
 		nw, delta := webgen.AdvanceSameDay(w, int64(5100+round), nanIDs[:3])
 		npanel := panel.Refresh(nw)
 		var dirtyRows []int
-		records, dirtyRows = UpdateSourceRecordsFromWorld(records, nw, npanel, delta.DirtySourceIDs())
+		records, dirtyRows = UpdateSourceRecordsFromWorld(records, panel, nw, npanel, delta.DirtySourceIDs())
 		if len(dirtyRows) == 0 {
 			t.Fatalf("round %d dirtied no source", round)
 		}
@@ -303,8 +303,8 @@ func TestUpdateRowsEpochSameDayChain(t *testing.T) {
 		}
 		npanel := panel.Refresh(nw)
 		var dirtyRows []int
-		records, dirtyRows = UpdateSourceRecordsFromWorld(records, nw, npanel, delta.DirtySourceIDs())
-		if !epoch && (len(dirtyRows) == 0 || len(dirtyRows)*resortDenominator > len(records)) {
+		records, dirtyRows = UpdateSourceRecordsFromWorld(records, panel, nw, npanel, delta.DirtySourceIDs())
+		if !epoch && len(dirtyRows) == 0 {
 			t.Fatalf("step %d: %d dirty rows, want sparse dirt for a batch repair", step, len(dirtyRows))
 		}
 		a = a.UpdateRows(records, dirtyRows, delta.EpochMoved())
@@ -316,4 +316,74 @@ func TestUpdateRowsEpochSameDayChain(t *testing.T) {
 		assertAssessorsEqual(t, a, fresh, records)
 		w, panel = nw, npanel
 	}
+}
+
+// TestUpdateRowsHeavyDirtKeepsColumnsSorted pins the one ledger repair
+// under heavy dirt: a same-day round dirtying far more than an eighth of
+// the rows batch-repairs every column it moves like a sparse round does,
+// so a column a sparse round sorted stays sorted (and ascending), no
+// column is re-gathered, and benchmarks, scores and rankings stay bit for
+// bit those of a rebuild, at one shard and at several.
+func TestUpdateRowsHeavyDirtKeepsColumnsSorted(t *testing.T) {
+	for _, shards := range []int{1, 7} {
+		w := webgen.Generate(webgen.Config{Seed: 515, NumSources: 96, ChurnScale: 4})
+		panel := analytics.Build(w, 1515)
+		di := defaultDI()
+		opts := &AssessorOptions{Shards: shards}
+		records := SourceRecordsFromWorld(w, panel)
+		a := NewSourceAssessor(records, di, opts)
+		for round, only := range [][]int{{0, 1, 2, 3}, nil} {
+			nw, delta := webgen.AdvanceSameDay(w, int64(5500+round), only)
+			npanel := panel.Refresh(nw)
+			var dirtyRows []int
+			records, dirtyRows = UpdateSourceRecordsFromWorld(records, panel, nw, npanel, delta.DirtySourceIDs())
+			heavy := only == nil
+			if heavy && len(dirtyRows)*8 <= len(records) {
+				t.Fatalf("shards %d: the heavy round dirtied %d of %d rows, want more than an eighth", shards, len(dirtyRows), len(records))
+			}
+			if !heavy && len(dirtyRows) == 0 {
+				t.Fatalf("shards %d: the sparse round dirtied no row", shards)
+			}
+			sortedBefore := slices.Clone(a.engine.ledger.unsorted)
+			a = a.UpdateRows(records, dirtyRows, delta.EpochMoved())
+			led := a.engine.ledger
+			sorted := 0
+			for m, unsorted := range led.unsorted {
+				if !sortedBefore[m] && unsorted {
+					t.Fatalf("shards %d round %d: measure %d's sorted column came back unsorted", shards, round, m)
+				}
+				if !unsorted {
+					sorted++
+					if !slices.IsSortedFunc(led.cols[m], func(x, y float64) int {
+						switch {
+						case lessNaNFirstTest(x, y):
+							return -1
+						case lessNaNFirstTest(y, x):
+							return 1
+						}
+						return 0
+					}) {
+						t.Fatalf("shards %d round %d: measure %d's column is flagged sorted but is not", shards, round, m)
+					}
+				}
+			}
+			if heavy && sorted == 0 {
+				t.Fatalf("shards %d: no column was sorted by the rounds; the heavy round went unexercised", shards)
+			}
+			label := fmt.Sprintf("shards %d round %d", shards, round)
+			fresh := NewSourceAssessor(records, di, opts)
+			assertSameBenchmarkBits(t, label, a, fresh)
+			assertAssessorsEqual(t, a, fresh, records)
+			w, panel = nw, npanel
+		}
+	}
+}
+
+// lessNaNFirstTest orders floats as the ledger's sorted columns do: NaN
+// before every number, numbers ascending.
+func lessNaNFirstTest(x, y float64) bool {
+	if math.IsNaN(x) {
+		return !math.IsNaN(y)
+	}
+	return !math.IsNaN(y) && x < y
 }

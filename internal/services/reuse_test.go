@@ -2,7 +2,7 @@ package services
 
 // Satellite pin: at sparse churn Env.Advance re-scores only the dirty rows.
 // When the tick kept the epoch still and the repaired engine's benchmarks
-// are bitwise unchanged, the previous score join is cloned and only dirty
+// are bitwise unchanged, the previous score join is carried and only dirty
 // rows run the score kernel; the result must equal a from-scratch NewEnv
 // over the same world and panel, bit for bit. The test scans a fixed seed
 // range for a sparse tick whose licence engages and whose dirty rows'
@@ -44,25 +44,25 @@ func TestAdvanceCarriesCleanScores(t *testing.T) {
 		fresh := NewEnv(w2, p2, di)
 		moved := false
 		for _, id := range delta.DirtySourceIDs() {
-			moved = moved || fresh.SourceScores[id] != env.SourceScores[id]
+			moved = moved || fresh.scores[id] != env.scores[id]
 		}
 		if !moved {
 			continue // no dirty row's score moved, so a skipped re-score would pass
 		}
 		engaged = true
 
-		if len(ne.SourceScores) != len(fresh.SourceScores) {
-			t.Fatalf("seed %d: %d advanced scores, %d from scratch", seed, len(ne.SourceScores), len(fresh.SourceScores))
+		if len(ne.scores) != len(fresh.scores) {
+			t.Fatalf("seed %d: %d advanced scores, %d from scratch", seed, len(ne.scores), len(fresh.scores))
 		}
-		for id, want := range fresh.SourceScores {
-			got, ok := ne.SourceScores[id]
+		for id, want := range fresh.scores {
+			got, ok := ne.SourceScore(id)
 			if !ok || math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("seed %d: source %d scores %v after Advance, %v from scratch", seed, id, got, want)
 			}
 		}
 		// The previous environment keeps serving its own snapshot.
-		for id, want := range NewEnv(world, panel, di).SourceScores {
-			if got := env.SourceScores[id]; math.Float64bits(got) != math.Float64bits(want) {
+		for id, want := range NewEnv(world, panel, di).scores {
+			if got := env.scores[id]; math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("seed %d: Advance mutated the previous join at source %d", seed, id)
 			}
 		}

@@ -16,7 +16,8 @@ package services
 
 import (
 	"fmt"
-	"maps"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -44,7 +45,6 @@ type Env struct {
 
 	SourceRecords      []*quality.SourceRecord
 	Sources            *quality.SourceAssessor
-	SourceScores       map[int]float64 // source ID -> overall quality score
 	ContributorRecords []*quality.ContributorRecord
 	Contributors       *quality.ContributorAssessor
 	Analyzer           *sentiment.Analyzer
@@ -56,6 +56,20 @@ type Env struct {
 	// contribIx keeps the per-user activity aggregation incremental
 	// across Advance ticks.
 	contribIx *quality.ContributorIndex
+	// scores holds each source's overall quality score, row-aligned with
+	// SourceRecords (SourceScore). Successive environments share it while
+	// no score moves, so it is never written once published.
+	scores []float64
+}
+
+// SourceScore returns the overall quality score of source id, and false
+// when the corpus has no such source. Records are built from the world,
+// where a source's ID is its row.
+func (env *Env) SourceScore(id int) (float64, bool) {
+	if id < 0 || id >= len(env.scores) {
+		return 0, false
+	}
+	return env.scores[id], true
 }
 
 // NewEnv assesses the world once and returns the shared environment.
@@ -91,7 +105,7 @@ func NewEnvCorrelated(world *webgen.World, panel *analytics.Panel, di quality.Do
 		}
 	}
 	env.Sources = quality.NewSourceAssessor(env.SourceRecords, di, opts)
-	env.SourceScores = scoreMap(env.SourceRecords, env.Sources.Scores())
+	env.scores = env.Sources.Scores()
 	env.contribIx = quality.NewContributorIndex(world)
 	env.ContributorRecords = env.contribIx.Records()
 	env.Contributors = quality.NewContributorAssessor(env.ContributorRecords, di, opts)
@@ -100,11 +114,15 @@ func NewEnvCorrelated(world *webgen.World, panel *analytics.Panel, di quality.Do
 
 // Advance derives the environment of an incrementally advanced world: the
 // records of the delta's dirty sources and contributors are rebuilt or
-// additively updated, the assessors repair their measure matrices via
+// additively updated while clean records whose inputs held are shared
+// with the receiver, the assessors repair their measure matrices via
 // UpdateRows instead of re-evaluating the corpus, and the source-score
 // join is re-read from the updated assessor's score kernel: only the dirty
 // rows when the epoch held still and the benchmarks came out bitwise
-// unchanged, every row otherwise. The delta may span several
+// unchanged, every row otherwise. A round that holds the panel (Refresh
+// returned the receiver's panel), the observation instant and
+// MaxOpenDiscussions therefore costs its dirty rows, not the corpus. The
+// delta may span several
 // coalesced ticks (webgen.Delta.Merge) — dirty sets union and the epoch
 // flag composes, so one repair over the spanning delta equals repairing
 // each tick in turn. Every derived number is bit-identical to NewEnv over
@@ -118,7 +136,7 @@ func (env *Env) Advance(world *webgen.World, panel *analytics.Panel, delta *webg
 		Analyzer:    env.Analyzer,
 		Correlation: env.Correlation,
 	}
-	records, dirtyRows := quality.UpdateSourceRecordsFromWorld(env.SourceRecords, world, panel, delta.DirtySourceIDs())
+	records, dirtyRows := quality.UpdateSourceRecordsFromWorld(env.SourceRecords, env.Panel, world, panel, delta.DirtySourceIDs())
 	ne.SourceRecords = records
 	if env.Correlation != nil {
 		// Correlation counters only move for sources the tick dirtied
@@ -140,31 +158,31 @@ func (env *Env) Advance(world *webgen.World, panel *analytics.Panel, delta *webg
 	}
 	ne.Sources = env.Sources.UpdateRows(records, dirtyRows, srcReEval)
 	// Score join. When the epoch held still and the repaired benchmarks
-	// are bitwise unchanged, a clean row's score cannot have moved, so the
-	// previous join is cloned and only dirty rows re-score. Any doubt
-	// (epoch moved, benchmarks shifted, row count changed) re-scores all.
-	if !srcReEval && len(env.SourceScores) == len(records) && ne.Sources.BenchmarksEqual(env.Sources) {
-		ne.SourceScores = maps.Clone(env.SourceScores)
+	// are bitwise unchanged, a clean row's score cannot have moved, so
+	// only dirty rows re-score: the previous slice is shared when none of
+	// them moved and cloned before the first that did. Any doubt (epoch
+	// moved, benchmarks shifted, row count changed) re-scores all.
+	if !srcReEval && len(env.scores) == len(records) && ne.Sources.BenchmarksEqual(env.Sources) {
+		ne.scores = env.scores
+		owned := false
 		for _, row := range dirtyRows {
-			ne.SourceScores[records[row].ID] = ne.Sources.ScoreAt(row)
+			v := ne.Sources.ScoreAt(row)
+			if math.Float64bits(v) == math.Float64bits(ne.scores[row]) {
+				continue
+			}
+			if !owned {
+				ne.scores, owned = slices.Clone(env.scores), true
+			}
+			ne.scores[row] = v
 		}
 	} else {
-		ne.SourceScores = scoreMap(records, ne.Sources.Scores())
+		ne.scores = ne.Sources.Scores()
 	}
 	ix, contribDirty := env.contribIx.Apply(world, delta)
 	ne.contribIx = ix
 	ne.ContributorRecords = ix.Records()
 	ne.Contributors = env.Contributors.UpdateRows(ne.ContributorRecords, contribDirty, delta.EpochMoved())
 	return ne
-}
-
-// scoreMap keys row-aligned scores by source ID.
-func scoreMap(records []*quality.SourceRecord, scores []float64) map[int]float64 {
-	out := make(map[int]float64, len(records))
-	for row, r := range records {
-		out[r.ID] = scores[row]
-	}
-	return out
 }
 
 // Register adds all domain component types to the registry.
@@ -200,6 +218,7 @@ func commentItem(env *Env, src *webgen.Source, d *webgen.Discussion, c *webgen.C
 	if u := env.World.User(c.UserID); u != nil {
 		authorName = u.Name
 	}
+	score, _ := env.SourceScore(src.ID)
 	it := mashup.Item{
 		"source_id": src.ID,
 		"source":    src.Name,
@@ -212,7 +231,7 @@ func commentItem(env *Env, src *webgen.Source, d *webgen.Discussion, c *webgen.C
 		"posted":    c.Posted,
 		"replies":   c.Replies,
 		"feedbacks": c.Feedbacks,
-		"quality":   env.SourceScores[src.ID],
+		"quality":   score,
 	}
 	if c.Geo != nil {
 		it["lat"] = c.Geo.Lat
@@ -386,7 +405,7 @@ func (f *qualityFilter) Process(_ *mashup.Context, in mashup.Inputs) (mashup.Out
 	var out []mashup.Item
 	for _, it := range in.All() {
 		if sid, ok := it.Float("source_id"); ok {
-			if _, inCorpus := f.env.SourceScores[int(sid)]; inCorpus {
+			if _, inCorpus := f.env.SourceScore(int(sid)); inCorpus {
 				if f.pass[int(sid)] {
 					out = append(out, it)
 				}
@@ -555,7 +574,7 @@ func (s *sentimentService) Process(_ *mashup.Context, in mashup.Inputs) (mashup.
 		for sid, c := range byCatSource[cat] {
 			qual := 1.0
 			if s.weighByQuality {
-				if q, ok := s.env.SourceScores[sid]; ok {
+				if q, ok := s.env.SourceScore(sid); ok {
 					qual = q
 				}
 			}

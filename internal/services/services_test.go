@@ -25,10 +25,10 @@ func testEnv(t *testing.T) *Env {
 
 func TestNewEnvAssessesEverything(t *testing.T) {
 	env := testEnv(t)
-	if len(env.SourceScores) != 40 {
-		t.Fatalf("source scores = %d", len(env.SourceScores))
+	if len(env.scores) != 40 {
+		t.Fatalf("source scores = %d", len(env.scores))
 	}
-	for id, s := range env.SourceScores {
+	for id, s := range env.scores {
 		if s < 0 || s > 1 {
 			t.Errorf("source %d score %v out of range", id, s)
 		}
@@ -86,13 +86,13 @@ func TestCommentSourceTopSources(t *testing.T) {
 	}
 	// The selected sources must be the globally best-scoring ones.
 	var best []int
-	for id := range env.SourceScores {
+	for id := range env.scores {
 		best = append(best, id)
 	}
 	// Find the maximum score among non-selected; must not exceed the
 	// minimum among selected.
 	minSel, maxUnsel := 2.0, -1.0
-	for id, s := range env.SourceScores {
+	for id, s := range env.scores {
 		if seen[id] {
 			if s < minSel {
 				minSel = s

@@ -1,7 +1,7 @@
 // Package shard coordinates the partitioned corpus: it plans contiguous
 // record-range shards, splits delta row sets per shard, k-way-merges the
 // per-shard ranked candidate lists of a scatter-gather query, and keeps the
-// routing metadata (source-ID ranges, kind and category sets) that lets a
+// routing metadata (record-ID ranges and scope-bit unions) that lets a
 // scoped query skip shards which provably cannot match.
 //
 // The package is deliberately engine-agnostic: it knows nothing about
@@ -141,17 +141,17 @@ func MergeK[T any](lists [][]T, less func(a, b T) bool, limit int) []T {
 }
 
 // Router is the per-shard routing metadata of a sharded corpus: the record
-// ID range plus the kind and content-category sets present in each shard.
-// CanMatch prunes shards that provably contain no record matching a query
-// scope. Sets are conservative supersets — updates only ever union new
-// values in — so a stale entry can cost a wasted scan but never a wrong
-// answer. A Router is immutable once published; Derive copies the shards a
-// tick is about to touch so concurrent readers of the previous round are
-// never disturbed.
+// ID range of each shard plus the union of its records' scope bits — a
+// bitset over facts the engine interns, such as a content category or a
+// source kind. CanMatch prunes shards that provably contain no record
+// matching a query scope. A union is a conservative superset — updates
+// only ever OR new bits in — so a stale bit can cost a wasted scan but
+// never a wrong answer. A Router is immutable once published; Derive
+// copies the shards a tick is about to touch so concurrent readers of the
+// previous round are never disturbed.
 type Router struct {
 	minID, maxID []int
-	kinds        []map[string]bool
-	cats         []map[string]bool
+	scope        [][]uint64
 }
 
 // NewRouter returns an empty router for the given shard count.
@@ -159,8 +159,7 @@ func NewRouter(shards int) *Router {
 	rt := &Router{
 		minID: make([]int, shards),
 		maxID: make([]int, shards),
-		kinds: make([]map[string]bool, shards),
-		cats:  make([]map[string]bool, shards),
+		scope: make([][]uint64, shards),
 	}
 	for s := range rt.minID {
 		rt.minID[s], rt.maxID[s] = -1, -1
@@ -171,68 +170,51 @@ func NewRouter(shards int) *Router {
 // Shards returns the router's shard count.
 func (rt *Router) Shards() int { return len(rt.minID) }
 
-// Note records one record's identity in shard s's metadata.
-func (rt *Router) Note(s, id int, kind string) {
+// Note records one record's identity in shard s's metadata: its ID and
+// its scope bits, ORed into the shard's union.
+func (rt *Router) Note(s, id int, bits []uint64) {
 	if rt.minID[s] < 0 || id < rt.minID[s] {
 		rt.minID[s] = id
 	}
 	if id > rt.maxID[s] {
 		rt.maxID[s] = id
 	}
-	if kind != "" {
-		if rt.kinds[s] == nil {
-			rt.kinds[s] = make(map[string]bool, 4)
-		}
-		rt.kinds[s][kind] = true
+	u := rt.scope[s]
+	for len(u) < len(bits) {
+		u = append(u, 0)
 	}
+	for i, b := range bits {
+		u[i] |= b
+	}
+	rt.scope[s] = u
 }
 
-// NoteCategory records one content category in shard s's metadata.
-func (rt *Router) NoteCategory(s int, cat string) {
-	if rt.cats[s] == nil {
-		rt.cats[s] = make(map[string]bool, 8)
-	}
-	rt.cats[s][cat] = true
-}
-
-// Derive returns a router sharing every untouched shard's sets with the
+// Derive returns a router sharing every untouched shard's union with the
 // receiver but owning fresh copies for the listed shards, so a tick can
-// union new metadata into them while readers of the previous round keep
-// using the receiver.
+// OR new bits into them while readers of the previous round keep using
+// the receiver.
 func (rt *Router) Derive(dirtyShards []int) *Router {
 	n := rt.Shards()
 	nr := &Router{
 		minID: append([]int(nil), rt.minID...),
 		maxID: append([]int(nil), rt.maxID...),
-		kinds: append([]map[string]bool(nil), rt.kinds...),
-		cats:  append([]map[string]bool(nil), rt.cats...),
+		scope: append([][]uint64(nil), rt.scope...),
 	}
 	for _, s := range dirtyShards {
 		if s < 0 || s >= n {
 			continue
 		}
-		nr.kinds[s] = copySet(rt.kinds[s])
-		nr.cats[s] = copySet(rt.cats[s])
+		nr.scope[s] = append([]uint64(nil), rt.scope[s]...)
 	}
 	return nr
 }
 
-func copySet(m map[string]bool) map[string]bool {
-	if m == nil {
-		return nil
-	}
-	c := make(map[string]bool, len(m))
-	for k := range m {
-		c[k] = true
-	}
-	return c
-}
-
 // CanMatch reports whether shard s could hold a record matching the scope:
-// at least one requested ID inside the shard's ID range, at least one
-// requested kind in its kind set, and at least one requested category in
-// its category set (empty slices mean "no restriction" and never prune).
-func (rt *Router) CanMatch(s int, ids []int, kinds, cats []string) bool {
+// at least one requested ID inside the shard's ID range, and for each
+// mask at least one of its bits in the shard's union. An empty ID list
+// and a nil mask mean "no restriction" and never prune; a mask with no
+// bit set matches nothing.
+func (rt *Router) CanMatch(s int, ids []int, masks ...[]uint64) bool {
 	if len(ids) > 0 {
 		if rt.minID[s] < 0 {
 			return false // empty shard
@@ -248,29 +230,24 @@ func (rt *Router) CanMatch(s int, ids []int, kinds, cats []string) bool {
 			return false
 		}
 	}
-	if len(kinds) > 0 {
-		hit := false
-		for _, k := range kinds {
-			if rt.kinds[s][k] {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			return false
-		}
-	}
-	if len(cats) > 0 {
-		hit := false
-		for _, c := range cats {
-			if rt.cats[s][c] {
-				hit = true
-				break
-			}
-		}
-		if !hit {
+	for _, m := range masks {
+		if !Overlaps(rt.scope[s], m) {
 			return false
 		}
 	}
 	return true
+}
+
+// Overlaps reports whether bitset row shares a bit with mask (words past
+// the end of either count as zero); a nil mask is no restriction.
+func Overlaps(row, mask []uint64) bool {
+	if mask == nil {
+		return true
+	}
+	for i, m := range mask {
+		if i < len(row) && row[i]&m != 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -137,36 +137,58 @@ func TestMergeKAgainstSort(t *testing.T) {
 	}
 }
 
+// Scope bits of the router tests: two kinds and three categories.
+const (
+	bitBlog = iota
+	bitForum
+	bitFood
+	bitTravel
+	bitSports
+)
+
+// bits sets the given bit positions.
+func bits(pos ...int) []uint64 {
+	var b []uint64
+	for _, p := range pos {
+		for len(b) <= p/64 {
+			b = append(b, 0)
+		}
+		b[p/64] |= 1 << (p % 64)
+	}
+	return b
+}
+
 func TestRouterPruningSound(t *testing.T) {
 	rt := NewRouter(3)
 	// Shard 0: ids 1-3, blogs about food. Shard 1: ids 10-20, forums about
 	// travel and food. Shard 2: left empty.
-	rt.Note(0, 1, "blog")
-	rt.Note(0, 3, "blog")
-	rt.NoteCategory(0, "food")
-	rt.Note(1, 10, "forum")
-	rt.Note(1, 20, "forum")
-	rt.NoteCategory(1, "travel")
-	rt.NoteCategory(1, "food")
+	rt.Note(0, 1, bits(bitBlog, bitFood))
+	rt.Note(0, 3, bits(bitBlog))
+	rt.Note(1, 10, bits(bitForum, bitTravel))
+	rt.Note(1, 20, bits(bitForum, bitFood))
 
+	none := []uint64{0} // a mask whose values were never interned
 	for _, tc := range []struct {
 		s     int
 		ids   []int
-		kinds []string
-		cats  []string
+		kinds []uint64
+		cats  []uint64
 		want  bool
 	}{
-		{0, nil, nil, nil, true},                // no restriction never prunes
-		{2, nil, nil, nil, true},                // even on an empty shard
-		{0, []int{2}, nil, nil, true},           // in range (supersets may admit absent ids)
-		{0, []int{7}, nil, nil, false},          // outside the id range
-		{2, []int{1}, nil, nil, false},          // empty shard + id scope
-		{0, nil, []string{"forum"}, nil, false}, // kind not present
-		{1, nil, []string{"forum", "blog"}, nil, true},
-		{0, nil, nil, []string{"travel"}, false}, // category not present
-		{1, nil, nil, []string{"travel"}, true},
-		{1, []int{15}, []string{"forum"}, []string{"food"}, true},
-		{1, []int{15}, []string{"forum"}, []string{"sports"}, false}, // one failing axis prunes
+		{0, nil, nil, nil, true},             // no restriction never prunes
+		{2, nil, nil, nil, true},             // even on an empty shard
+		{0, []int{2}, nil, nil, true},        // in range (supersets may admit absent ids)
+		{0, []int{7}, nil, nil, false},       // outside the id range
+		{2, []int{1}, nil, nil, false},       // empty shard + id scope
+		{0, nil, bits(bitForum), nil, false}, // kind not present
+		{1, nil, bits(bitForum, bitBlog), nil, true},
+		{0, nil, nil, bits(bitTravel), false}, // category not present
+		{1, nil, nil, bits(bitTravel), true},
+		{1, []int{15}, bits(bitForum), bits(bitFood), true},
+		{1, []int{15}, bits(bitForum), bits(bitSports), false}, // one failing axis prunes
+		{1, nil, none, nil, false},                             // an uninterned value matches nothing
+		{0, nil, nil, bits(bitFood, 70), true},                 // a mask wider than the union
+		{0, nil, nil, bits(70), false},
 	} {
 		if got := rt.CanMatch(tc.s, tc.ids, tc.kinds, tc.cats); got != tc.want {
 			t.Errorf("CanMatch(%d, %v, %v, %v) = %v, want %v", tc.s, tc.ids, tc.kinds, tc.cats, got, tc.want)
@@ -176,26 +198,32 @@ func TestRouterPruningSound(t *testing.T) {
 
 func TestRouterDeriveIsolation(t *testing.T) {
 	rt := NewRouter(2)
-	rt.Note(0, 5, "blog")
-	rt.NoteCategory(0, "food")
-	rt.Note(1, 9, "forum")
+	rt.Note(0, 5, bits(bitBlog, bitFood))
+	rt.Note(1, 9, bits(bitForum))
 
 	nr := rt.Derive([]int{0})
-	nr.Note(0, 50, "microblog")
-	nr.NoteCategory(0, "travel")
+	nr.Note(0, 50, bits(bitTravel))
+	nr.Note(0, 50, bits(bitSports, 70)) // grows the union past one word
 
-	// The parent's shard-0 sets are untouched by the derived router's unions.
-	if rt.CanMatch(0, nil, []string{"microblog"}, nil) {
+	// The parent's shard-0 union is untouched by the derived router's ORs.
+	if rt.CanMatch(0, nil, bits(bitSports)) || rt.CanMatch(0, nil, bits(70)) {
 		t.Fatal("Derive leaked a kind union into the parent router")
 	}
-	if rt.CanMatch(0, nil, nil, []string{"travel"}) {
+	if rt.CanMatch(0, nil, nil, bits(bitTravel)) {
 		t.Fatal("Derive leaked a category union into the parent router")
 	}
-	if !nr.CanMatch(0, []int{50}, []string{"microblog"}, []string{"travel"}) {
+	if rt.CanMatch(0, []int{50}) {
+		t.Fatal("Derive leaked an ID range into the parent router")
+	}
+	if !nr.CanMatch(0, []int{50}, bits(bitSports), bits(bitTravel)) || !nr.CanMatch(0, nil, bits(70)) {
 		t.Fatal("derived router lost its own unions")
 	}
+	// The union only grows: bits noted before the derivation stay.
+	if !nr.CanMatch(0, nil, bits(bitBlog), bits(bitFood)) {
+		t.Fatal("derived router dropped a bit of the parent's union")
+	}
 	// Untouched shard 1 is shared and still answers identically.
-	if !nr.CanMatch(1, []int{9}, []string{"forum"}, nil) {
+	if !nr.CanMatch(1, []int{9}, bits(bitForum), nil) {
 		t.Fatal("derived router lost the clean shard's metadata")
 	}
 }

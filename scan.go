@@ -185,9 +185,10 @@ func (st *assessState) sentimentByCategory() map[string]sentiment.Indicator {
 			entries := make([]sentiment.SourceSentiment, 0, len(bySource))
 			total := 0
 			for sid, cl := range bySource {
+				score, _ := st.env.SourceScore(sid)
 				entries = append(entries, sentiment.SourceSentiment{
 					SourceID: sid,
-					Quality:  st.env.SourceScores[sid],
+					Quality:  score,
 					Mean:     cl.sum / float64(cl.n),
 					N:        cl.n,
 				})
