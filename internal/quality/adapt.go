@@ -112,15 +112,22 @@ func appendCommentStats(dst []CommentStat, cs []*webgen.Comment) []CommentStat {
 // copy-on-write throughout:
 //   - a discussion with no new comment shares old's stat and its Comments;
 //   - a grown one gets a fresh, exactly sized Comments slice holding old's
-//     stats followed by the new ones;
-//   - a new discussion is appended, and so is its opening instant, to a
-//     copy of old's opened column;
+//     stats followed by the new ones, and its count in a copy of old's
+//     comment-count column;
+//   - a new discussion is appended, and so are its opening instant and
+//     comment count, to copies of old's columns;
 //   - an author already in old's set costs a binary search; the rest merge
 //     into a copy.
 //
 // The result equals buildDiscussionStats plus IndexDiscussions over s, and
-// old is never written.
+// old is never written. An old record whose statistics do not cover its
+// discussions (assembled by hand) is rebuilt that way instead.
 func (r *SourceRecord) extendIndex(old *SourceRecord, s *webgen.Source) {
+	if !old.indexed() {
+		r.Discussions = buildDiscussionStats(s)
+		r.IndexDiscussions()
+		return
+	}
 	r.Discussions = make([]DiscussionStat, len(s.Discussions))
 	r.open = old.open
 	r.opened = old.opened
@@ -128,6 +135,13 @@ func (r *SourceRecord) extendIndex(old *SourceRecord, s *webgen.Source) {
 		r.opened = nil // old's column is void; so is any extension of it
 	} else if len(s.Discussions) > len(old.Discussions) {
 		r.opened = slices.Grow(slices.Clip(old.opened), len(s.Discussions)-len(old.Discussions))
+	}
+	r.comments = old.comments
+	owned := false
+	ownComments := func() {
+		if !owned {
+			r.comments, owned = append(make([]int32, 0, len(s.Discussions)), old.comments...), true
+		}
 	}
 	var novel []int32
 	for i, d := range s.Discussions {
@@ -143,6 +157,8 @@ func (r *SourceRecord) extendIndex(old *SourceRecord, s *webgen.Source) {
 			copy(cs, od.Comments)
 			r.Discussions[i] = *od
 			r.Discussions[i].Comments = appendCommentStats(cs, d.Comments[from:])
+			ownComments()
+			r.comments[i] = int32(len(d.Comments))
 		} else {
 			r.Discussions[i] = discussionStat(d)
 			if d.Open {
@@ -152,6 +168,8 @@ func (r *SourceRecord) extendIndex(old *SourceRecord, s *webgen.Source) {
 			if len(d.Comments) > 0 {
 				r.Discussions[i].Comments = appendCommentStats(make([]CommentStat, 0, len(d.Comments)), d.Comments)
 			}
+			ownComments()
+			r.comments = append(r.comments, int32(len(d.Comments)))
 		}
 		for _, c := range d.Comments[from:] {
 			if _, known := slices.BinarySearch(old.authors, int32(c.UserID)); !known {
@@ -316,9 +334,11 @@ func ContributorRecordsFromWorld(w *webgen.World) []*ContributorRecord {
 // sharing every clean record and set.
 type ContributorIndex struct {
 	records []*ContributorRecord
-	// touched[u] is user row u's ascending set of the discussion IDs it
-	// commented in, kept like a source record's author set.
-	touched [][]int32
+	// touched.row(u)[0] is user row u's ascending set of the discussion
+	// IDs it commented in, kept like a source record's author set, in
+	// copy-on-write blocks so that Apply copies the blocks of its dirty
+	// users only.
+	touched rowBlocks[[]int32]
 }
 
 // NewContributorIndex walks the world once and builds the index.
@@ -333,6 +353,7 @@ func NewContributorIndex(w *webgen.World) *ContributorIndex {
 			ObservedAt:         w.Config.End,
 			Spammer:            u.Spammer,
 		}
+		recs[i].carryJoined()
 	}
 	touched := make([][]int32, len(w.Users))
 	for _, s := range w.Sources {
@@ -358,7 +379,7 @@ func NewContributorIndex(w *webgen.World) *ContributorIndex {
 		touched[uid] = mergeSorted(nil, slices.Compact(ids))
 		recs[uid].DiscussionsTouched = len(touched[uid])
 	}
-	return &ContributorIndex{records: recs, touched: touched}
+	return &ContributorIndex{records: recs, touched: blocksOf(touched, 1)}
 }
 
 // Records exposes the contributor records, ordered by user ID.
@@ -371,15 +392,16 @@ func (ix *ContributorIndex) Records() []*ContributorRecord { return ix.records }
 // contributor — a new discussion's opener included, comment or not — gets
 // a fresh copy with its counters and category map updated. A touched set
 // grows by the discussions its old set lacks, found by binary search and
-// merged into a copy. Results are bit-identical to NewContributorIndex
-// over the advanced world; the returned dirty rows feed
-// Assessor.UpdateRows; no record of the receiver is written.
+// merged into a copy, in a copy of its block of sets. Results are
+// bit-identical to NewContributorIndex over the advanced world; the
+// returned dirty rows feed Assessor.UpdateRows; no record or set of the
+// receiver is written.
 func (ix *ContributorIndex) Apply(w *webgen.World, delta *webgen.Delta) (*ContributorIndex, []int) {
 	dirtyIDs := delta.DirtyContributorIDs()
 	obs := w.Config.End
 	nix := &ContributorIndex{
 		records: slices.Clone(ix.records),
-		touched: slices.Clone(ix.touched),
+		touched: ix.touched.derive(),
 	}
 	if len(ix.records) > 0 && ix.records[0].ObservedAt != obs {
 		slab := make([]ContributorRecord, len(ix.records)) // one allocation for every copy
@@ -424,7 +446,7 @@ func (ix *ContributorIndex) Apply(w *webgen.World, delta *webgen.Delta) (*Contri
 		r.FeedbacksReceived += c.Feedbacks
 		r.ReadsReceived += c.Reads
 		r.TagCount += len(c.Tags)
-		if _, known := slices.BinarySearch(ix.touched[c.UserID], int32(d.ID)); !known {
+		if _, known := slices.BinarySearch(ix.touched.row(c.UserID)[0], int32(d.ID)); !known {
 			novel = append(novel, int64(c.UserID)<<32|int64(uint32(d.ID)))
 		}
 	})
@@ -437,8 +459,9 @@ func (ix *ContributorIndex) Apply(w *webgen.World, delta *webgen.Delta) (*Contri
 		for ; i < len(novel) && int(novel[i]>>32) == uid; i++ {
 			ids = append(ids, int32(novel[i]))
 		}
-		nix.touched[uid] = mergeSorted(ix.touched[uid], ids)
-		nix.records[uid].DiscussionsTouched = len(nix.touched[uid])
+		set := mergeSorted(ix.touched.row(uid)[0], ids)
+		nix.touched.own(ix.touched, uid)[0] = set
+		nix.records[uid].DiscussionsTouched = len(set)
 	}
 	return nix, dirtyRows
 }
@@ -449,7 +472,7 @@ func (ix *ContributorIndex) Apply(w *webgen.World, delta *webgen.Delta) (*Contri
 func ContributorRecordsFromSocial(ds *social.Dataset, observedAt time.Time) []*ContributorRecord {
 	recs := make([]*ContributorRecord, 0, len(ds.Accounts))
 	for _, a := range ds.Accounts {
-		recs = append(recs, &ContributorRecord{
+		r := &ContributorRecord{
 			ID:                 a.ID,
 			Name:               a.Handle,
 			Joined:             a.Joined,
@@ -460,7 +483,9 @@ func ContributorRecordsFromSocial(ds *social.Dataset, observedAt time.Time) []*C
 			RepliesReceived:    a.MentionsReceived,
 			FeedbacksReceived:  a.RetweetsReceived,
 			ObservedAt:         observedAt,
-		})
+		}
+		r.carryJoined()
+		recs = append(recs, r)
 	}
 	return recs
 }

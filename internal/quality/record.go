@@ -67,16 +67,18 @@ type SourceRecord struct {
 	DuplicateComments  int
 
 	// authors is the ascending set of distinct comment authors, open the
-	// number of open discussions and opened each discussion's opening
-	// instant in Unix nanoseconds: statistics carried with the record so
-	// that a measure reads them instead of re-deriving them from every
-	// comment or time.Time. IndexDiscussions derives them;
+	// number of open discussions, opened each discussion's opening
+	// instant in Unix nanoseconds and comments each discussion's comment
+	// count: statistics carried with the record so that a measure reads
+	// them instead of re-deriving them from every comment or time.Time.
+	// IndexDiscussions derives them;
 	// UpdateSourceRecordsFromWorld extends a dirty row's copies with its
 	// new discussions and comments. opened is nil when some opening
 	// instant lies outside the range ageNanos accepts.
-	authors []int32
-	open    int
-	opened  []int64
+	authors  []int32
+	open     int
+	opened   []int64
+	comments []int32
 }
 
 // IndexDiscussions derives the statistics the record carries — its
@@ -87,11 +89,13 @@ func (r *SourceRecord) IndexDiscussions() {
 	ids := make([]int32, 0, r.TotalComments())
 	r.open = 0
 	r.opened = make([]int64, 0, len(r.Discussions))
+	r.comments = make([]int32, 0, len(r.Discussions))
 	for _, d := range r.Discussions {
 		if d.Open {
 			r.open++
 		}
 		r.opened = appendOpened(r.opened, d.Opened)
+		r.comments = append(r.comments, int32(len(d.Comments)))
 		for _, c := range d.Comments {
 			ids = append(ids, int32(c.AuthorID))
 		}
@@ -101,6 +105,11 @@ func (r *SourceRecord) IndexDiscussions() {
 	// per-comment buffer alive.
 	r.authors = mergeSorted(nil, slices.Compact(ids))
 }
+
+// indexed reports whether the carried per-discussion statistics cover
+// every discussion, as they do once IndexDiscussions ran and until
+// Discussions is replaced by hand.
+func (r *SourceRecord) indexed() bool { return len(r.comments) == len(r.Discussions) }
 
 // appendOpened extends an opening-instant column with t; the column turns
 // nil for good once one instant is out of ageNanos' range.
@@ -144,14 +153,11 @@ func (r *SourceRecord) ageClock() (obsNs int64, ok bool) {
 	return ageNanos(r.ObservedAt)
 }
 
-// threadAgeDays is the age of discussion i at ObservedAt in days, read from
-// the opened column when ageClock allowed it (fast) — bitwise the same
-// Duration either way, hence the same float.
-func (r *SourceRecord) threadAgeDays(i int, obsNs int64, fast bool) float64 {
-	if fast {
-		return time.Duration(obsNs-r.opened[i]).Hours() / 24
-	}
-	return r.ObservedAt.Sub(r.Discussions[i].Opened).Hours() / 24
+// ageDays is the age in days of a thread opened at openedNs, at the
+// instant obsNs ageClock returned: bitwise what ObservedAt.Sub(Opened)
+// gives, hence the same float.
+func ageDays(obsNs, openedNs int64) float64 {
+	return time.Duration(obsNs-openedNs).Hours() / 24
 }
 
 // mergeSorted returns the union of two disjoint ascending ID sets — a
@@ -216,6 +222,30 @@ type ContributorRecord struct {
 	// Spammer is ground truth carried through for robustness experiments
 	// only; no measure reads it.
 	Spammer bool
+
+	// clocked reports that joinedNs holds Joined in Unix nanoseconds, in
+	// the range ageNanos accepts: the record constructors carry it so
+	// that AgeDays reads an integer instead of calling time.Time.Sub. A
+	// record assembled by hand leaves it unset and ages through Sub.
+	clocked  bool
+	joinedNs int64
+}
+
+// carryJoined sets the carried join instant from Joined. Every record
+// constructor calls it once Joined is final.
+func (r *ContributorRecord) carryJoined() {
+	r.joinedNs, r.clocked = ageNanos(r.Joined)
+}
+
+// ageClock returns ObservedAt in Unix nanoseconds when the carried join
+// instant can stand in for ObservedAt.Sub(Joined): it was carried, and
+// ObservedAt is in the safe range with no monotonic clock reading — the
+// guard SourceRecord.ageClock applies to thread ages.
+func (r *ContributorRecord) ageClock() (obsNs int64, ok bool) {
+	if !r.clocked || r.ObservedAt != r.ObservedAt.Round(0) {
+		return 0, false
+	}
+	return ageNanos(r.ObservedAt)
 }
 
 // TotalComments sums CommentsByCategory.
@@ -232,7 +262,12 @@ func (r *ContributorRecord) AgeDays() float64 {
 	if r.Joined.IsZero() || r.ObservedAt.IsZero() {
 		return 0
 	}
-	d := r.ObservedAt.Sub(r.Joined).Hours() / 24
+	var d float64
+	if obsNs, ok := r.ageClock(); ok {
+		d = ageDays(obsNs, r.joinedNs)
+	} else {
+		d = r.ObservedAt.Sub(r.Joined).Hours() / 24
+	}
 	if d < 0 {
 		return 0
 	}

@@ -82,6 +82,16 @@ func scanRecordStats(r *SourceRecord) ([]int32, int) {
 	return ids, open
 }
 
+// scanCommentCounts is the reference for a record's carried comment-count
+// column.
+func scanCommentCounts(r *SourceRecord) []int32 {
+	comments := []int32{}
+	for _, d := range r.Discussions {
+		comments = append(comments, int32(len(d.Comments)))
+	}
+	return comments
+}
+
 func checkRecordStats(t *testing.T, step string, got, want *SourceRecord) {
 	t.Helper()
 	ids, open := scanRecordStats(want)
@@ -93,9 +103,15 @@ func checkRecordStats(t *testing.T, step string, got, want *SourceRecord) {
 		t.Fatalf("%s: source %d carries %v / %d open, want %v / %d",
 			step, got.ID, got.authors, got.open, want.authors, want.open)
 	}
+	for _, r := range []*SourceRecord{want, got} {
+		if comments := scanCommentCounts(r); !slices.Equal(r.comments, comments) {
+			t.Fatalf("%s: source %d carries comment counts %v, scan %v", step, r.ID, r.comments, comments)
+		}
+	}
 }
 
-// TestCarriedRecordStatistics pins the author sets and open counts
+// TestCarriedRecordStatistics pins the author sets, open counts and
+// comment-count columns
 // UpdateSourceRecordsFromWorld carries through a run of mixed ticks —
 // day-moving, same-day and per-source polls that open discussions — to
 // the ones SourceRecordsFromWorld and a crawl's SourceRecordsFromSnapshot
@@ -247,9 +263,21 @@ func TestExtendIndexCases(t *testing.T) {
 	if &next.opened[0] != &two.opened[0] {
 		t.Fatal("no discussion was appended, yet the opened column was copied")
 	}
-	third := extended(next, source(o0, g1, disc(false, 8)))
+	if &next.comments[0] == &two.comments[0] || !slices.Equal(two.comments, []int32{2, 1}) {
+		t.Fatalf("a grown discussion must count its comments in a copy of the column, previous %v", two.comments)
+	}
+	o2 := disc(false, 8)
+	third := extended(next, source(o0, g1, o2))
 	if &third.opened[0] == &next.opened[0] || len(next.opened) != 2 {
 		t.Fatal("an appended discussion must extend a copy of the opened column")
+	}
+	if &third.comments[0] == &next.comments[0] || len(next.comments) != 2 {
+		t.Fatal("an appended discussion must extend a copy of the comment-count column")
+	}
+	// No comment and no discussion new: every column is shared.
+	same := extended(third, source(o0, g1, o2))
+	if &same.comments[0] != &third.comments[0] || &same.opened[0] != &third.opened[0] {
+		t.Fatal("an unchanged source copied its carried columns")
 	}
 }
 
@@ -415,4 +443,67 @@ func TestUpdateSourceRecordsSharing(t *testing.T) {
 		t.Fatalf("epoch move: %d of %d records fresh", fresh(next), len(old))
 	}
 	check("epoch move", next, epanel, ew)
+}
+
+// TestContributorAgeClockMatchesSub pins the carried join instant against
+// time.Time.Sub, the reference AgeDays used to call: for ordinary
+// instants (read from the carried integer) and for every case that must
+// fall back to Sub — a zero or year-2300 join instant, a zero, year-1 or
+// monotonic observation instant, and a record assembled by hand. AgeDays
+// and every time-sensitive contributor measure equal the Sub reference
+// bit for bit.
+func TestContributorAgeClockMatchesSub(t *testing.T) {
+	subAge := func(r *ContributorRecord) float64 {
+		if r.Joined.IsZero() || r.ObservedAt.IsZero() {
+			return 0
+		}
+		return max(r.ObservedAt.Sub(r.Joined).Hours()/24, 0)
+	}
+	obs := time.Date(2012, 6, 30, 23, 59, 59, 987654321, time.UTC)
+	now := time.Now() // carries a monotonic reading
+	for _, tc := range []struct {
+		name             string
+		joined, observed time.Time
+		carry, fast      bool
+	}{
+		{"ordinary", obs.AddDate(-2, -3, -7).Add(123456789), obs, true, true},
+		{"joined after observation", obs.Add(90 * time.Minute), obs, true, true},
+		{"monotonic joined", now.Add(-50 * time.Hour), now.Round(0), true, true},
+		{"monotonic observation", now.Add(-50 * time.Hour), now, true, false},
+		{"zero joined", time.Time{}, obs, true, false},
+		{"year-2300 joined", time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC), obs, true, false},
+		{"zero observation", obs.AddDate(-1, 0, 0), time.Time{}, true, false},
+		{"year-1 observation", obs.AddDate(-1, 0, 0), time.Date(1, 3, 1, 0, 0, 0, 0, time.UTC), true, false},
+		{"assembled by hand", obs.AddDate(-1, 0, 0), obs, false, false},
+	} {
+		r := &ContributorRecord{Joined: tc.joined, ObservedAt: tc.observed, Interactions: 7, DiscussionsTouched: 3}
+		if tc.carry {
+			r.carryJoined()
+		}
+		if _, fast := r.ageClock(); fast != tc.fast {
+			t.Fatalf("%s: ageClock fast = %v, want %v", tc.name, fast, tc.fast)
+		}
+		if got, want := r.AgeDays(), subAge(r); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: AgeDays %v, Sub gives %v", tc.name, got, want)
+		}
+		ref := *r
+		ref.clocked = false
+		for _, m := range contributorMeasures {
+			if !m.TimeSensitive {
+				continue
+			}
+			got, gok := m.Eval(r, &DomainOfInterest{})
+			want, wok := m.Eval(&ref, &DomainOfInterest{})
+			if gok != wok || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: %s = %v (%v), Sub gives %v (%v)", tc.name, m.ID, got, gok, want, wok)
+			}
+		}
+	}
+	// The constructors carry the instant.
+	w := webgen.Generate(webgen.Config{Seed: 1607, NumSources: 20, NumUsers: 60})
+	for _, r := range ContributorRecordsFromWorld(w) {
+		if _, fast := r.ageClock(); !fast {
+			t.Fatalf("contributor %d: a world record must age from its carried join instant", r.ID)
+		}
+	}
 }

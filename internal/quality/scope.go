@@ -58,14 +58,12 @@ func (d *scopeDict) mask(vals []string, kind bool) []uint64 {
 	return m
 }
 
-// scopeColumn holds one scope bitset per engine row: row c is
-// words[c*stride : (c+1)*stride]. A published column is immutable.
+// scopeColumn holds one scope bitset per engine row, each stride words
+// wide, in copy-on-write blocks (rowBlocks). A published column is
+// immutable.
 type scopeColumn struct {
-	words  []uint64
-	stride int
+	rowBlocks[uint64]
 }
-
-func (s scopeColumn) row(c int) []uint64 { return s.words[c*s.stride : (c+1)*s.stride] }
 
 // holds reports whether row c is exactly bits (words past either end
 // count as zero).
@@ -86,19 +84,25 @@ func (s scopeColumn) holds(c int, bits []uint64) bool {
 	return true
 }
 
-// put sets row c to bits in a column the caller owns, widening the
-// stride first when bits needs more words than a row holds.
-func (s *scopeColumn) put(c int, bits []uint64) {
-	if len(bits) > s.stride {
-		n := len(s.words) / max(s.stride, 1)
+// put sets row c to bits in a derivation of parent, copying the row's
+// block first while parent still owns it (a column being built passes
+// its own zero value as parent). It widens the stride first when bits
+// needs more words than a row holds, copying every row.
+func (s *scopeColumn) put(parent scopeColumn, c int, bits []uint64) {
+	if len(bits) > s.width {
+		n := s.rows()
 		wide := make([]uint64, n*len(bits))
 		for r := 0; r < n; r++ {
 			copy(wide[r*len(bits):], s.row(r))
 		}
-		s.words, s.stride = wide, len(bits)
+		s.rowBlocks = blocksOf(wide, len(bits))
 	}
-	copy(s.row(c), bits)
-	clear(s.row(c)[len(bits):])
+	row := s.row(c)
+	if len(parent.blocks) > 0 && s.width == parent.width {
+		row = s.own(parent.rowBlocks, c)
+	}
+	copy(row, bits)
+	clear(row[len(bits):])
 }
 
 // scopeBuilder derives scope bits for one engine construction or update.
@@ -177,29 +181,31 @@ func (b *scopeBuilder[R]) set(i int) {
 
 // column builds the scope column of rows.
 func (b *scopeBuilder[R]) column(rows []*R) scopeColumn {
-	s := scopeColumn{stride: max(len(b.bits), 1)}
-	s.words = make([]uint64, len(rows)*s.stride)
+	width := max(len(b.bits), 1)
+	s := scopeColumn{blocksOf(make([]uint64, len(rows)*width), width)}
 	for c, r := range rows {
-		s.put(c, b.of(r))
+		s.put(scopeColumn{}, c, b.of(r))
 	}
 	return s
 }
 
-// rescope re-derives the scope bits of the dirty rows of an engine over
-// corpus, copying the column before the first row whose bits changed.
+// rescope re-derives the scope bits of the dirty rows of a derived engine
+// over corpus: the column shares its parent's blocks and copies a block
+// before the first row of it whose bits changed.
 //
 //informer:mutates fills a derived engine before it is published
 func (e *matrixEngine[R]) rescope(corpus []*R, dirty []int, b *scopeBuilder[R]) {
-	owned := false
+	parent := e.scope
+	derived := false
 	for _, c := range dirty {
 		bits := b.of(corpus[c])
 		if e.scope.holds(c, bits) {
 			continue
 		}
-		if !owned {
-			e.scope.words, owned = slices.Clone(e.scope.words), true
+		if !derived {
+			e.scope.rowBlocks, derived = parent.derive(), true
 		}
-		e.scope.put(c, bits)
+		e.scope.put(parent, c, bits)
 	}
 }
 

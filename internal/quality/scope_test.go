@@ -160,3 +160,68 @@ func TestRouterPrunesByScopeBits(t *testing.T) {
 		t.Errorf("the update grew the parent's union: %+v scanned %d shards", first, got)
 	}
 }
+
+// TestRescopeIsolation pins the scope column's block copy-on-write the
+// way TestRouterDeriveIsolation pins the router's: an update moving rows
+// into new categories copies the blocks of those rows only, shares every
+// other block with its parent by pointer, and leaves every parent row's
+// bits as they were. A row whose bits held copies nothing.
+func TestRescopeIsolation(t *testing.T) {
+	w := webgen.Generate(webgen.Config{Seed: 947, NumSources: 3*blockRows + 5})
+	records := SourceRecordsFromWorld(w, analytics.Build(w, 1947))
+	a := NewSourceAssessor(records, defaultDI(), nil)
+	parent := a.engine.engines[0].scope
+	before := make([][]uint64, len(records))
+	for c := range records {
+		before[c] = slices.Clone(parent.row(c))
+	}
+
+	next := slices.Clone(records)
+	moved := []int{1, 2*blockRows + 3}
+	for _, row := range moved {
+		r := *next[row]
+		r.Discussions = slices.Clone(r.Discussions)
+		r.Discussions[0].Category = fmt.Sprintf("isolated-%d", row)
+		next[row] = &r
+	}
+	held := blockRows + 4 // dirty, but its bits do not change
+	u := a.UpdateRows(next, append(slices.Clone(moved), held), false)
+	derived := u.engine.engines[0].scope
+	for k := range parent.blocks {
+		shared := &derived.blocks[k][0] == &parent.blocks[k][0]
+		if want := k != moved[0]/blockRows && k != moved[1]/blockRows; shared != want {
+			t.Fatalf("block %d: shared %v, want %v", k, shared, want)
+		}
+	}
+	for c := range records {
+		if !slices.Equal(parent.row(c), before[c]) {
+			t.Fatalf("the update wrote the parent's scope row %d", c)
+		}
+	}
+	for _, row := range moved {
+		if slices.Equal(derived.row(row), before[row]) {
+			t.Fatalf("row %d moved into a new category, yet its bits held", row)
+		}
+	}
+	if got := agreeCount(t, u, next, Query{Categories: []string{fmt.Sprintf("isolated-%d", moved[1])}}); got != 1 {
+		t.Fatalf("the moved row matches %d times, want 1", got)
+	}
+}
+
+// agreeCount returns q's total over recs, checking that the assessor's
+// own-row scope bits and the keep path over copies agree.
+func agreeCount(t *testing.T, a *SourceAssessor, recs []*SourceRecord, q Query) int {
+	t.Helper()
+	own, err := a.Query(recs, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lean, err := a.Query(shallowCopies(recs), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if own.Total != lean.Total {
+		t.Fatalf("%+v: %d own-row matches, %d through keep", q, own.Total, lean.Total)
+	}
+	return own.Total
+}

@@ -34,7 +34,6 @@ package quality
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"github.com/informing-observers/informer/internal/parallel"
@@ -575,7 +574,7 @@ func (s *shardedEngine[R]) update(corpus []*R, dirty []int, epochMoved bool) *sh
 					// The published column stays as readers left it; the
 					// repair sorts its own copy.
 					col = slices.Clone(col)
-					sort.Float64s(col)
+					slices.Sort(col)
 				}
 				led.cols[m] = stats.SortedBatchRepair(col, removes, inserts)
 				led.benchmarks[m] = benchmarkOf(led.cols[m], true, s.opts)

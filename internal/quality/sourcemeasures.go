@@ -32,6 +32,15 @@ func (m SourceMeasure) split() (measureInfo, func(*SourceRecord, *DomainOfIntere
 	return measureInfo{id: m.ID, dimension: m.Dimension, attribute: m.Attribute, higherIsBetter: m.HigherIsBetter, timeSensitive: m.TimeSensitive}, m.Eval
 }
 
+// atLeastOneDay clamps a thread age in days to one day, so a thread
+// opened today counts its comments as one day's.
+func atLeastOneDay(days float64) float64 {
+	if days < 1 {
+		return 1
+	}
+	return days
+}
+
 // relevantDiscussion reports whether d belongs to the DI (category and time
 // window).
 func relevantDiscussion(d *DiscussionStat, di *DomainOfInterest) bool {
@@ -182,10 +191,15 @@ var sourceMeasures = []SourceMeasure{
 			if len(r.Discussions) == 0 || r.ObservedAt.IsZero() {
 				return 0, false
 			}
-			obsNs, fast := r.ageClock()
 			var sum float64
-			for i := range r.Discussions {
-				sum += r.threadAgeDays(i, obsNs, fast)
+			if obsNs, ok := r.ageClock(); ok {
+				for _, o := range r.opened {
+					sum += ageDays(obsNs, o)
+				}
+			} else {
+				for i := range r.Discussions {
+					sum += r.ObservedAt.Sub(r.Discussions[i].Opened).Hours() / 24
+				}
 			}
 			return sum / float64(len(r.Discussions)), true
 		},
@@ -346,21 +360,20 @@ var sourceMeasures = []SourceMeasure{
 			if len(r.Discussions) == 0 || r.ObservedAt.IsZero() {
 				return 0, false
 			}
-			obsNs, fast := r.ageClock()
+			// The carried columns give each term the same bits in the same
+			// order as the walk over the discussion stats.
 			var sum float64
-			n := 0
-			for i := range r.Discussions {
-				ageDays := r.threadAgeDays(i, obsNs, fast)
-				if ageDays < 1 {
-					ageDays = 1
+			if obsNs, ok := r.ageClock(); ok && r.indexed() {
+				for i, o := range r.opened {
+					sum += float64(r.comments[i]) / atLeastOneDay(ageDays(obsNs, o))
 				}
-				sum += float64(len(r.Discussions[i].Comments)) / ageDays
-				n++
+			} else {
+				for i := range r.Discussions {
+					d := &r.Discussions[i]
+					sum += float64(len(d.Comments)) / atLeastOneDay(r.ObservedAt.Sub(d.Opened).Hours()/24)
+				}
 			}
-			if n == 0 {
-				return 0, false
-			}
-			return sum / float64(n), true
+			return sum / float64(len(r.Discussions)), true
 		},
 	},
 	{

@@ -387,3 +387,41 @@ func lessNaNFirstTest(x, y float64) bool {
 	}
 	return !math.IsNaN(y) && x < y
 }
+
+// TestContributorIndexApplyIsolation pins the touched-set blocks' copy-on-
+// write across a same-day tick: Apply copies the block of every user
+// whose set grew and shares every other block with the receiver by
+// pointer, each set equals a from-scratch index's, and the receiver's
+// sets are exactly what they were.
+func TestContributorIndexApplyIsolation(t *testing.T) {
+	w := webgen.Generate(webgen.Config{Seed: 509, NumSources: 40, NumUsers: 20 * blockRows})
+	ix := NewContributorIndex(w)
+	before := make([][]int32, ix.touched.rows())
+	for u := range before {
+		before[u] = slices.Clone(ix.touched.row(u)[0])
+	}
+	nw, delta := webgen.AdvanceSameDay(w, 609, []int{3, 17})
+	nix, _ := ix.Apply(nw, delta)
+	fresh := NewContributorIndex(nw)
+	grownBlocks := map[int]bool{}
+	for u := range before {
+		got := nix.touched.row(u)[0]
+		if !slices.Equal(got, fresh.touched.row(u)[0]) {
+			t.Fatalf("user %d: touched set %v, a rebuild has %v", u, got, fresh.touched.row(u)[0])
+		}
+		if !slices.Equal(ix.touched.row(u)[0], before[u]) {
+			t.Fatalf("Apply wrote the receiver's touched set of user %d", u)
+		}
+		if len(got) != len(before[u]) {
+			grownBlocks[u/blockRows] = true
+		}
+	}
+	if len(grownBlocks) == 0 || len(grownBlocks) == len(ix.touched.blocks) {
+		t.Fatalf("%d of %d blocks grew; the tick must grow some but not all", len(grownBlocks), len(ix.touched.blocks))
+	}
+	for k := range ix.touched.blocks {
+		if shared := &nix.touched.blocks[k][0] == &ix.touched.blocks[k][0]; shared == grownBlocks[k] {
+			t.Fatalf("block %d: shared %v, grown %v", k, shared, grownBlocks[k])
+		}
+	}
+}

@@ -1,10 +1,13 @@
 package services
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/informing-observers/informer/internal/analytics"
+	"github.com/informing-observers/informer/internal/correlate"
 	"github.com/informing-observers/informer/internal/quality"
 	"github.com/informing-observers/informer/internal/webgen"
 )
@@ -80,4 +83,74 @@ func BenchmarkEnvAdvanceSameDay(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(dirty)/float64(len(rounds)), "dirty-sources")
+}
+
+// BenchmarkEnvAdvanceIngest measures the services layer of one
+// ingest-stories round: 1000 sources with comment text and a correlation
+// index, each round the merged delta of 16 per-source polls, nine in ten
+// on the 5% of sources with the most open discussions and the rest on a
+// random one. Such a round holds the epoch but can raise the corpus-wide
+// MaxOpenDiscussions, and it dirties far more contributors than a daily
+// round. As in BenchmarkEnvAdvanceSameDay every op advances the previous
+// op's environment; the polls, panel refreshes and correlation folds are
+// made outside the timer, each fold just before the Advance that reads
+// its counters.
+func BenchmarkEnvAdvanceIngest(b *testing.B) {
+	world := webgen.Generate(webgen.Config{Seed: 97, NumSources: 1000, CommentText: true, SyndicationRate: 0.1})
+	panel := analytics.Build(world, 98)
+	ix := correlate.NewIndex()
+	ix.Build(world)
+	env := NewEnvCorrelated(world, panel, quality.DomainOfInterest{}, nil, ix.Counts)
+	ids := make([]int, len(world.Sources))
+	for i, s := range world.Sources {
+		ids[i] = s.ID
+	}
+	slices.SortStableFunc(ids, func(x, y int) int {
+		return cmp.Compare(world.Source(y).OpenDiscussions(), world.Source(x).OpenDiscussions())
+	})
+	hot := ids[:1+len(ids)/20]
+	rng := rand.New(rand.NewSource(9700))
+	cur := webgen.NewIDCursor(world)
+	type round struct {
+		world *webgen.World
+		panel *analytics.Panel
+		delta *webgen.Delta
+	}
+	// One warm-up round, as in BenchmarkEnvAdvance, then b.N timed ones.
+	rounds := make([]round, b.N+1)
+	dirty, poll := 0, 0
+	for i := range rounds {
+		var merged *webgen.Delta
+		for j := 0; j < 16; j++ {
+			id := hot[poll%len(hot)]
+			if poll%10 == 9 {
+				id = ids[rng.Intn(len(ids))]
+			}
+			poll++
+			var d *webgen.Delta
+			world, d = webgen.AdvanceSource(world, id, rng.Int63(), cur)
+			if merged == nil {
+				merged = d
+			} else {
+				merged.Merge(d)
+			}
+		}
+		panel = panel.Refresh(world)
+		rounds[i] = round{world, panel, merged}
+		dirty += len(merged.DirtyContributorIDs())
+	}
+	advance := func(r round) {
+		ix.Fold(r.world, r.delta)
+		b.StartTimer()
+		env = env.Advance(r.world, r.panel, r.delta)
+		b.StopTimer()
+	}
+	b.StopTimer()
+	advance(rounds[0])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, r := range rounds[1:] {
+		advance(r)
+	}
+	b.ReportMetric(float64(dirty)/float64(len(rounds)), "dirty-contributors")
 }

@@ -70,9 +70,20 @@ func selectRanks(a []float64, ks []int, budget int) {
 			return
 		}
 		budget--
-		cut := hoarePartition(a)
+		// The pivot is the median of the first, middle and last values,
+		// so a[cut:] keeps at least the pivot. When no value lies below
+		// it, the pivot is the minimum: the run equal to it then goes
+		// first and is already in its sorted place.
+		p := medianOfThree(a[0], a[len(a)/2], a[len(a)-1])
+		cut := partitionBelow(a, p)
+		settled := cut == 0
+		if settled {
+			cut = partitionAtMost(a, p)
+		}
 		split, _ := slices.BinarySearch(ks, cut)
-		selectRanks(a[:cut], ks[:split], budget)
+		if !settled {
+			selectRanks(a[:cut], ks[:split], budget)
+		}
 		a, ks = a[cut:], ks[split:]
 		for i := range ks {
 			ks[i] -= cut
@@ -80,33 +91,47 @@ func selectRanks(a []float64, ks []int, budget int) {
 	}
 }
 
-// hoarePartition partitions a (NaN-free, at least three values) around
-// the median of its first, middle and last values and returns a cut with
-// a[:cut] ≤ pivot ≤ a[cut:], both parts non-empty. Values equal to the
-// pivot may land on either side, so runs of ties split evenly.
-func hoarePartition(a []float64) int {
-	m, z := len(a)/2, len(a)-1
-	if a[m] < a[0] {
-		a[m], a[0] = a[0], a[m]
+// medianOfThree returns the median of x, y and z.
+func medianOfThree(x, y, z float64) float64 {
+	if y < x {
+		x, y = y, x
 	}
-	if a[z] < a[m] {
-		a[z], a[m] = a[m], a[z]
-		if a[m] < a[0] {
-			a[m], a[0] = a[0], a[m]
-		}
+	if z < y {
+		y = max(x, z)
 	}
-	// a[0] ≤ a[m] ≤ a[z]: move the median to the front as the pivot.
-	a[0], a[m] = a[m], a[0]
-	p := a[0]
-	i, j := -1, len(a)
-	for {
-		for i++; a[i] < p; i++ {
-		}
-		for j--; p < a[j]; j-- {
-		}
-		if i >= j {
-			return j + 1
-		}
-		a[i], a[j] = a[j], a[i]
+	return y
+}
+
+// partitionBelow moves the values of a below p to its front and returns
+// their count. Each step swaps unconditionally and advances the boundary
+// by the comparison's 0 or 1, so the loop has no branch on the data for
+// the processor to mispredict, unlike a Hoare partition's scans.
+func partitionBelow(a []float64, p float64) int {
+	i := 0
+	for j, v := range a {
+		a[j] = a[i]
+		a[i] = v
+		i += b2i(v < p)
 	}
+	return i
+}
+
+// partitionAtMost is partitionBelow for the values at most p.
+func partitionAtMost(a []float64, p float64) int {
+	i := 0
+	for j, v := range a {
+		a[j] = a[i]
+		a[i] = v
+		i += b2i(v <= p)
+	}
+	return i
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it as a flag
+// set, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -17,9 +18,9 @@ var selectionQuantilePairs = [][]float64{
 // TestSelectQuantilesMatchesSort is the property the benchmark ledger's
 // epoch-move read rests on: SelectQuantiles over an unsorted column equals
 // SortedQuantiles over the column sorted by sort.Float64s, bit for bit —
-// with NaN (ordered first), runs of duplicates, every small length and
-// lengths past the selection's insertion-sort cutoff — and leaves the
-// column's multiset intact.
+// with NaN (ordered first), runs of duplicates, infinities, every small
+// length and lengths past the selection's insertion-sort cutoff — and
+// leaves the column's multiset intact.
 func TestSelectQuantilesMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	nan := math.NaN()
@@ -33,6 +34,16 @@ func TestSelectQuantilesMatchesSort(t *testing.T) {
 			return float64(rng.Intn(50)) / 8
 		},
 		"allnan": func() float64 { return nan },
+		// Runs equal to the minimum leave nothing below a pivot drawn
+		// from them, the partition's settled case.
+		"equal": func() float64 { return 3 },
+		"zeros": func() float64 {
+			if rng.Intn(10) == 0 {
+				return rng.ExpFloat64()
+			}
+			return 0
+		},
+		"inf": func() float64 { return [...]float64{math.Inf(-1), -1, 0, 2, math.Inf(1)}[rng.Intn(5)] },
 	}
 	lengths := []int{1, 2, 3, 4, 5, 7, 16, 17, 18, 33, 100, 1000, 4001}
 	for name, draw := range draws {
@@ -107,5 +118,33 @@ func TestSelectQuantilesSignedZero(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkSelectQuantiles measures the ledger's epoch-move read of one
+// gathered time-sensitive column: n=4000 lognormal values, every one
+// drifted as an epoch move shifts such a measure and k of them redrawn
+// as a round's dirty rows (k=40 is a daily-watch round, k=165 an
+// ingest-stories one). Each op copies the column, as gathering does, and
+// selects the 0.10 and 0.90 quantiles.
+func BenchmarkSelectQuantiles(b *testing.B) {
+	for _, k := range []int{40, 165} {
+		b.Run(fmt.Sprintf("n=4000/k=%d", k), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(4000 + k)))
+			next := make([]float64, 4000)
+			for i := range next {
+				next[i] = math.Exp(rng.NormFloat64()*1.5) * 0.998
+			}
+			for _, i := range rng.Perm(len(next))[:k] {
+				next[i] = math.Exp(rng.NormFloat64() * 1.5)
+			}
+			col := make([]float64, len(next))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(col, next)
+				SelectQuantiles(col, 0.10, 0.90)
+			}
+		})
 	}
 }

@@ -1,6 +1,9 @@
 package stats
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Sorted-slice repair primitives for incremental quantile maintenance.
 // The quality engine's benchmark ledger keeps one sorted column of
@@ -51,25 +54,29 @@ func searchNaNFirst(xs []float64, v float64) int {
 }
 
 // SortedBatchRepair applies many removals and insertions to an
-// ascending-sorted slice in one O(n + k log k) merge pass, where k is the
-// batch size — the bulk counterpart of SortedRemove+SortedInsert for ticks
-// whose delta spans a large column (the sharded corpus' global benchmark
-// ledger repairs 100k-value columns this way instead of paying one O(n)
-// memmove per changed value). removes and inserts are consumed as
+// ascending-sorted slice in one pass, the bulk counterpart of
+// SortedRemove+SortedInsert for ticks whose delta spans a large column
+// (the benchmark ledger repairs every changed column this way instead of
+// paying one O(n) memmove per changed value). It sorts the batch, then
+// walks it in order: each remove or insert gallops from the previous
+// batch position to its own and copies the retained run in between, so
+// the pass costs O(k log(n/k)) comparisons plus one copy of the column,
+// where k is the batch size. removes and inserts are consumed as
 // multisets; a remove with no matching element is ignored, mirroring
 // SortedRemove's not-found tolerance, and a remove matches any element
-// the order ties it with, so a NaN remove consumes one NaN. xs is left
-// untouched; the result is a fresh slice holding exactly the repaired
-// multiset in ascending order — bit-identical to re-sorting the repaired
-// multiset from scratch.
+// the order ties it with, so a NaN remove consumes one NaN. An insert
+// lands after the retained values it ties with. xs is left untouched;
+// the result is a fresh slice holding exactly the repaired multiset in
+// ascending order — bit-identical to re-sorting the repaired multiset
+// from scratch, up to the placement of values the order ties.
 func SortedBatchRepair(xs, removes, inserts []float64) []float64 {
 	if len(removes) == 0 && len(inserts) == 0 {
 		return xs
 	}
-	rem := append([]float64(nil), removes...)
-	ins := append([]float64(nil), inserts...)
-	sort.Float64s(rem)
-	sort.Float64s(ins)
+	rem := slices.Clone(removes)
+	ins := slices.Clone(inserts)
+	slices.Sort(rem)
+	slices.Sort(ins)
 	// Stale removes may outnumber what the slice holds; clamp the capacity
 	// hint rather than trusting the arithmetic.
 	capHint := len(xs) - len(rem) + len(ins)
@@ -77,23 +84,42 @@ func SortedBatchRepair(xs, removes, inserts []float64) []float64 {
 		capHint = len(ins)
 	}
 	out := make([]float64, 0, capHint)
-	ri, ii := 0, 0
-	for _, v := range xs {
-		// Emit pending insertions strictly below v first.
-		for ii < len(ins) && lessNaNFirst(ins[ii], v) {
-			out = append(out, ins[ii])
-			ii++
-		}
-		// A remove below v can never match anymore: drop it (not-found).
-		for ri < len(rem) && lessNaNFirst(rem[ri], v) {
-			ri++
-		}
-		if ri < len(rem) && !lessNaNFirst(v, rem[ri]) {
-			ri++ // one occurrence consumed by the removal multiset
+	i := 0 // xs[:i] is copied or consumed
+	for len(rem) > 0 || len(ins) > 0 {
+		// A remove goes first unless the next insert orders strictly
+		// before it, so a remove never consumes a value the batch inserts.
+		if len(ins) == 0 || (len(rem) > 0 && !lessNaNFirst(ins[0], rem[0])) {
+			r := rem[0]
+			rem = rem[1:]
+			j := gallop(xs, i, func(x float64) bool { return !lessNaNFirst(x, r) })
+			out = append(out, xs[i:j]...)
+			i = j
+			if j < len(xs) && !lessNaNFirst(r, xs[j]) {
+				i++ // one tie consumed; a stale remove consumes nothing
+			}
 			continue
 		}
+		v := ins[0]
+		ins = ins[1:]
+		j := gallop(xs, i, func(x float64) bool { return lessNaNFirst(v, x) })
+		out = append(out, xs[i:j]...)
 		out = append(out, v)
+		i = j
 	}
-	out = append(out, ins[ii:]...)
-	return out
+	return append(out, xs[i:]...)
+}
+
+// gallop returns the first index j ≥ i of xs with pred(xs[j]), or
+// len(xs), for a pred that is false then true along xs. It probes i, i+1,
+// i+3, i+7, … and binary-searches the last gap, so it costs O(log(j−i))
+// comparisons however long xs is.
+func gallop(xs []float64, i int, pred func(float64) bool) int {
+	lo, hi, step := i, i, 1
+	for hi < len(xs) && !pred(xs[hi]) {
+		lo = hi + 1
+		hi += step
+		step <<= 1
+	}
+	hi = min(hi, len(xs))
+	return lo + sort.Search(hi-lo, func(k int) bool { return pred(xs[lo+k]) })
 }

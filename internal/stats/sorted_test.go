@@ -1,8 +1,11 @@
 package stats
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -213,5 +216,124 @@ func TestSortedRepairNaN(t *testing.T) {
 		if !bitsEqual(seq, want) {
 			t.Fatalf("trial %d: sequential repair\n got  %v\n want %v", trial, seq, want)
 		}
+	}
+}
+
+// sameOrder reports whether a and b hold, position by position, values
+// the NaN-first order ties: equal bits except where −0 meets +0 or one
+// NaN payload another, whose placement the order leaves open.
+func sameOrder(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] && (a[i] == a[i] || b[i] == b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sortedBits returns xs's bit patterns in ascending order: the multiset
+// with every tie told apart.
+func sortedBits(xs []float64) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, v := range xs {
+		out[i] = math.Float64bits(v)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// FuzzSortedBatchRepair pins the one-pass ledger repair against the
+// sequential SortedRemove/SortedInsert reference on arbitrary batches:
+// NaN payloads, ±0, stale removes, duplicates, an empty column and
+// batches larger than the column. The fuzz input is three runs of
+// 8-byte floats (the column, then the removes, then the inserts, split
+// by the two length bytes). The repair must come out sorted, tie the
+// reference position by position, hold exactly the reference's multiset
+// of bit patterns (both consume the same column values) and leave the
+// column untouched.
+func FuzzSortedBatchRepair(f *testing.F) {
+	enc := func(vs ...float64) []byte {
+		out := make([]byte, 0, 8*len(vs))
+		for _, v := range vs {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+		}
+		return out
+	}
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	payload := math.Float64frombits(0x7ff8_0000_0000_beef)
+	f.Add(uint8(3), uint8(1), enc(1, 2, 3, 2, 5))
+	f.Add(uint8(0), uint8(2), enc(4, 4, 1))
+	f.Add(uint8(4), uint8(2), enc(nan, payload, 0, 1, payload, 7, nan, negZero))
+	f.Add(uint8(4), uint8(3), enc(negZero, 0, 0, 2, 0, 0, negZero, negZero))
+	f.Add(uint8(2), uint8(5), enc(1, 1, 9, 9, 9, 1, 1, 1, 0))
+	f.Fuzz(func(t *testing.T, nx, nr uint8, data []byte) {
+		vals := make([]float64, 0, len(data)/8)
+		for i := 0; i+8 <= len(data); i += 8 {
+			vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(data[i:])))
+		}
+		cx := min(int(nx), len(vals))
+		cr := min(cx+int(nr), len(vals))
+		xs := slices.Clone(vals[:cx])
+		sort.Float64s(xs)
+		removes, inserts := vals[cx:cr], vals[cr:]
+		orig := slices.Clone(xs)
+
+		want := slices.Clone(xs)
+		for _, v := range removes {
+			want, _ = SortedRemove(want, v)
+		}
+		for _, v := range inserts {
+			want = SortedInsert(want, v)
+		}
+		got := SortedBatchRepair(xs, removes, inserts)
+		if !slices.IsSortedFunc(got, func(a, b float64) int {
+			switch {
+			case lessNaNFirst(a, b):
+				return -1
+			case lessNaNFirst(b, a):
+				return 1
+			}
+			return 0
+		}) {
+			t.Fatalf("repair is not sorted: %v", got)
+		}
+		if !sameOrder(got, want) {
+			t.Fatalf("repair %v, sequential %v", got, want)
+		}
+		if !slices.Equal(sortedBits(got), sortedBits(want)) {
+			t.Fatalf("repair and sequential hold different values:\n got  %v\n want %v", got, want)
+		}
+		if !bitsEqual(xs, orig) {
+			t.Fatalf("repair wrote its input column")
+		}
+	})
+}
+
+// BenchmarkSortedBatchRepair measures one ledger column repair, n=4000
+// sorted values with k removes of present values and k fresh inserts
+// (k=40 is a daily-watch round, k=165 an ingest-stories one).
+func BenchmarkSortedBatchRepair(b *testing.B) {
+	for _, k := range []int{40, 165} {
+		b.Run(fmt.Sprintf("n=4000/k=%d", k), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(k)))
+			col := make([]float64, 4000)
+			for i := range col {
+				col[i] = math.Exp(rng.NormFloat64() * 1.5)
+			}
+			sort.Float64s(col)
+			removes, inserts := make([]float64, k), make([]float64, k)
+			for i := range removes {
+				removes[i] = col[rng.Intn(len(col))]
+				inserts[i] = math.Exp(rng.NormFloat64() * 1.5)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				SortedBatchRepair(col, removes, inserts)
+			}
+		})
 	}
 }
