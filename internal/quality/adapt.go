@@ -60,75 +60,68 @@ func buildSourceRecord(s *webgen.Source, w *webgen.World, panel *analytics.Panel
 		WindowDays:         w.Days(),
 		MaxOpenDiscussions: w.MaxOpenDiscussions,
 	}
-	r.Discussions = buildDiscussionStats(s)
-	r.IndexDiscussions()
+	r.indexSource(s)
 	return r
 }
 
-// buildDiscussionStats allocates one flat slice for all of a source's
-// comment stats; each discussion gets a full-capped sub-slice of it, so an
-// append can never bleed into a neighbour. It serves from-scratch
-// construction; a dirty record extends its predecessor's (extendIndex).
-func buildDiscussionStats(s *webgen.Source) []DiscussionStat {
-	out := make([]DiscussionStat, 0, len(s.Discussions))
-	flat := make([]CommentStat, 0, s.CommentCount())
-	for _, d := range s.Discussions {
-		ds := discussionStat(d)
-		lo := len(flat)
-		flat = appendCommentStats(flat, d.Comments)
-		if hi := len(flat); hi > lo {
-			ds.Comments = flat[lo:hi:hi]
+// indexSource sets r's Discussions from s's and indexes them with the
+// author of every comment s holds. It serves from-scratch construction; a
+// dirty record extends its predecessor's (extendIndex).
+func (r *SourceRecord) indexSource(s *webgen.Source) {
+	r.Discussions = make([]DiscussionStat, len(s.Discussions))
+	authors := make([]int32, 0, s.CommentCount())
+	for i, d := range s.Discussions {
+		r.Discussions[i] = discussionStat(d)
+		for _, c := range d.Comments {
+			authors = append(authors, int32(c.UserID))
 		}
-		out = append(out, ds)
 	}
-	return out
+	r.index(authors)
 }
 
-// discussionStat converts a discussion's own fields, not its comments.
+// discussionStat converts a discussion and counts its comments and their
+// tags.
 func discussionStat(d *webgen.Discussion) DiscussionStat {
-	return DiscussionStat{Category: d.Category, Opened: d.Opened, Open: d.Open, TagCount: len(d.Tags)}
+	return DiscussionStat{
+		Category: d.Category, Opened: d.Opened, Open: d.Open, TagCount: len(d.Tags),
+		Comments: len(d.Comments), CommentTags: commentTags(d.Comments),
+	}
 }
 
-// appendCommentStats appends the stats of cs to dst.
-func appendCommentStats(dst []CommentStat, cs []*webgen.Comment) []CommentStat {
+// commentTags sums the tag counts of cs.
+func commentTags(cs []*webgen.Comment) int {
+	n := 0
 	for _, c := range cs {
-		dst = append(dst, CommentStat{
-			AuthorID:  c.UserID,
-			Posted:    c.Posted,
-			TagCount:  len(c.Tags),
-			Replies:   c.Replies,
-			Feedbacks: c.Feedbacks,
-			Reads:     c.Reads,
-		})
+		n += len(c.Tags)
 	}
-	return dst
+	return n
 }
 
 // extendIndex derives r's Discussions and carried statistics from old's,
 // the record of s before a tick. Ticks only append, so every discussion
 // old knew keeps its position, its opening instant and its first
-// comments, and only the comments past old's per-discussion lengths —
-// plus every discussion past old's count — are new. The one walk is
-// copy-on-write throughout:
-//   - a discussion with no new comment shares old's stat and its Comments;
-//   - a grown one gets a fresh, exactly sized Comments slice holding old's
-//     stats followed by the new ones, and its count in a copy of old's
-//     comment-count column;
+// comments, and only the comments past old's per-discussion counts —
+// plus every discussion past old's count — are new. The one walk copies
+// old's discussion stats, O(discussions), and is copy-on-write for the
+// rest:
+//   - a grown discussion gets its new comment count, adds the new
+//     comments' tags to its CommentTags, and counts its comments in a
+//     copy of old's comment-count column;
 //   - a new discussion is appended, and so are its opening instant and
 //     comment count, to copies of old's columns;
 //   - an author already in old's set costs a binary search; the rest merge
 //     into a copy.
 //
-// The result equals buildDiscussionStats plus IndexDiscussions over s, and
-// old is never written. An old record whose statistics do not cover its
-// discussions (assembled by hand) is rebuilt that way instead.
+// The result equals indexSource over s, and old is never written. An old
+// record whose statistics do not cover its discussions (assembled by
+// hand) is rebuilt that way instead.
 func (r *SourceRecord) extendIndex(old *SourceRecord, s *webgen.Source) {
 	if !old.indexed() {
-		r.Discussions = buildDiscussionStats(s)
-		r.IndexDiscussions()
+		r.indexSource(s)
 		return
 	}
 	r.Discussions = make([]DiscussionStat, len(s.Discussions))
+	copy(r.Discussions, old.Discussions)
 	r.open = old.open
 	r.opened = old.opened
 	if len(old.opened) != len(old.Discussions) {
@@ -147,16 +140,13 @@ func (r *SourceRecord) extendIndex(old *SourceRecord, s *webgen.Source) {
 	for i, d := range s.Discussions {
 		from := 0
 		if i < len(old.Discussions) {
-			od := &old.Discussions[i]
-			if len(d.Comments) == len(od.Comments) {
-				r.Discussions[i] = *od
+			ds := &r.Discussions[i]
+			if len(d.Comments) == ds.Comments {
 				continue
 			}
-			from = len(od.Comments)
-			cs := make([]CommentStat, from, len(d.Comments))
-			copy(cs, od.Comments)
-			r.Discussions[i] = *od
-			r.Discussions[i].Comments = appendCommentStats(cs, d.Comments[from:])
+			from = ds.Comments
+			ds.Comments = len(d.Comments)
+			ds.CommentTags += commentTags(d.Comments[from:])
 			ownComments()
 			r.comments[i] = int32(len(d.Comments))
 		} else {
@@ -165,9 +155,6 @@ func (r *SourceRecord) extendIndex(old *SourceRecord, s *webgen.Source) {
 				r.open++
 			}
 			r.opened = appendOpened(r.opened, d.Opened)
-			if len(d.Comments) > 0 {
-				r.Discussions[i].Comments = appendCommentStats(make([]CommentStat, 0, len(d.Comments)), d.Comments)
-			}
 			ownComments()
 			r.comments = append(r.comments, int32(len(d.Comments)))
 		}
@@ -190,8 +177,10 @@ func (r *SourceRecord) extendIndex(old *SourceRecord, s *webgen.Source) {
 // panel is oldPanel, that is every clean record, and only dirty rows are
 // touched. Any other clean record is a fresh copy, from one slab when the
 // metadata moved. A dirty record is a fresh copy extending its
-// predecessor's statistics with what the tick appended (extendIndex). No
-// record of old is written. The result is bit-identical to
+// predecessor's statistics with what the tick appended (extendIndex),
+// which copies the discussion stats and counts the new comments, so a
+// dirty row costs its discussions, never its comment history. No record
+// of old is written. The result is bit-identical to
 // SourceRecordsFromWorld over the advanced world; the second return value
 // lists the dirty rows, ready for Assessor.UpdateRows.
 func UpdateSourceRecordsFromWorld(old []*SourceRecord, oldPanel *analytics.Panel, w *webgen.World, panel *analytics.Panel, dirtySourceIDs []int) ([]*SourceRecord, []int) {
@@ -288,26 +277,22 @@ func SourceRecordsFromSnapshot(snap *crawler.Snapshot, panel *analytics.Panel, o
 		if m, ok := panel.ByHost(sc.Info.Host); ok {
 			r.Panel = panelStat(m)
 		}
+		var authors []int32
 		for _, d := range sc.Discussions {
 			ds := DiscussionStat{
 				Category: d.Category,
 				Opened:   d.Opened,
 				Open:     d.Open,
 				TagCount: len(d.Tags),
+				Comments: len(d.Comments),
 			}
 			for _, c := range d.Comments {
-				ds.Comments = append(ds.Comments, CommentStat{
-					AuthorID:  c.AuthorID,
-					Posted:    c.Posted,
-					TagCount:  len(c.Tags),
-					Replies:   c.Replies,
-					Feedbacks: c.Feedbacks,
-					Reads:     c.Reads,
-				})
+				ds.CommentTags += len(c.Tags)
+				authors = append(authors, int32(c.AuthorID))
 			}
 			r.Discussions = append(r.Discussions, ds)
 		}
-		r.IndexDiscussions()
+		r.index(authors)
 		if r.open > maxOpen {
 			maxOpen = r.open
 		}

@@ -168,7 +168,9 @@ func TestBenchmarkNormalize(t *testing.T) {
 
 // fixtureSourceRecord builds a hand-computable record:
 //   - 2 open discussions in "place" (3 and 1 comments), 1 closed in "pulse"
-//     (2 comments), 1 open off-topic (no comments).
+//     (2 comments), 1 open off-topic (no comments);
+//   - the comments carry 2, 2 and 1 tags per discussion, and their
+//     authors are users 1, 2, 1 / 3 / 2, 3.
 func fixtureSourceRecord() *SourceRecord {
 	obs := time.Date(2011, 10, 1, 0, 0, 0, 0, time.UTC)
 	day := func(d int) time.Time { return obs.AddDate(0, 0, -d) }
@@ -177,18 +179,9 @@ func fixtureSourceRecord() *SourceRecord {
 		Name: "fixture",
 		Host: "fixture.test",
 		Discussions: []DiscussionStat{
-			{Category: "place", Opened: day(10), Open: true, TagCount: 2, Comments: []CommentStat{
-				{AuthorID: 1, Posted: day(9), TagCount: 1, Replies: 2, Feedbacks: 1, Reads: 5},
-				{AuthorID: 2, Posted: day(8), TagCount: 0, Replies: 0, Feedbacks: 0, Reads: 3},
-				{AuthorID: 1, Posted: day(7), TagCount: 1, Replies: 1, Feedbacks: 2, Reads: 2},
-			}},
-			{Category: "place", Opened: day(20), Open: true, TagCount: 1, Comments: []CommentStat{
-				{AuthorID: 3, Posted: day(19), TagCount: 2, Replies: 0, Feedbacks: 0, Reads: 1},
-			}},
-			{Category: "pulse", Opened: day(40), Open: false, TagCount: 3, Comments: []CommentStat{
-				{AuthorID: 2, Posted: day(39), TagCount: 0},
-				{AuthorID: 3, Posted: day(38), TagCount: 1},
-			}},
+			{Category: "place", Opened: day(10), Open: true, TagCount: 2, Comments: 3, CommentTags: 2},
+			{Category: "place", Opened: day(20), Open: true, TagCount: 1, Comments: 1, CommentTags: 2},
+			{Category: "pulse", Opened: day(40), Open: false, TagCount: 3, Comments: 2, CommentTags: 1},
 			{Category: "", Opened: day(5), Open: true, TagCount: 1},
 		},
 		InboundLinks:    7,
@@ -206,7 +199,7 @@ func fixtureSourceRecord() *SourceRecord {
 		WindowDays:         180,
 		MaxOpenDiscussions: 10,
 	}
-	r.IndexDiscussions()
+	r.IndexDiscussions(1, 2, 1, 3, 2, 3)
 	return r
 }
 

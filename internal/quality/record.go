@@ -5,23 +5,18 @@ import (
 	"time"
 )
 
-// CommentStat is the per-comment observation a measure can see.
-type CommentStat struct {
-	AuthorID  int
-	Posted    time.Time
-	TagCount  int
-	Replies   int
-	Feedbacks int
-	Reads     int
-}
-
-// DiscussionStat is the per-discussion observation.
+// DiscussionStat is the per-discussion observation: the thread's own
+// fields plus the two counts the measures read of its comments. A record
+// keeps no per-comment state beyond its set of distinct comment authors.
 type DiscussionStat struct {
 	Category string // "" = off-topic
 	Opened   time.Time
 	Open     bool
 	TagCount int
-	Comments []CommentStat
+	// Comments is the number of comments, CommentTags the sum of their
+	// tag counts.
+	Comments    int
+	CommentTags int
 }
 
 // PanelStat carries the analytics-panel metrics for a source (Table 1's
@@ -70,8 +65,8 @@ type SourceRecord struct {
 	// number of open discussions, opened each discussion's opening
 	// instant in Unix nanoseconds and comments each discussion's comment
 	// count: statistics carried with the record so that a measure reads
-	// them instead of re-deriving them from every comment or time.Time.
-	// IndexDiscussions derives them;
+	// them instead of re-deriving them from the world's comments or from
+	// every time.Time. IndexDiscussions derives them;
 	// UpdateSourceRecordsFromWorld extends a dirty row's copies with its
 	// new discussions and comments. opened is nil when some opening
 	// instant lies outside the range ageNanos accepts.
@@ -81,12 +76,23 @@ type SourceRecord struct {
 	comments []int32
 }
 
-// IndexDiscussions derives the statistics the record carries — its
-// distinct comment authors, its open-discussion count and its opening-
-// instant column — from Discussions. Every record constructor calls it; a
-// record assembled by hand must call it once its Discussions are final.
-func (r *SourceRecord) IndexDiscussions() {
-	ids := make([]int32, 0, r.TotalComments())
+// IndexDiscussions derives the statistics the record carries: its
+// distinct comment authors from authors, the author of every comment in
+// any order and with repeats, and its open-discussion count and opening-
+// instant and comment-count columns from Discussions. Every record
+// constructor calls it; a record assembled by hand must call it once its
+// Discussions are final.
+func (r *SourceRecord) IndexDiscussions(authors ...int) {
+	ids := make([]int32, len(authors))
+	for i, a := range authors {
+		ids[i] = int32(a)
+	}
+	r.index(ids)
+}
+
+// index is IndexDiscussions over authors already narrowed to int32; it
+// sorts ids in place.
+func (r *SourceRecord) index(ids []int32) {
 	r.open = 0
 	r.opened = make([]int64, 0, len(r.Discussions))
 	r.comments = make([]int32, 0, len(r.Discussions))
@@ -95,10 +101,7 @@ func (r *SourceRecord) IndexDiscussions() {
 			r.open++
 		}
 		r.opened = appendOpened(r.opened, d.Opened)
-		r.comments = append(r.comments, int32(len(d.Comments)))
-		for _, c := range d.Comments {
-			ids = append(ids, int32(c.AuthorID))
-		}
+		r.comments = append(r.comments, int32(d.Comments))
 	}
 	slices.Sort(ids)
 	// The merge copies the set out, so the record does not keep the
@@ -186,7 +189,7 @@ func (r *SourceRecord) OpenDiscussions() int { return r.open }
 func (r *SourceRecord) TotalComments() int {
 	n := 0
 	for _, d := range r.Discussions {
-		n += len(d.Comments)
+		n += d.Comments
 	}
 	return n
 }

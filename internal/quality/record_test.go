@@ -19,39 +19,35 @@ import (
 )
 
 func TestDistinctCommenters(t *testing.T) {
-	comments := func(authors ...int) []CommentStat {
-		out := make([]CommentStat, len(authors))
-		for i, a := range authors {
-			out[i] = CommentStat{AuthorID: a}
-		}
-		return out
-	}
 	for _, tc := range []struct {
-		name string
-		r    SourceRecord
-		want int
+		name    string
+		r       SourceRecord
+		authors []int
+		want    int
 	}{
-		{"no discussions", SourceRecord{}, 0},
-		{"discussions without comments", SourceRecord{Discussions: []DiscussionStat{{}, {Category: "place"}}}, 0},
-		{"one author", SourceRecord{Discussions: []DiscussionStat{{Comments: comments(7, 7, 7)}}}, 1},
+		{"no discussions", SourceRecord{}, nil, 0},
+		{"discussions without comments", SourceRecord{Discussions: []DiscussionStat{{}, {Category: "place"}}}, nil, 0},
+		{"one author", SourceRecord{Discussions: []DiscussionStat{{Comments: 3}}}, []int{7, 7, 7}, 1},
 		{"repeats across discussions", SourceRecord{Discussions: []DiscussionStat{
-			{Comments: comments(3, 1, 3)},
+			{Comments: 3},
 			{},
-			{Comments: comments(2, 1)},
-			{Comments: comments(3, 0, -4, 2)},
-		}}, 5},
+			{Comments: 2},
+			{Comments: 4},
+		}}, []int{3, 1, 3, 2, 1, 3, 0, -4, 2}, 5},
 	} {
-		tc.r.IndexDiscussions()
+		tc.r.IndexDiscussions(tc.authors...)
 		if got := tc.r.DistinctCommenters(); got != tc.want {
 			t.Errorf("%s: %d distinct commenters, want %d", tc.name, got, tc.want)
 		}
 	}
-	// Generated corpora: the count equals the size of the author set.
-	for _, r := range worldRecords(t, 60, 77) {
+	// Generated corpora: the count equals the size of the author set of
+	// the world's comments.
+	w := webgen.Generate(webgen.Config{Seed: 77, NumSources: 60})
+	for _, r := range SourceRecordsFromWorld(w, analytics.Build(w, 1077)) {
 		seen := map[int]bool{}
-		for _, d := range r.Discussions {
+		for _, d := range w.Source(r.ID).Discussions {
 			for _, c := range d.Comments {
-				seen[c.AuthorID] = true
+				seen[c.UserID] = true
 			}
 		}
 		if got := r.DistinctCommenters(); got != len(seen) {
@@ -60,63 +56,70 @@ func TestDistinctCommenters(t *testing.T) {
 	}
 }
 
-// scanRecordStats is the reference for a record's carried statistics: its
-// distinct comment authors, sorted, and its open-discussion count, found
-// by walking every discussion and comment.
-func scanRecordStats(r *SourceRecord) ([]int32, int) {
+// sourceScan is the reference for the statistics a record of a source
+// carries, found by walking the source's discussions and comments.
+type sourceScan struct {
+	authors  []int32 // distinct comment authors, ascending
+	open     int     // open discussions
+	comments []int32 // comments per discussion
+	tags     []int   // the comments' tags per discussion
+}
+
+func scanSource(s *webgen.Source) sourceScan {
+	sc := sourceScan{comments: []int32{}, tags: []int{}}
 	seen := map[int32]bool{}
-	open := 0
-	for _, d := range r.Discussions {
+	for _, d := range s.Discussions {
 		if d.Open {
-			open++
+			sc.open++
 		}
+		tags := 0
 		for _, c := range d.Comments {
-			seen[int32(c.AuthorID)] = true
+			seen[int32(c.UserID)] = true
+			tags += len(c.Tags)
 		}
+		sc.comments = append(sc.comments, int32(len(d.Comments)))
+		sc.tags = append(sc.tags, tags)
 	}
-	var ids []int32
 	for id := range seen {
-		ids = append(ids, id)
+		sc.authors = append(sc.authors, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids, open
+	sort.Slice(sc.authors, func(i, j int) bool { return sc.authors[i] < sc.authors[j] })
+	return sc
 }
 
-// scanCommentCounts is the reference for a record's carried comment-count
-// column.
-func scanCommentCounts(r *SourceRecord) []int32 {
-	comments := []int32{}
-	for _, d := range r.Discussions {
-		comments = append(comments, int32(len(d.Comments)))
-	}
-	return comments
-}
-
-func checkRecordStats(t *testing.T, step string, got, want *SourceRecord) {
+// checkRecordStats pins every record of s in recs — carried, rebuilt or
+// crawled — to the scan of s: the author set, the open count, the
+// comment-count column, and each discussion's Comments and CommentTags.
+func checkRecordStats(t *testing.T, step string, s *webgen.Source, recs ...*SourceRecord) {
 	t.Helper()
-	ids, open := scanRecordStats(want)
-	if !slices.Equal(want.authors, ids) || want.open != open {
-		t.Fatalf("%s: source %d reference record carries %d authors / %d open, scan %d / %d",
-			step, want.ID, len(want.authors), want.open, len(ids), open)
-	}
-	if !slices.Equal(got.authors, want.authors) || got.open != want.open {
-		t.Fatalf("%s: source %d carries %v / %d open, want %v / %d",
-			step, got.ID, got.authors, got.open, want.authors, want.open)
-	}
-	for _, r := range []*SourceRecord{want, got} {
-		if comments := scanCommentCounts(r); !slices.Equal(r.comments, comments) {
-			t.Fatalf("%s: source %d carries comment counts %v, scan %v", step, r.ID, r.comments, comments)
+	want := scanSource(s)
+	for _, r := range recs {
+		if !slices.Equal(r.authors, want.authors) || r.open != want.open {
+			t.Fatalf("%s: source %d carries %v / %d open, scan %v / %d",
+				step, r.ID, r.authors, r.open, want.authors, want.open)
+		}
+		if !slices.Equal(r.comments, want.comments) {
+			t.Fatalf("%s: source %d carries comment counts %v, scan %v", step, r.ID, r.comments, want.comments)
+		}
+		if len(r.Discussions) != len(want.comments) {
+			t.Fatalf("%s: source %d has %d discussion stats, scan %d", step, r.ID, len(r.Discussions), len(want.comments))
+		}
+		for i, d := range r.Discussions {
+			if d.Comments != int(want.comments[i]) || d.CommentTags != want.tags[i] {
+				t.Fatalf("%s: source %d discussion %d counts %d comments / %d tags, scan %d / %d",
+					step, r.ID, i, d.Comments, d.CommentTags, want.comments[i], want.tags[i])
+			}
 		}
 	}
 }
 
-// TestCarriedRecordStatistics pins the author sets, open counts and
-// comment-count columns
+// TestCarriedRecordStatistics pins the author sets, open counts,
+// comment-count columns and per-discussion comment and tag counts that
 // UpdateSourceRecordsFromWorld carries through a run of mixed ticks —
 // day-moving, same-day and per-source polls that open discussions — to
 // the ones SourceRecordsFromWorld and a crawl's SourceRecordsFromSnapshot
-// derive by sorting, and pins that a refresh never writes the previous
-// round's sets.
+// derive, and all three to a walk of the world's comments; it also pins
+// that a refresh never writes the previous round's sets.
 func TestCarriedRecordStatistics(t *testing.T) {
 	w := webgen.Generate(webgen.Config{Seed: 1602, NumSources: 30, NumUsers: 90, ChurnScale: 8})
 	panel := analytics.Build(w, 2602)
@@ -145,7 +148,7 @@ func TestCarriedRecordStatistics(t *testing.T) {
 		dirtied += len(dirty)
 		want := SourceRecordsFromWorld(w, panel)
 		for row := range records {
-			checkRecordStats(t, fmt.Sprintf("tick %d", i), records[row], want[row])
+			checkRecordStats(t, fmt.Sprintf("tick %d", i), w.Source(records[row].ID), records[row], want[row])
 			if !slices.Equal(prev[row].authors, before[row]) {
 				t.Fatalf("tick %d wrote source %d's previous author set", i, prev[row].ID)
 			}
@@ -165,8 +168,9 @@ func TestCarriedRecordStatistics(t *testing.T) {
 	if len(crawled) != len(records) {
 		t.Fatalf("crawled %d records, carried %d", len(crawled), len(records))
 	}
+	rebuilt := SourceRecordsFromWorld(w, panel)
 	for row := range records {
-		checkRecordStats(t, "crawl", records[row], crawled[row])
+		checkRecordStats(t, "crawl", w.Source(records[row].ID), records[row], rebuilt[row], crawled[row])
 		if crawled[row].MaxOpenDiscussions != w.MaxOpenDiscussions {
 			t.Fatalf("crawl: MaxOpenDiscussions %d, world %d", crawled[row].MaxOpenDiscussions, w.MaxOpenDiscussions)
 		}
@@ -176,17 +180,17 @@ func TestCarriedRecordStatistics(t *testing.T) {
 // TestExtendIndexCases covers the dirty-row extension directly: a record
 // without comments, a dirty row whose new comments all come from authors
 // already in its set (the set is shared, not copied), a new author merged
-// into a copy that leaves the previous set untouched, and the
-// copy-on-write discussion stats — an untouched discussion shares its
-// comment stats, a grown one gets a fresh exactly sized slice, and the
-// opening-instant column is shared until a discussion is appended. Every
-// extension equals a from-scratch build of the same source.
+// into a copy that leaves the previous set untouched, and the discussion
+// stats — a grown discussion counts its new comments and their tags in a
+// copy that leaves the previous stats untouched, and the opening-instant
+// column is shared until a discussion is appended. Every extension equals
+// a from-scratch build of the same source.
 func TestExtendIndexCases(t *testing.T) {
 	opened := time.Date(2011, 3, 1, 12, 0, 0, 0, time.UTC)
 	disc := func(open bool, authors ...int) *webgen.Discussion {
 		d := &webgen.Discussion{Open: open, Opened: opened}
 		for _, a := range authors {
-			d.Comments = append(d.Comments, &webgen.Comment{UserID: a, Replies: a})
+			d.Comments = append(d.Comments, &webgen.Comment{UserID: a, Replies: a, Tags: make([]string, a%4)})
 		}
 		opened = opened.Add(time.Hour)
 		return d
@@ -197,14 +201,14 @@ func TestExtendIndexCases(t *testing.T) {
 		nd := *d
 		nd.Comments = slices.Clip(d.Comments)
 		for _, a := range authors {
-			nd.Comments = append(nd.Comments, &webgen.Comment{UserID: a, Replies: a})
+			nd.Comments = append(nd.Comments, &webgen.Comment{UserID: a, Replies: a, Tags: make([]string, a%4)})
 		}
 		return &nd
 	}
 	source := func(ds ...*webgen.Discussion) *webgen.Source { return &webgen.Source{Discussions: ds} }
 	recordOf := func(s *webgen.Source) *SourceRecord {
-		r := &SourceRecord{Discussions: buildDiscussionStats(s)}
-		r.IndexDiscussions()
+		r := &SourceRecord{}
+		r.indexSource(s)
 		return r
 	}
 	extended := func(old *SourceRecord, s *webgen.Source) *SourceRecord {
@@ -241,24 +245,21 @@ func TestExtendIndexCases(t *testing.T) {
 	if !slices.Equal(old.authors, []int32{1, 3}) {
 		t.Fatalf("merging new authors wrote the previous set: %v", old.authors)
 	}
-	ids, open := scanRecordStats(fresh)
-	if !slices.Equal(fresh.authors, ids) || fresh.open != open {
-		t.Fatalf("extended stats %v / %d, scan %v / %d", fresh.authors, fresh.open, ids, open)
+	if sc := scanSource(source(grow(o0, 2, 7), disc(true, 0))); !slices.Equal(fresh.authors, sc.authors) || fresh.open != sc.open {
+		t.Fatalf("extended stats %v / %d, scan %v / %d", fresh.authors, fresh.open, sc.authors, sc.open)
 	}
 
-	// Copy-on-write stats: o0 is untouched, o1 grows by one comment.
+	// Counted stats: o0 is untouched, o1 grows by one comment. Author 5
+	// tags one, author 6 two.
 	o1 := disc(true, 5)
 	two := recordOf(source(o0, o1))
 	g1 := grow(o1, 6)
 	next := extended(two, source(o0, g1))
-	if &next.Discussions[0].Comments[0] != &two.Discussions[0].Comments[0] {
-		t.Fatal("an untouched discussion copied its comment stats")
+	if d := next.Discussions[1]; d.Comments != 2 || d.CommentTags != 3 {
+		t.Fatalf("a grown discussion counts %d comments / %d tags, want 2 / 3", d.Comments, d.CommentTags)
 	}
-	if cs := next.Discussions[1].Comments; &cs[0] == &two.Discussions[1].Comments[0] || len(cs) != 2 || cap(cs) != 2 {
-		t.Fatalf("a grown discussion must get a fresh exactly sized slice, got len %d cap %d", len(cs), cap(cs))
-	}
-	if len(two.Discussions[1].Comments) != 1 {
-		t.Fatal("extending wrote the previous record's discussion stats")
+	if d := two.Discussions[1]; d.Comments != 1 || d.CommentTags != 1 {
+		t.Fatalf("extending wrote the previous record's discussion stats: %d comments / %d tags", d.Comments, d.CommentTags)
 	}
 	if &next.opened[0] != &two.opened[0] {
 		t.Fatal("no discussion was appended, yet the opened column was copied")
@@ -279,6 +280,67 @@ func TestExtendIndexCases(t *testing.T) {
 	if &same.comments[0] != &third.comments[0] || &same.opened[0] != &third.opened[0] {
 		t.Fatal("an unchanged source copied its carried columns")
 	}
+}
+
+// FuzzExtendIndex grows a small source tick by tick the way a world tick
+// does, only appending, and reads each step from the input: a new
+// discussion (open or closed, tagged, with or without a first comment, its
+// opening instant now and then out of the thread-age column's range) or a
+// new comment on an existing one, by an author drawn from a small pool so
+// that authors both repeat and arrive new, with 0 to 3 tags. After each
+// tick the record extended from the previous one must equal a from-scratch
+// build of the grown source, and the previous record must be unchanged.
+func FuzzExtendIndex(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		opened := time.Date(2011, 3, 1, 12, 0, 0, 0, time.UTC)
+		s := &webgen.Source{}
+		old := &SourceRecord{}
+		old.indexSource(s)
+		for tick := 0; tick < 8 && len(data) > 0; tick++ {
+			ops := int(data[0] % 8)
+			data = data[1:]
+			// A tick copies the discussion list and every discussion it
+			// grows, so the previous source stays as it was.
+			ns := &webgen.Source{Discussions: slices.Clone(s.Discussions)}
+			for ; ops > 0 && len(data) >= 3; ops-- {
+				b, author, pick := data[0], int(data[1]%24), int(data[2])
+				data = data[3:]
+				c := &webgen.Comment{UserID: author, Tags: make([]string, b>>4&3)}
+				if b&3 == 0 || len(ns.Discussions) == 0 {
+					d := &webgen.Discussion{ID: len(ns.Discussions), Open: b&8 != 0, Opened: opened, Tags: make([]string, b>>6)}
+					if pick == 255 {
+						d.Opened = time.Time{} // outside ageNanos' range: voids the column
+					}
+					if b&4 != 0 {
+						d.Comments = []*webgen.Comment{c}
+					}
+					ns.Discussions = append(ns.Discussions, d)
+					opened = opened.Add(time.Duration(pick) * time.Hour)
+					continue
+				}
+				i := pick % len(ns.Discussions)
+				nd := *ns.Discussions[i]
+				nd.Comments = append(slices.Clip(nd.Comments), c)
+				ns.Discussions[i] = &nd
+			}
+			before := *old
+			before.Discussions = slices.Clone(old.Discussions)
+			before.authors = slices.Clone(old.authors)
+			before.opened = slices.Clone(old.opened)
+			before.comments = slices.Clone(old.comments)
+			r := &SourceRecord{}
+			r.extendIndex(old, ns)
+			want := &SourceRecord{}
+			want.indexSource(ns)
+			if !reflect.DeepEqual(r, want) {
+				t.Fatalf("tick %d: extension differs from a rebuild:\n got  %+v\n want %+v", tick, r, want)
+			}
+			if !reflect.DeepEqual(old, &before) {
+				t.Fatalf("tick %d: extending wrote the previous record:\n now  %+v\n was  %+v", tick, old, &before)
+			}
+			s, old = ns, r
+		}
+	})
 }
 
 // TestThreadAgeColumnMatchesSub pins the carried opening-instant column
@@ -310,7 +372,7 @@ func TestThreadAgeColumnMatchesSub(t *testing.T) {
 			if age < 1 {
 				age = 1
 			}
-			sum += float64(len(d.Comments)) / age
+			sum += float64(d.Comments) / age
 		}
 		return sum / float64(len(r.Discussions)), true
 	}
@@ -322,7 +384,7 @@ func TestThreadAgeColumnMatchesSub(t *testing.T) {
 	discs := func(opened ...time.Time) []DiscussionStat {
 		out := make([]DiscussionStat, len(opened))
 		for i, o := range opened {
-			out[i] = DiscussionStat{Opened: o, Comments: make([]CommentStat, 1+i%3)}
+			out[i] = DiscussionStat{Opened: o, Comments: 1 + i%3}
 		}
 		return out
 	}

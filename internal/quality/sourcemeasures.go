@@ -90,7 +90,7 @@ var sourceMeasures = []SourceMeasure{
 				if !relevantDiscussion(d, di) {
 					continue
 				}
-				perCat[d.Category] += len(d.Comments)
+				perCat[d.Category] += d.Comments
 			}
 			if len(perCat) == 0 {
 				return 0, false
@@ -241,12 +241,8 @@ var sourceMeasures = []SourceMeasure{
 			posts, tags := 0, 0
 			for i := range r.Discussions {
 				d := &r.Discussions[i]
-				posts++
-				tags += d.TagCount
-				for j := range d.Comments {
-					posts++
-					tags += d.Comments[j].TagCount
-				}
+				posts += 1 + d.Comments
+				tags += d.TagCount + d.CommentTags
 			}
 			if posts == 0 {
 				return 0, false
@@ -370,7 +366,7 @@ var sourceMeasures = []SourceMeasure{
 			} else {
 				for i := range r.Discussions {
 					d := &r.Discussions[i]
-					sum += float64(len(d.Comments)) / atLeastOneDay(r.ObservedAt.Sub(d.Opened).Hours()/24)
+					sum += float64(d.Comments) / atLeastOneDay(r.ObservedAt.Sub(d.Opened).Hours()/24)
 				}
 			}
 			return sum / float64(len(r.Discussions)), true

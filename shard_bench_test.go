@@ -50,6 +50,7 @@ func syntheticSourceRecords(n int, seed int64) []*quality.SourceRecord {
 				NewDiscussionsPerDay: rng.Float64() * 8,
 			},
 		}
+		var authors []int
 		nd := 1 + rng.Intn(3)
 		for d := 0; d < nd; d++ {
 			disc := quality.DiscussionStat{
@@ -58,20 +59,21 @@ func syntheticSourceRecords(n int, seed int64) []*quality.SourceRecord {
 				Open:     rng.Intn(3) > 0,
 				TagCount: rng.Intn(5),
 			}
-			nc := 1 + rng.Intn(4)
-			for k := 0; k < nc; k++ {
-				disc.Comments = append(disc.Comments, quality.CommentStat{
-					AuthorID:  1 + rng.Intn(n),
-					Posted:    disc.Opened.Add(time.Duration(rng.Intn(72)) * time.Hour),
-					TagCount:  rng.Intn(4),
-					Replies:   rng.Intn(6),
-					Feedbacks: rng.Intn(10),
-					Reads:     rng.Intn(400),
-				})
+			disc.Comments = 1 + rng.Intn(4)
+			for k := 0; k < disc.Comments; k++ {
+				authors = append(authors, 1+rng.Intn(n))
+				// The post instant, replies, feedbacks and reads are
+				// drawn and dropped: a record does not keep them, and
+				// the draws keep the rest of the corpus as it is.
+				rng.Intn(72)
+				disc.CommentTags += rng.Intn(4)
+				rng.Intn(6)
+				rng.Intn(10)
+				rng.Intn(400)
 			}
 			r.Discussions = append(r.Discussions, disc)
 		}
-		r.IndexDiscussions()
+		r.IndexDiscussions(authors...)
 		recs[i] = r
 	}
 	return recs
