@@ -2,6 +2,7 @@ package correlate
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -111,5 +112,48 @@ func BenchmarkBuild(b *testing.B) {
 	b.StopTimer()
 	if ix.Stories().Len() == 0 {
 		b.Fatal("build found no stories")
+	}
+}
+
+// Budgets for one BenchmarkFold round: 78,857 bytes in 409 allocations
+// measured at GOMAXPROCS 1 over the 32-round ring (go1.24, linux/amd64;
+// 80,069 bytes under -race), plus 25%. A fold that hashes through
+// per-comment token slices and keeps its touched roots in maps allocates
+// 183,993 bytes in 924 allocations per round here.
+const (
+	foldBytesBudget  = 98571
+	foldAllocsBudget = 511
+)
+
+// TestFoldAllocBudget gates the bytes and allocations of one
+// ingest-shaped fold: a warm ring of rounds on one index, then the same
+// ring on a fresh index built on the base world, measured.
+func TestFoldAllocBudget(t *testing.T) {
+	base, rounds := ingestFixture()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	built := func() *Index {
+		ix := NewIndex()
+		ix.Build(base)
+		return ix
+	}
+	ix := built()
+	for _, r := range rounds {
+		ix.Fold(r.world, r.delta)
+	}
+	ix = built()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, r := range rounds {
+		ix.Fold(r.world, r.delta)
+	}
+	runtime.ReadMemStats(&after)
+	n := uint64(len(rounds))
+	bytes, allocs := (after.TotalAlloc-before.TotalAlloc)/n, (after.Mallocs-before.Mallocs)/n
+	t.Logf("one fold allocates %d bytes in %d allocations", bytes, allocs)
+	if bytes > foldBytesBudget {
+		t.Errorf("one fold allocates %d bytes, budget %d", bytes, foldBytesBudget)
+	}
+	if allocs > foldAllocsBudget {
+		t.Errorf("one fold allocates %d times, budget %d", allocs, foldAllocsBudget)
 	}
 }

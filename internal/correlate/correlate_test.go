@@ -2,7 +2,10 @@ package correlate
 
 import (
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
+	"time"
 
 	"github.com/informing-observers/informer/internal/webgen"
 )
@@ -339,5 +342,102 @@ func TestSyndicationRateZeroDrawsNothing(t *testing.T) {
 	b := webgen.Generate(webgen.Config{Seed: 7, NumSources: 30, CommentText: true, SyndicationRate: 0})
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("SyndicationRate 0 changed the generated world")
+	}
+}
+
+// TestMaterializeMergedRoots drives one fold through every case the
+// touched-root list must resolve. Stories A (root 0), B (root 2) and D
+// (root 6) exist, with C (root 4) beside them. The fold's first comment
+// copies B verbatim, so B's root wins a union; its second sits in the
+// duplicate tier of B and the story tier of A, so the batch merge
+// bridges the two and B's root loses to A's. Its third sits in the
+// duplicate tier of A and the story tier of D, so D's root loses to A's
+// without having won. C is untouched.
+func TestMaterializeMergedRoots(t *testing.T) {
+	const (
+		storyA = "the harbour ferry runs late again because the night crew walked off before the storm warning came"
+		storyB = "the green ferry runs late again because the night crew walked bridge before the storm warning came"
+		bridge = "the green ferry runs late again because the night crew walked off before the storm warning came"
+		storyC = "local bakery wins the regional bread prize for the third year running with its rye sourdough loaf"
+		storyD = "the night ferry runs late again because the night crew walked off before the long warning came"
+		nearA  = "the harbour ferry runs late again because the night crew walked off before the long warning came"
+	)
+	bodies := []string{storyA, storyA, storyB, storyB, storyC, storyC, storyD, storyD, storyB, bridge, nearA}
+	tiers := []struct {
+		a, b   string
+		lo, hi int
+	}{
+		{bridge, storyB, 0, DupHamming},
+		{bridge, storyA, DupHamming + 1, StoryHamming},
+		{nearA, storyA, 0, DupHamming},
+		{nearA, storyD, DupHamming + 1, StoryHamming},
+	}
+	for _, d := range tiers {
+		if h := hamming(Simhash(d.a), Simhash(d.b)); h < d.lo || h > d.hi {
+			t.Fatalf("%q and %q: distance %d, want [%d, %d]", d.a, d.b, h, d.lo, d.hi)
+		}
+	}
+	// Every other pair of distinct bodies stays outside the story tier.
+	for i, a := range bodies {
+		for _, b := range bodies[i+1:] {
+			inTier := a == b
+			for _, d := range tiers {
+				inTier = inTier || a == d.a && b == d.b || a == d.b && b == d.a
+			}
+			if h := hamming(Simhash(a), Simhash(b)); !inTier && h <= StoryHamming {
+				t.Fatalf("%q and %q: distance %d, want > %d", a, b, h, StoryHamming)
+			}
+		}
+	}
+	// Comment i sits on source srcs[i], in that source's one discussion.
+	srcs := []int{0, 1, 2, 3, 6, 7, 8, 9, 4, 5, 10}
+	w := &webgen.World{}
+	for s := range srcs {
+		w.Sources = append(w.Sources, &webgen.Source{ID: s,
+			Discussions: []*webgen.Discussion{{ID: 100 + s, SourceID: s}}})
+	}
+	var coms []newComment
+	for i, body := range bodies {
+		posted := time.Unix(int64(1000+i), 0).UTC()
+		d := w.Sources[srcs[i]].Discussions[0]
+		d.Comments = append(d.Comments, &webgen.Comment{ID: i, Posted: posted, Body: body})
+		coms = append(coms, newComment{id: int32(i), source: int32(srcs[i]), disc: int32(d.ID),
+			posted: posted.UnixNano(), body: body})
+	}
+
+	ix := NewIndex()
+	before := ix.fold(w, coms[:8])
+	ids := func(ss *StorySet) (out []int) {
+		for _, st := range ss.All() {
+			out = append(out, st.ID)
+		}
+		return out
+	}
+	if got := ids(before); !reflect.DeepEqual(got, []int{6, 4, 2, 0}) {
+		t.Fatalf("before the fold the listing is %v, want stories D, C, B, A = [6 4 2 0]", got)
+	}
+	a, _ := before.Story(0)
+	c, _ := before.Story(4)
+	after := ix.fold(w, coms[8:])
+
+	if got := ids(after); !reflect.DeepEqual(got, []int{0, 4}) {
+		t.Fatalf("after the fold the listing is %v, want the merged story and C = [0 4]", got)
+	}
+	merged, _ := after.Story(0)
+	if merged == a {
+		t.Error("the winning story rode into the next set unrendered")
+	}
+	// Every comment but C's two, on every source but C's.
+	if want := []int{0, 1, 2, 3, 4, 5, 8, 9, 10}; merged.Size != 9 || !reflect.DeepEqual(merged.Sources, want) {
+		t.Errorf("merged story has size %d and sources %v, want 9 and %v", merged.Size, merged.Sources, want)
+	}
+	if got, _ := after.Story(4); got != c {
+		t.Error("the untouched story C was not shared by pointer")
+	}
+
+	rebuilt := slices.Clone(NewIndex().Build(w).All())
+	sort.Slice(rebuilt, func(i, j int) bool { return storyBefore(rebuilt[i], rebuilt[j]) })
+	if got, want := cloneStories(after), cloneStories(&StorySet{ordered: rebuilt}); !reflect.DeepEqual(got, want) {
+		t.Errorf("fold listing %+v, a rebuild sorted by storyBefore lists %+v", got, want)
 	}
 }

@@ -1,8 +1,10 @@
 package correlate
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"github.com/informing-observers/informer/internal/webgen"
@@ -60,9 +62,17 @@ type Index struct {
 
 	pending []edge // story-tier-only edges awaiting the batch merge pass
 
+	// coms is Fold's reused batch of the delta's new comments.
+	coms []newComment
+	// cands is insert's reused scratch: the candidates of every probed
+	// bucket, band by band, gathered before any signature is loaded.
+	cands []int32
+
 	clusters map[int32]*cluster // story-tier roots with >= 2 members
-	touched  map[int32]bool     // roots whose cluster changed since the last materialize
-	dead     map[int32]bool     // roots merged away since the last materialize
+	// touched lists both roots of every story-tier union since the last
+	// materialize, with repeats: the winner changed and the loser was
+	// merged away, so neither may ride into the next StorySet as it was.
+	touched []int32
 
 	corrBySource []int // indexed comments per source
 	dupBySource  []int // duplicate comments per source
@@ -74,8 +84,6 @@ type Index struct {
 func NewIndex() *Index {
 	ix := &Index{
 		clusters: map[int32]*cluster{},
-		touched:  map[int32]bool{},
-		dead:     map[int32]bool{},
 		stories:  emptyStorySet(),
 	}
 	for b := range ix.buckets {
@@ -155,13 +163,14 @@ func (ix *Index) Build(w *webgen.World) *StorySet {
 // coalesced ticks (webgen.Delta.Merge); ForEachNewComment visits every
 // new comment exactly once.
 func (ix *Index) Fold(w *webgen.World, delta *webgen.Delta) *StorySet {
-	var coms []newComment
+	coms := ix.coms[:0]
 	delta.ForEachNewComment(func(sourceID int, d *webgen.Discussion, c *webgen.Comment) {
 		coms = append(coms, newComment{
 			id: int32(c.ID), source: int32(sourceID), disc: int32(d.ID),
 			posted: c.Posted.UnixNano(), body: c.Body,
 		})
 	})
+	ix.coms = coms
 	return ix.fold(w, coms)
 }
 
@@ -173,7 +182,7 @@ func (ix *Index) fold(w *webgen.World, coms []newComment) *StorySet {
 	// Delta visit order is generation order (new-discussion comments before
 	// grown ones), not global ID order; sort so insertion order — and with
 	// it every "earlier comment" verdict — matches a from-scratch Build.
-	sort.Slice(coms, func(i, j int) bool { return coms[i].id < coms[j].id })
+	slices.SortFunc(coms, func(a, b newComment) int { return cmp.Compare(a.id, b.id) })
 	ix.growSources(len(w.Sources))
 	for _, nc := range coms {
 		ix.insert(nc)
@@ -197,9 +206,24 @@ func (ix *Index) growSources(n int) {
 	}
 }
 
+// probesPerBand is how many buckets an insertion reads per band: the
+// exact band value and every single-bit variation of it.
+const probesPerBand = 1 + bandBits
+
 // insert hashes one comment, probes the banded buckets for candidates,
 // writes the duplicate verdict and the union-find edges, and registers
 // the comment in the buckets.
+//
+// The probe runs in three passes so that its cache misses overlap
+// instead of queueing: the 68 bucket headers are read into a local array
+// (independent loads from four 1.5 MB tables), their contents are copied
+// into one scratch list, and only then is each candidate's signature
+// loaded and tested, in a loop whose loads do not depend on one another.
+// A candidate sits in one bucket per band, so it is met in band b iff its
+// signature's band b differs from sig's in at most one bit; metEarlier
+// skips candidates an earlier band already met. The visit order — band,
+// then probe key (exact value first, then the flipped bit), then
+// insertion order — is that of reading bucket by bucket.
 func (ix *Index) insert(nc newComment) {
 	if int(nc.id) < len(ix.entries) && ix.entries[nc.id].inserted {
 		panic(fmt.Sprintf("correlate: comment %d inserted twice", nc.id))
@@ -219,18 +243,45 @@ func (ix *Index) insert(nc newComment) {
 	ix.sigs[nc.id] = sig
 	e.indexed = true
 
+	// Multi-probe: the exact band value plus every single-bit variation.
+	// Signatures register only under exact values, so two signatures
+	// whose band differs by <= 1 bit still meet — the probe set that
+	// makes duplicate-tier recall a pigeonhole guarantee (see the
+	// parameter block in simhash.go).
+	var heads [numBands * probesPerBand][]int32
 	for b := 0; b < numBands; b++ {
-		key := band(sig, b)
-		// Multi-probe: the exact band value plus every single-bit
-		// variation. Signatures register only under exact values, so two
-		// signatures whose band differs by <= 1 bit still meet — the
-		// probe set that makes duplicate-tier recall a pigeonhole
-		// guarantee (see the parameter block in simhash.go).
-		table := ix.buckets[b]
-		ix.probe(b, table[key], sig, e, nc.id)
+		key, table, row := band(sig, b), ix.buckets[b], heads[b*probesPerBand:]
+		row[0] = table[key]
 		for bit := 0; bit < bandBits; bit++ {
-			ix.probe(b, table[key^(1<<uint(bit))], sig, e, nc.id)
+			row[1+bit] = table[key^(1<<uint(bit))]
 		}
+	}
+	var bandEnd [numBands]int
+	cands := ix.cands[:0]
+	for i, h := range heads {
+		cands = append(cands, h...)
+		bandEnd[i/probesPerBand] = len(cands)
+	}
+	ix.cands = cands
+	start := 0
+	for b, end := range bandEnd {
+		for _, cand := range cands[start:end] {
+			x := sig ^ ix.sigs[cand]
+			h := bits.OnesCount64(x)
+			if h > StoryHamming || metEarlier(x, b) {
+				continue
+			}
+			if h <= DupHamming {
+				if !e.dup && ix.entries[cand].source != e.source {
+					e.dup = true
+				}
+				ix.dupUnion(nc.id, cand)
+				ix.storyUnion(nc.id, cand)
+			} else {
+				ix.pending = append(ix.pending, edge{nc.id, cand})
+			}
+		}
+		start = end
 	}
 	for b := 0; b < numBands; b++ {
 		key := band(sig, b)
@@ -241,35 +292,6 @@ func (ix *Index) insert(nc newComment) {
 	if e.dup {
 		ix.duplicates++
 		ix.dupBySource[nc.source]++
-	}
-}
-
-// probe scans one band-b bucket for candidates of the comment id (with
-// signature sig and entry e) being inserted, writing duplicate verdicts
-// and union-find edges for every in-tier hit. A candidate sits in one
-// bucket per band and the insertion probes 17 buckets per band, so it is
-// met in band b iff its signature's band b differs from sig's in at most
-// one bit; metEarlier skips candidates an earlier band already met, which
-// visits each candidate once, in the order of its first meeting.
-func (ix *Index) probe(b int, bucket []int32, sig uint64, e *comEntry, id int32) {
-	for _, cand := range bucket {
-		c := ix.sigs[cand]
-		if metEarlier(sig^c, b) {
-			continue
-		}
-		h := hamming(sig, c)
-		if h > StoryHamming {
-			continue
-		}
-		if h <= DupHamming {
-			if !e.dup && ix.entries[cand].source != e.source {
-				e.dup = true
-			}
-			ix.dupUnion(id, cand)
-			ix.storyUnion(id, cand)
-		} else {
-			ix.pending = append(ix.pending, edge{id, cand})
-		}
 	}
 }
 
@@ -350,11 +372,7 @@ func (ix *Index) storyUnion(a, b int32) {
 		win.latest = maxI64(win.latest, lose.latest)
 		delete(ix.clusters, rb)
 	}
-	ix.touched[ra] = true
-	if ix.touched[rb] {
-		delete(ix.touched, rb)
-	}
-	ix.dead[rb] = true
+	ix.touched = append(ix.touched, ra, rb)
 }
 
 // insertSource adds a source ID to a sorted-unique set.

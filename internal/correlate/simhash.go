@@ -22,11 +22,6 @@
 //informer:deterministic
 package correlate
 
-import (
-	"math/bits"
-	"strings"
-)
-
 // Simhash parameters. 64-bit signatures are cut into 4 bands of 16 bits
 // and candidate lookup is multi-probe: each band's flat bucket table is
 // read at the exact band value and at every single-bit variation (4 x 17
@@ -57,86 +52,98 @@ const (
 	StoryHamming = 12
 )
 
-// fnv64a hashes one shingle (FNV-1a, inlined to avoid per-shingle
-// allocations in the hot Build/Fold path).
-func fnv64a(parts []string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i, p := range parts {
-		if i > 0 {
-			h ^= ' '
-			h *= prime64
-		}
-		for j := 0; j < len(p); j++ {
-			h ^= uint64(p[j])
-			h *= prime64
-		}
-	}
-	return h
-}
+// span is one word of a text: the byte range [start, end).
+type span struct{ start, end int }
 
-// tokenize lowercases and splits text into word tokens (letters and
-// digits; everything else separates).
-func tokenize(text string) []string {
-	words := make([]string, 0, 32)
+// Simhash computes the 64-bit simhash of a text over word shingles of
+// shingleSize. Words are maximal runs of ASCII letters and digits
+// (everything else separates) and compare case-insensitively. Texts
+// shorter than one shingle hash as a single shingle of whatever words
+// they have; the empty text hashes to 0.
+//
+// Each shingle's hash is FNV-1a over its words, lowercased, joined by
+// single spaces. Simhash reads the words in place: their spans sit in a
+// stack array that reaches the heap only past 64 words, and the hash
+// lowercases each byte as it reads it, so a comment costs no allocation.
+func Simhash(text string) uint64 {
+	var buf [64]span
+	words := buf[:0]
 	start := -1
-	flush := func(end int) {
-		if start >= 0 {
-			words = append(words, strings.ToLower(text[start:end]))
-			start = -1
-		}
-	}
 	for i := 0; i < len(text); i++ {
 		c := text[i]
-		alnum := c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
-		if alnum {
+		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' {
 			if start < 0 {
 				start = i
 			}
-		} else {
-			flush(i)
+		} else if start >= 0 {
+			words = append(words, span{start, i})
+			start = -1
 		}
 	}
-	flush(len(text))
-	return words
-}
-
-// Simhash computes the 64-bit simhash of a text over word shingles of
-// shingleSize. Texts shorter than one shingle hash as a single shingle of
-// whatever words they have; the empty text hashes to 0.
-func Simhash(text string) uint64 {
-	words := tokenize(text)
+	if start >= 0 {
+		words = append(words, span{start, len(text)})
+	}
 	if len(words) == 0 {
 		return 0
 	}
-	var counts [64]int32
-	accumulate := func(h uint64) {
-		// +1 for a set bit, -1 for a clear one, without a branch per bit.
-		for b := 0; b < 64; b++ {
-			counts[b] += int32(h>>uint(b)&1)*2 - 1
+	// One shingle per window of shingleSize words, or a single shingle
+	// of every word when there are fewer.
+	shingles, width := len(words)-shingleSize+1, shingleSize
+	if shingles < 1 {
+		shingles, width = 1, len(words)
+	}
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+		lowBytes = 0x0101010101010101
+	)
+	// The vote counts the shingles that set each bit, eight bits per
+	// add: byte k of lanes[j] counts the shingles with bit 8k+j set. A
+	// byte holds 255 votes, so the lanes drain into ones every 255
+	// shingles.
+	var lanes [8]uint64
+	var ones [64]int32
+	drain := func() {
+		for j, l := range lanes {
+			for k := 0; k < 8; k++ {
+				ones[8*k+j] += int32(l >> (8 * k) & 0xff)
+			}
+		}
+		lanes = [8]uint64{}
+	}
+	for i := 0; i < shingles; i++ {
+		h := uint64(offset64)
+		for k, w := range words[i : i+width] {
+			if k > 0 {
+				h ^= ' '
+				h *= prime64
+			}
+			for j := w.start; j < w.end; j++ {
+				c := text[j]
+				if c >= 'A' && c <= 'Z' {
+					c += 'a' - 'A'
+				}
+				h ^= uint64(c)
+				h *= prime64
+			}
+		}
+		for j := range lanes {
+			lanes[j] += h >> j & lowBytes
+		}
+		if i%255 == 254 {
+			drain()
 		}
 	}
-	if len(words) < shingleSize {
-		accumulate(fnv64a(words))
-	} else {
-		for i := 0; i+shingleSize <= len(words); i++ {
-			accumulate(fnv64a(words[i : i+shingleSize]))
-		}
-	}
+	drain()
+	// A bit is set when more shingles set it than clear it.
 	var sig uint64
-	for b := 0; b < 64; b++ {
-		if counts[b] > 0 {
+	for b, n := range ones {
+		if 2*int(n) > shingles {
 			sig |= 1 << uint(b)
 		}
 	}
 	return sig
 }
-
-// hamming counts differing bits between two signatures.
-func hamming(a, b uint64) int { return bits.OnesCount64(a ^ b) }
 
 // band extracts the i-th 16-bit band of a signature.
 func band(sig uint64, i int) uint16 {

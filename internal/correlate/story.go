@@ -1,7 +1,8 @@
 package correlate
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -132,32 +133,45 @@ func (ss *StorySet) Query(q StoryQuery) *StoryPage {
 	return page
 }
 
-// materialize publishes the next StorySet from the index's touched/dead
-// root bookkeeping, sharing untouched stories with prev, then resets the
-// bookkeeping. Only the touched roots are rendered and sorted; they merge
-// into prev's listing minus every dead or touched ID, so a fold costs its
-// touched stories plus one linear pass, not a re-sort of every story.
+// materialize publishes the next StorySet from the index's touched-root
+// list, sharing untouched stories with prev, then empties the list.
+// Touched IDs are sorted and compacted; those still roots are rendered
+// and sorted, and they merge into prev's listing minus every
+// touched ID, so a fold costs its touched stories plus one linear pass,
+// not a re-sort of every story. A listed story that was merged away is
+// among the touched IDs: every union records its losing root.
 //
 //informer:mutates builds the successor snapshot before it is published
 func (ix *Index) materialize(prev *StorySet) *StorySet {
-	if len(ix.touched) == 0 && len(ix.dead) == 0 {
+	if len(ix.touched) == 0 {
 		return prev
 	}
-	fresh := make([]*Story, 0, len(ix.touched))
-	for r := range ix.touched {
+	slices.Sort(ix.touched)
+	touched := slices.Compact(ix.touched)
+	fresh := make([]*Story, 0, len(touched))
+	for _, r := range touched {
+		// Only roots key clusters, so an ID merged away finds none.
 		// Touched but single-source (e.g. a source near-duplicating
 		// itself) is a cluster, not a story.
-		if cl := ix.clusters[r]; !ix.dead[r] && cl != nil && len(cl.sources) >= 2 {
+		if cl := ix.clusters[r]; cl != nil && len(cl.sources) >= 2 {
 			fresh = append(fresh, ix.buildStory(r, cl))
 		}
 	}
-	// Map-range order above is scheduling-dependent; storyBefore is a
-	// total order, so no map order escapes.
-	sort.Slice(fresh, func(i, j int) bool { return storyBefore(fresh[i], fresh[j]) })
+	slices.SortFunc(fresh, storyCompare)
 	next := &StorySet{ordered: make([]*Story, 0, len(prev.ordered)+len(fresh))}
+	// mask holds one bit per value of an ID's low 12 bits, set for every
+	// touched ID: a listed story whose bit is clear is untouched, which
+	// settles most of them without the binary search.
+	var mask [64]uint64
+	for _, r := range touched {
+		mask[r>>6&63] |= 1 << (r & 63)
+	}
 	for _, st := range prev.ordered {
-		if r := int32(st.ID); ix.dead[r] || ix.touched[r] {
-			continue
+		r := int32(st.ID)
+		if mask[r>>6&63]&(1<<(r&63)) != 0 {
+			if _, hit := slices.BinarySearch(touched, r); hit {
+				continue
+			}
 		}
 		for len(fresh) > 0 && storyBefore(fresh[0], st) {
 			next.ordered = append(next.ordered, fresh[0])
@@ -166,18 +180,20 @@ func (ix *Index) materialize(prev *StorySet) *StorySet {
 		next.ordered = append(next.ordered, st)
 	}
 	next.ordered = append(next.ordered, fresh...)
-	ix.touched = map[int32]bool{}
-	ix.dead = map[int32]bool{}
+	ix.touched = ix.touched[:0]
 	return next
 }
 
-// storyBefore is the listing order: Latest desc, then ID asc.
-func storyBefore(a, b *Story) bool {
-	if !a.Latest.Equal(b.Latest) {
-		return a.Latest.After(b.Latest)
+// storyCompare is the listing order: Latest desc, then ID asc.
+func storyCompare(a, b *Story) int {
+	if c := b.Latest.Compare(a.Latest); c != 0 {
+		return c
 	}
-	return a.ID < b.ID
+	return cmp.Compare(a.ID, b.ID)
 }
+
+// storyBefore reports whether a lists before b.
+func storyBefore(a, b *Story) bool { return storyCompare(a, b) < 0 }
 
 // buildStory renders a cluster rooted at r as its immutable Story. The
 // cluster's source set is already sorted ascending (insertSource keeps it
