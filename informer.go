@@ -550,10 +550,10 @@ func (p apiProvider) Snapshot() apiserve.Snapshot {
 	return apiSnapshot{p.c.state.Load()}
 }
 
-// Subscriptions implements apiserve.SubscriptionProvider: HTTP watchers
-// and streams subscribe into the corpus' own registry — fed synchronously
-// by Advance — so remote and in-process observers of one canonical query
-// share a single evaluation and delta computation per tick.
+// Subscriptions is the corpus' own registry — fed synchronously by
+// Advance — which HTTP watchers and streams subscribe into, so remote and
+// in-process observers of one canonical query share a single evaluation
+// and delta computation per tick.
 func (p apiProvider) Subscriptions() *subscribe.Registry { return p.c.subs }
 
 // Sinks implements apiserve.SinkProvider: the API server mounts the
@@ -649,8 +649,8 @@ type CrawlOptions struct {
 }
 
 // Crawl walks a corpus served at baseURL over real HTTP and returns source
-// records joined with this corpus' analytics panel, ready for assessment.
-// observedAt/windowDays follow the served world's timeline.
+// records joined with this corpus' analytics panel, ready for assessment,
+// observed at the current round's instant.
 func (c *Corpus) Crawl(ctx context.Context, baseURL string, opts CrawlOptions) ([]*SourceRecord, error) {
 	snap, err := crawler.Crawl(ctx, crawler.Config{
 		BaseURL:    baseURL,
@@ -662,7 +662,7 @@ func (c *Corpus) Crawl(ctx context.Context, baseURL string, opts CrawlOptions) (
 		return nil, err
 	}
 	st := c.state.Load()
-	return quality.SourceRecordsFromSnapshot(snap, st.panel, st.world.Config.End, st.world.Days()), nil
+	return quality.SourceRecordsFromSnapshot(snap, st.panel, st.world.Config.End), nil
 }
 
 // QueryRecords assesses externally obtained source records (e.g. from

@@ -58,6 +58,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"reflect"
@@ -103,29 +104,14 @@ type Snapshot interface {
 	Search(query string, k int) []search.Result
 }
 
-// Provider hands out the current snapshot; the facade's atomic snapshot
-// pointer sits behind it.
+// Provider hands out the current snapshot and the standing-query
+// subscription registry its owner feeds: the informer facade's atomic
+// snapshot pointer and the registry it publishes every round to from
+// Advance, after the swap. HTTP watchers and streams subscribe into that
+// registry, so they and the owner's in-process subscribers fan out of the
+// same one-evaluation-per-tick groups.
 type Provider interface {
 	Snapshot() Snapshot
-}
-
-// ChangeNotifier is the optional delta-driven wake-up a Provider can
-// offer: Changed returns a channel that is closed when a snapshot newer
-// than the current one is published. The server's subscription registry
-// pumps on it; providers offering neither a notifier nor their own
-// registry are observed by one registry-wide poll loop instead (the
-// historical per-request poll fallback is gone).
-type ChangeNotifier interface {
-	Changed() <-chan struct{}
-}
-
-// SubscriptionProvider is the optional richest wiring: a provider that
-// owns a standing-query subscription registry — the informer facade feeds
-// its registry synchronously from Advance — hands it to the server, so
-// HTTP watchers and in-process Corpus.Subscribe consumers fan out of the
-// same one-evaluation-per-tick groups, and the server needs no pump at
-// all.
-type SubscriptionProvider interface {
 	Subscriptions() *subscribe.Registry
 }
 
@@ -169,7 +155,6 @@ type cachedBody struct {
 type Server struct {
 	provider Provider
 	subs     *subscribe.Registry
-	ownSubs  bool // the server built (and must Close) the registry
 	sinks    *deliver.Manager
 	mux      *http.ServeMux
 
@@ -184,23 +169,9 @@ type Server struct {
 }
 
 // New builds the API server over a snapshot provider. Mount it at the host
-// mux root (it routes full /api/v1/... paths). Providers implementing
-// SubscriptionProvider share their registry with the server; otherwise the
-// server builds its own, pumped by the provider's ChangeNotifier or — for
-// bare providers — by one registry-wide poll loop. Call Close when
-// discarding a server over a bare/notifier provider to stop that pump.
+// mux root (it routes full /api/v1/... paths).
 func New(p Provider) *Server {
-	s := &Server{provider: p, recent: map[int64]*retained{}, StreamHeartbeat: defaultStreamHeartbeat}
-	if sp, ok := p.(SubscriptionProvider); ok {
-		s.subs = sp.Subscriptions()
-	} else {
-		opts := subscribe.Options{PollInterval: registryPollInterval}
-		if n, ok := p.(ChangeNotifier); ok {
-			opts.Wake, opts.PollInterval = n.Changed, 0
-		}
-		s.subs = subscribe.New(func() subscribe.Snapshot { return p.Snapshot() }, opts)
-		s.ownSubs = true
-	}
+	s := &Server{provider: p, subs: p.Subscriptions(), recent: map[int64]*retained{}, StreamHeartbeat: defaultStreamHeartbeat}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/api/v1/sources", s.endpoint(handleSources))
 	s.mux.HandleFunc("/api/v1/contributors", s.endpoint(handleContributors))
@@ -225,15 +196,6 @@ func New(p Provider) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
-}
-
-// Close releases the server's background resources: the subscription
-// registry and its pump, when the server owns them (a registry handed in
-// by a SubscriptionProvider belongs to the provider and is left alone).
-func (s *Server) Close() {
-	if s.ownSubs {
-		s.subs.Close()
-	}
 }
 
 // page is one endpoint's answer from a pinned snapshot: the items, the
@@ -1064,13 +1026,10 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 }
 
 // Watch long-poll tuning. The default wait keeps one request per ~25s per
-// idle watcher; the cap bounds how long a handler can pin its goroutine;
-// the registry poll interval is the subscription pump's cadence over bare
-// providers (one registry-wide loop — handlers themselves never poll).
+// idle watcher; the cap bounds how long a handler can pin its goroutine.
 const (
-	defaultWatchWait     = 25 * time.Second
-	maxWatchWait         = 55 * time.Second
-	registryPollInterval = 50 * time.Millisecond
+	defaultWatchWait = 25 * time.Second
+	maxWatchWait     = 55 * time.Second
 )
 
 // WatchEnvelope is the /api/v1/watch response: the rank movement of one
@@ -1155,8 +1114,8 @@ func BindFilter(v url.Values) (subscribe.Filter, error) {
 	if err != nil {
 		return f, err
 	}
-	if delta < 0 {
-		return f, fmt.Errorf("bad min_score_delta: must not be negative")
+	if delta < 0 || math.IsNaN(delta) {
+		return f, fmt.Errorf("bad min_score_delta: must be a non-negative number")
 	}
 	f.MinScoreDelta = delta
 	return f, nil

@@ -19,6 +19,7 @@ import (
 	"github.com/informing-observers/informer/internal/quality"
 	"github.com/informing-observers/informer/internal/search"
 	"github.com/informing-observers/informer/internal/sentiment"
+	"github.com/informing-observers/informer/internal/subscribe"
 )
 
 // stubSnapshot answers queries with canned data stamped with its version,
@@ -77,14 +78,26 @@ func (s *stubSnapshot) Search(query string, k int) []search.Result {
 	return []search.Result{{SourceID: 3, Score: 1.5}}
 }
 
-// stubProvider serves a swappable current snapshot.
-type stubProvider struct{ cur *stubSnapshot }
+// stubProvider serves a swappable current snapshot and owns the registry
+// it feeds; swap stores the next round, then publishes it.
+type stubProvider struct {
+	cur  *stubSnapshot
+	subs *subscribe.Registry
+}
 
 func (p *stubProvider) Snapshot() Snapshot { return p.cur }
+
+func (p *stubProvider) Subscriptions() *subscribe.Registry { return p.subs }
+
+func (p *stubProvider) swap(next *stubSnapshot) {
+	p.cur = next
+	p.subs.Publish(next)
+}
 
 func newStubServer(version int64) (*Server, *stubProvider, *quality.Query) {
 	lastQ := &quality.Query{}
 	p := &stubProvider{cur: &stubSnapshot{version: version, lastQ: lastQ}}
+	p.subs = subscribe.New(func() subscribe.Snapshot { return p.cur }, subscribe.Options{})
 	return New(p), p, lastQ
 }
 
@@ -260,7 +273,7 @@ func TestSnapshotPinningAndEviction(t *testing.T) {
 	if env := decodeEnvelope(t, get(t, s, "/api/v1/sources", nil)); env.Snapshot != 1 {
 		t.Fatalf("snapshot %d, want 1", env.Snapshot)
 	}
-	p.cur = &stubSnapshot{version: 2, lastQ: lastQ}
+	p.swap(&stubSnapshot{version: 2, lastQ: lastQ})
 
 	// Unpinned requests follow the current round; pinned ones stay put.
 	if env := decodeEnvelope(t, get(t, s, "/api/v1/sources", nil)); env.Snapshot != 2 {
@@ -276,7 +289,7 @@ func TestSnapshotPinningAndEviction(t *testing.T) {
 		t.Fatalf("unknown pin: status %d, want 410", rec.Code)
 	}
 	for v := int64(3); v < 3+retainedSnapshots; v++ {
-		p.cur = &stubSnapshot{version: v, lastQ: lastQ}
+		p.swap(&stubSnapshot{version: v, lastQ: lastQ})
 		get(t, s, "/api/v1/sources", nil)
 	}
 	if rec := get(t, s, "/api/v1/sources?snapshot=1", nil); rec.Code != http.StatusGone {

@@ -54,7 +54,6 @@ func entries(t *testing.T, s *Server, version int64) (n, size int) {
 func TestBodyCacheHit(t *testing.T) {
 	st := counted(1, 0, 24)
 	s := New(newWatchProvider(st))
-	defer s.Close()
 	const target = "/api/v1/sources?k=30&min_score=0.1"
 	for _, enc := range []string{"", "gzip"} {
 		hdr := map[string]string{"Accept-Encoding": enc}
@@ -101,7 +100,6 @@ func TestBodyCachePinnedSlotAndAgeOut(t *testing.T) {
 	old := counted(1, 0, 24)
 	p := newWatchProvider(old)
 	s := New(p)
-	defer s.Close()
 	const pinned = "/api/v1/sources?k=30&snapshot=1"
 	first := get(t, s, pinned, nil)
 	if first.Code != http.StatusOK {
@@ -143,7 +141,6 @@ func TestBodyCacheStoresOnlyOK(t *testing.T) {
 	st := counted(1, 0, 3)
 	st.window[1].Score = math.NaN()
 	s := New(newWatchProvider(st))
-	defer s.Close()
 	for target, want := range map[string]int{
 		"/api/v1/sources?sort=nope":                      http.StatusBadRequest,
 		"/api/v1/sources?cursor=AAAA":                    http.StatusBadRequest,
@@ -172,7 +169,6 @@ func shardedTok() string {
 func TestBodyCacheBudget(t *testing.T) {
 	st := counted(1, 0, 24)
 	s := New(newWatchProvider(st))
-	defer s.Close()
 	// Distinct keys (an unknown parameter the binding ignores) until the
 	// slot refuses a body.
 	for i := 0; ; i++ {

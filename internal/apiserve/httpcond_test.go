@@ -21,7 +21,6 @@ func TestGzipNegotiation(t *testing.T) {
 	}
 	p := newWatchProvider(watchWindow(1, ids...))
 	s := New(p)
-	defer s.Close()
 
 	plain := get(t, s, "/api/v1/sources?k=30", nil)
 	if plain.Code != http.StatusOK || plain.Header().Get("Content-Encoding") != "" {
@@ -73,7 +72,6 @@ func TestGzipNegotiation(t *testing.T) {
 	// Tiny responses are not worth the framing: identity even when the
 	// client accepts gzip; an explicit q=0 opts out entirely.
 	small := New(newWatchProvider(watchWindow(1, 1, 2)))
-	defer small.Close()
 	if rec := get(t, small, "/api/v1/sources?k=2", map[string]string{"Accept-Encoding": "gzip"}); rec.Header().Get("Content-Encoding") != "" {
 		t.Fatal("sub-threshold body must not be compressed")
 	}
@@ -90,7 +88,6 @@ func TestGzipNegotiation(t *testing.T) {
 func TestLastModifiedConditional(t *testing.T) {
 	p := newWatchProvider(watchWindow(1, 1, 2, 3))
 	s := New(p)
-	defer s.Close()
 
 	rec := get(t, s, "/api/v1/sources?k=10", nil)
 	lm := rec.Header().Get("Last-Modified")
@@ -144,7 +141,6 @@ func TestIfNoneMatchForms(t *testing.T) {
 		ids[i] = i
 	}
 	s := New(newWatchProvider(watchWindow(1, ids...)))
-	defer s.Close()
 	const target = "/api/v1/sources?k=30"
 	plainTag := get(t, s, target, nil).Header().Get("ETag")
 	gzTag := get(t, s, target, map[string]string{"Accept-Encoding": "gzip"}).Header().Get("ETag")

@@ -105,7 +105,6 @@ func TestStreamDeltasOverOneConnection(t *testing.T) {
 	v1 := watchWindow(1, 1, 2, 3, 4)
 	p := newWatchProvider(v1)
 	s := New(p)
-	defer s.Close()
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -135,7 +134,6 @@ func TestStreamCatchUpAndLastEventIDResume(t *testing.T) {
 	v1 := watchWindow(1, 1, 2, 3)
 	p := newWatchProvider(v1)
 	s := New(p)
-	defer s.Close()
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -171,7 +169,6 @@ func TestStreamSinceAbsentStartsAtCurrentRound(t *testing.T) {
 	v5 := watchWindow(5, 1, 2)
 	p := newWatchProvider(v5)
 	s := New(p)
-	defer s.Close()
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -190,7 +187,6 @@ func TestStreamSinceAbsentStartsAtCurrentRound(t *testing.T) {
 func TestStreamErrorsMatchWatch(t *testing.T) {
 	p := newWatchProvider(watchWindow(5, 1, 2))
 	s := New(p)
-	defer s.Close()
 
 	// 410 and 400 are answered before any frame, with the same semantics
 	// as /api/v1/watch: aged since → Gone, unpublished since → Bad
@@ -248,7 +244,7 @@ func TestStreamHeartbeatsAndResyncFrame(t *testing.T) {
 	// ends with a terminal resync frame — the in-stream 410.
 	go func() {
 		time.Sleep(120 * time.Millisecond)
-		s.Close()
+		p.subs.Close()
 	}()
 	f := fr.readFrame(t)
 	if f.event != "resync" {

@@ -7,18 +7,23 @@ package apiserve
 // root by api_test.go and watch_test.go.
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"hash/fnv"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/informing-observers/informer/internal/deliver"
 	"github.com/informing-observers/informer/internal/quality"
+	"github.com/informing-observers/informer/internal/subscribe"
 )
 
 func TestCursorRoundTrip(t *testing.T) {
@@ -122,15 +127,18 @@ func (s *watchSnapshot) QuerySources(q quality.Query) (*quality.QueryResult, err
 	return &quality.QueryResult{Items: s.window, Total: len(s.window)}, nil
 }
 
-// watchProvider swaps snapshots under a lock and notifies watchers.
+// watchProvider owns a snapshot and the registry it feeds, as the
+// informer facade does: swap stores the next round, then publishes it.
 type watchProvider struct {
-	mu  sync.Mutex
-	cur Snapshot
-	ch  chan struct{}
+	mu   sync.Mutex
+	cur  Snapshot
+	subs *subscribe.Registry
 }
 
 func newWatchProvider(cur Snapshot) *watchProvider {
-	return &watchProvider{cur: cur, ch: make(chan struct{})}
+	p := &watchProvider{cur: cur}
+	p.subs = subscribe.New(func() subscribe.Snapshot { return p.Snapshot() }, subscribe.Options{})
+	return p
 }
 
 func (p *watchProvider) Snapshot() Snapshot {
@@ -139,18 +147,13 @@ func (p *watchProvider) Snapshot() Snapshot {
 	return p.cur
 }
 
-func (p *watchProvider) Changed() <-chan struct{} {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ch
-}
+func (p *watchProvider) Subscriptions() *subscribe.Registry { return p.subs }
 
 func (p *watchProvider) swap(next Snapshot) {
 	p.mu.Lock()
-	old := p.ch
-	p.cur, p.ch = next, make(chan struct{})
+	p.cur = next
 	p.mu.Unlock()
-	close(old)
+	p.subs.Publish(next)
 }
 
 func watchWindow(version int64, ids ...int) *watchSnapshot {
@@ -176,7 +179,6 @@ func TestWatchDiffAcrossRounds(t *testing.T) {
 	old := watchWindow(1, 1, 2, 3, 4)
 	p := newWatchProvider(old)
 	s := New(p)
-	defer s.Close()
 
 	// Register round 1 in the ring, then publish round 2.
 	get(t, s, "/api/v1/sources", nil)
@@ -212,7 +214,6 @@ func TestWatchDiffAcrossRounds(t *testing.T) {
 func TestWatchTimeoutAndErrors(t *testing.T) {
 	p := newWatchProvider(watchWindow(5, 1, 2))
 	s := New(p)
-	defer s.Close()
 	get(t, s, "/api/v1/sources", nil)
 
 	// Same round within the wait: empty delta, same token.
@@ -252,7 +253,6 @@ func TestWatchWakesOnNotification(t *testing.T) {
 	old := watchWindow(7, 1, 2, 3)
 	p := newWatchProvider(old)
 	s := New(p)
-	defer s.Close()
 	get(t, s, "/api/v1/sources", nil)
 
 	go func() {
@@ -273,42 +273,42 @@ func TestWatchWakesOnNotification(t *testing.T) {
 	}
 }
 
-// bareProvider offers neither a ChangeNotifier nor a registry: the server
-// observes it through the subscription registry's single poll loop (the
-// historical per-request poll fallback is gone).
-type bareProvider struct {
-	mu  sync.Mutex
-	cur Snapshot
+// sinkProvider mounts the /api/v1/sinks endpoints over a delivery manager
+// fed by the watch provider's registry.
+type sinkProvider struct {
+	*watchProvider
+	sinks *deliver.Manager
 }
 
-func (p *bareProvider) Snapshot() Snapshot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.cur
-}
+func (p sinkProvider) Sinks() *deliver.Manager { return p.sinks }
 
-func (p *bareProvider) set(next Snapshot) {
-	p.mu.Lock()
-	p.cur = next
-	p.mu.Unlock()
-}
-
-func TestWatchBareProviderRegistryPoll(t *testing.T) {
-	p := &bareProvider{cur: watchWindow(3, 1, 2)}
-	s := New(p)
-	defer s.Close()
-	get(t, s, "/api/v1/sources", nil)
-
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		p.set(watchWindow(4, 2, 1))
-	}()
-	rec := get(t, s, "/api/v1/watch?since=3&wait=10s&k=10", nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+// TestFilterRejectsNaNScoreDelta pins that a NaN min_score_delta is
+// refused at every binding of a delta filter. A NaN Filter is never equal
+// to itself, so the registry's per-tick cache of filtered deltas would
+// miss for each of its subscribers, and it would pass every row while
+// Zero reports false.
+func TestFilterRejectsNaNScoreDelta(t *testing.T) {
+	for _, v := range []string{"NaN", "nan", "-NaN"} {
+		if f, err := BindFilter(url.Values{"min_score_delta": {v}}); err == nil {
+			t.Errorf("BindFilter accepted min_score_delta=%s as %+v", v, f)
+		}
 	}
-	env := decodeWatch(t, rec.Body.Bytes())
-	if env.Since != 3 || env.Snapshot != 4 || env.Count != 2 {
-		t.Fatalf("polled envelope %+v", env)
+	wp := newWatchProvider(watchWindow(5, 1, 2))
+	m := deliver.NewManager(wp.subs, deliver.Options{})
+	defer m.Close(context.Background())
+	s := New(sinkProvider{wp, m})
+	get(t, s, "/api/v1/sources", nil)
+	if rec := get(t, s, "/api/v1/watch?since=5&wait=1ms&min_score_delta=NaN", nil); rec.Code != http.StatusBadRequest {
+		t.Errorf("watch: status %d, want 400", rec.Code)
+	}
+	body := `{"url":"http://127.0.0.1:1/hook","query":"k=5&min_score_delta=NaN"}`
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/sinks", strings.NewReader(body))
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("sink: status %d, want 400: %s", rec.Code, rec.Body.String())
+	}
+	if n := len(m.Stats()); n != 0 {
+		t.Fatalf("a NaN-filter sink was registered: %d sinks", n)
 	}
 }

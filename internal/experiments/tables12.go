@@ -70,7 +70,7 @@ func RunTable1(seed int64, numSources int) (*Table1Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("table1: crawl: %w", err)
 	}
-	records := quality.SourceRecordsFromSnapshot(snap, panel, world.Config.End, world.Days())
+	records := quality.SourceRecordsFromSnapshot(snap, panel, world.Config.End)
 	dedup := correlate.NewIndex()
 	dedup.Build(world)
 	for _, r := range records {

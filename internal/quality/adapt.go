@@ -57,7 +57,6 @@ func buildSourceRecord(s *webgen.Source, w *webgen.World, panel *analytics.Panel
 		FeedSubscribers:    s.FeedSubscribers,
 		Panel:              panelStat(m),
 		ObservedAt:         w.Config.End,
-		WindowDays:         w.Days(),
 		MaxOpenDiscussions: w.MaxOpenDiscussions,
 	}
 	r.indexSource(s)
@@ -104,17 +103,16 @@ func commentTags(cs []*webgen.Comment) int {
 // plus every discussion past old's count — are new. The one walk copies
 // old's discussion stats, O(discussions), and is copy-on-write for the
 // rest:
-//   - a grown discussion gets its new comment count, adds the new
-//     comments' tags to its CommentTags, and counts its comments in a
-//     copy of old's comment-count column;
-//   - a new discussion is appended, and so are its opening instant and
-//     comment count, to copies of old's columns;
+//   - a grown discussion gets its new comment count and adds the new
+//     comments' tags to its CommentTags;
+//   - a new discussion is appended, and its opening instant to a copy of
+//     old's column;
 //   - an author already in old's set costs a binary search; the rest merge
 //     into a copy.
 //
 // The result equals indexSource over s, and old is never written. An old
 // record whose statistics do not cover its discussions (assembled by
-// hand) is rebuilt that way instead.
+// hand, or with a void opened column) is rebuilt that way instead.
 func (r *SourceRecord) extendIndex(old *SourceRecord, s *webgen.Source) {
 	if !old.indexed() {
 		r.indexSource(s)
@@ -124,17 +122,8 @@ func (r *SourceRecord) extendIndex(old *SourceRecord, s *webgen.Source) {
 	copy(r.Discussions, old.Discussions)
 	r.open = old.open
 	r.opened = old.opened
-	if len(old.opened) != len(old.Discussions) {
-		r.opened = nil // old's column is void; so is any extension of it
-	} else if len(s.Discussions) > len(old.Discussions) {
+	if len(s.Discussions) > len(old.Discussions) {
 		r.opened = slices.Grow(slices.Clip(old.opened), len(s.Discussions)-len(old.Discussions))
-	}
-	r.comments = old.comments
-	owned := false
-	ownComments := func() {
-		if !owned {
-			r.comments, owned = append(make([]int32, 0, len(s.Discussions)), old.comments...), true
-		}
 	}
 	var novel []int32
 	for i, d := range s.Discussions {
@@ -147,16 +136,12 @@ func (r *SourceRecord) extendIndex(old *SourceRecord, s *webgen.Source) {
 			from = ds.Comments
 			ds.Comments = len(d.Comments)
 			ds.CommentTags += commentTags(d.Comments[from:])
-			ownComments()
-			r.comments[i] = int32(len(d.Comments))
 		} else {
 			r.Discussions[i] = discussionStat(d)
 			if d.Open {
 				r.open++
 			}
 			r.opened = appendOpened(r.opened, d.Opened)
-			ownComments()
-			r.comments = append(r.comments, int32(len(d.Comments)))
 		}
 		for _, c := range d.Comments[from:] {
 			if _, known := slices.BinarySearch(old.authors, int32(c.UserID)); !known {
@@ -172,7 +157,7 @@ func (r *SourceRecord) extendIndex(old *SourceRecord, s *webgen.Source) {
 // Advance tick without re-walking the whole corpus; oldPanel is the panel
 // old was built against (nil when unknown). A clean record whose
 // refreshed inputs — the observation metadata every record shares
-// (ObservedAt, WindowDays, MaxOpenDiscussions) and its panel join — are
+// (ObservedAt, MaxOpenDiscussions) and its panel join — are
 // bitwise unchanged is shared by pointer: when the metadata held and
 // panel is oldPanel, that is every clean record, and only dirty rows are
 // touched. Any other clean record is a fresh copy, from one slab when the
@@ -185,14 +170,14 @@ func (r *SourceRecord) extendIndex(old *SourceRecord, s *webgen.Source) {
 // lists the dirty rows, ready for Assessor.UpdateRows.
 func UpdateSourceRecordsFromWorld(old []*SourceRecord, oldPanel *analytics.Panel, w *webgen.World, panel *analytics.Panel, dirtySourceIDs []int) ([]*SourceRecord, []int) {
 	records := slices.Clone(old)
-	obs, days, maxOpen := w.Config.End, w.Days(), w.MaxOpenDiscussions
+	obs, maxOpen := w.Config.End, w.MaxOpenDiscussions
 	refresh := func(r *SourceRecord, m analytics.Metrics) {
 		r.Panel = panelStat(m)
-		r.ObservedAt, r.WindowDays, r.MaxOpenDiscussions = obs, days, maxOpen
+		r.ObservedAt, r.MaxOpenDiscussions = obs, maxOpen
 	}
 	switch {
 	case len(old) == 0:
-	case old[0].ObservedAt != obs || math.Float64bits(old[0].WindowDays) != math.Float64bits(days) || old[0].MaxOpenDiscussions != maxOpen:
+	case old[0].ObservedAt != obs || old[0].MaxOpenDiscussions != maxOpen:
 		slab := make([]SourceRecord, len(old)) // one allocation for every copy
 		for i, r := range old {
 			slab[i] = *r
@@ -257,9 +242,8 @@ func recordRow(records []*SourceRecord, id int) int {
 
 // SourceRecordsFromSnapshot builds assessment records from a crawl
 // snapshot, joining each crawled source with the analytics panel by host.
-// observedAt is the crawl instant; windowDays the content window to assume
-// for per-day rates.
-func SourceRecordsFromSnapshot(snap *crawler.Snapshot, panel *analytics.Panel, observedAt time.Time, windowDays float64) []*SourceRecord {
+// observedAt is the crawl instant.
+func SourceRecordsFromSnapshot(snap *crawler.Snapshot, panel *analytics.Panel, observedAt time.Time) []*SourceRecord {
 	maxOpen := 0
 	records := make([]*SourceRecord, 0, len(snap.Sources))
 	for _, sc := range snap.Sources {
@@ -272,7 +256,6 @@ func SourceRecordsFromSnapshot(snap *crawler.Snapshot, panel *analytics.Panel, o
 			InboundLinks:    sc.InboundLinks,
 			FeedSubscribers: sc.Info.FeedSubscribers,
 			ObservedAt:      observedAt,
-			WindowDays:      windowDays,
 		}
 		if m, ok := panel.ByHost(sc.Info.Host); ok {
 			r.Panel = panelStat(m)

@@ -63,7 +63,7 @@ func TestCrawledRecordsMatchWorldRecords(t *testing.T) {
 	if len(snap.Errs) > 0 {
 		t.Fatalf("crawl errors: %v", snap.Errs)
 	}
-	fromCrawl := SourceRecordsFromSnapshot(snap, panel, w.Config.End, w.Days())
+	fromCrawl := SourceRecordsFromSnapshot(snap, panel, w.Config.End)
 	fromWorld := SourceRecordsFromWorld(w, panel)
 	if len(fromCrawl) != len(fromWorld) {
 		t.Fatalf("lengths differ: %d vs %d", len(fromCrawl), len(fromWorld))

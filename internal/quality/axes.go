@@ -7,7 +7,9 @@ package quality
 // per engine and axis, and only for the axes some read actually uses, so
 // one round's standing spines, cold reads and the services score join
 // share a single normalisation pass per axis instead of re-evaluating
-// every row per query.
+// every row per query. Reads reach only the engine's own rows, so every
+// scanned row reads the columns; only the O(dirty) spine repair
+// evaluates its dirty rows one by one, with leanEval.
 //
 // A score or average column build is measure-major over the matrix, but
 // every row still accumulates its measures in catalogue order, exactly as
@@ -171,17 +173,15 @@ type rowAxes struct {
 	normOK []bool
 }
 
-// rowReader fills rowAxes for the rows of one scan or repair on one
-// engine. On a scan (built set), rows of the engine's own corpus — the
-// record at local position c is the engine's record c, by pointer — read
-// the axis columns; every other row, and every row of a repair, runs
-// leanEval. Both feed the same resolvedQuery.match.
+// rowReader fills rowAxes for the engine's own rows during one scan or
+// repair: a scan (built set) reads the axis columns, a repair runs
+// leanEval on each dirty row. Both feed the same resolvedQuery.match.
 type rowReader[R any] struct {
 	e     *matrixEngine[R]
 	rq    *resolvedQuery
 	built *atomic.Int64 // nil: never read columns (the O(dirty) repair path)
-	cols  []*axisColumn // per rq.axes slot, fetched on the first own-corpus row
-	buf   *leanBuf      // leanEval scratch, made on the first other row
+	cols  []*axisColumn // per rq.axes slot, fetched on the first row of a scan
+	buf   *leanBuf      // leanEval scratch, made on the first row of a repair
 	v     rowAxes
 }
 
@@ -196,19 +196,18 @@ func (e *matrixEngine[R]) newRowReader(rq *resolvedQuery, built *atomic.Int64) *
 	}
 }
 
-// cand evaluates record r — local position c in the engine's shard,
-// global row row — against the scope (nil when unscoped) and the resolved
-// query. When it matches, its ranked candidate is returned with ok true.
-func (rr *rowReader[R]) cand(r *R, c, row int, sc *scopeFilter[R]) (leanCand, bool) {
-	col := rr.e.colOf(r, c)
-	own := rr.built != nil && col >= 0
-	if sc != nil && !sc.admits(rr.e, r, c, own) {
+// cand evaluates the engine's row c — global row row — against the scope
+// (nil when unscoped) and the resolved query. When it matches, its ranked
+// candidate is returned with ok true.
+func (rr *rowReader[R]) cand(c, row int, sc *scopeFilter[R]) (leanCand, bool) {
+	r := rr.e.recs[c]
+	if sc != nil && !sc.admits(rr.e.scope.row(c), r) {
 		return leanCand{}, false
 	}
-	if own {
+	if rr.built != nil {
 		rr.fromColumns(c)
 	} else {
-		rr.fromLean(r, col)
+		rr.fromLean(c)
 	}
 	key, ok := rr.rq.match(&rr.v)
 	if !ok {
@@ -218,8 +217,8 @@ func (rr *rowReader[R]) cand(r *R, c, row int, sc *scopeFilter[R]) (leanCand, bo
 	return leanCand{key: key, id: id, row: row}, true
 }
 
-// fromColumns reads own-corpus row c: axes from the columns, measures
-// normalized straight off the matrix.
+// fromColumns reads row c: axes from the columns, measures normalized
+// straight off the matrix.
 func (rr *rowReader[R]) fromColumns(c int) {
 	e, v := rr.e, &rr.v
 	if rr.cols == nil {
@@ -239,16 +238,15 @@ func (rr *rowReader[R]) fromColumns(c int) {
 	}
 }
 
-// fromLean evaluates r, served from matrix column col (-1: none), with
-// leanEval and reads the query's axes and measures off the scratch
-// accumulators.
-func (rr *rowReader[R]) fromLean(r *R, col int) {
+// fromLean evaluates row c with leanEval and reads the query's axes and
+// measures off the scratch accumulators.
+func (rr *rowReader[R]) fromLean(c int) {
 	e, v := rr.e, &rr.v
 	if rr.buf == nil {
 		rr.buf = e.newLeanBuf()
 	}
 	b := rr.buf
-	e.leanEval(r, col, b)
+	e.leanEval(c, b)
 	for j, a := range rr.rq.axes {
 		switch {
 		case a == scoreAxis:

@@ -1,10 +1,9 @@
 package quality
 
-// Full scans read per-engine axis columns for the engine's own records
-// and run leanEval for any other record; both feed one predicate. These
-// tests pin the two paths bitwise against each other — the leanEval path
-// is forced by scanning shallow copies of the records, which share every
-// value but no pointer — and race the lazy column builds.
+// Full scans read per-engine axis columns and spine repairs run leanEval
+// on their dirty rows; both feed one predicate. These tests pin the two
+// readings of every row bitwise against each other and race the lazy
+// column builds.
 
 import (
 	"fmt"
@@ -15,24 +14,6 @@ import (
 
 	"github.com/informing-observers/informer/internal/webgen"
 )
-
-// axisScanner is the query surface both assessors share.
-type axisScanner[R any] interface {
-	Spine([]*R, Query) (*Spine, error)
-	Query([]*R, Query) (*QueryResult, error)
-	SpineStats() SpineStats
-}
-
-// shallowCopies returns a copy of every record: same values, new
-// pointers, so no scan recognises them as the engine's own corpus.
-func shallowCopies[R any](records []*R) []*R {
-	out := make([]*R, len(records))
-	for i, r := range records {
-		c := *r
-		out[i] = &c
-	}
-	return out
-}
 
 // axisDomain lists what randomAxisQuery draws from for one record kind.
 type axisDomain struct {
@@ -46,7 +27,7 @@ type axisDomain struct {
 // randomAxisQuery draws a query exercising every predicate kind and sort
 // axis of the domain, including axes absent from the catalogue (an
 // unmatchable predicate, an invalid sort) and negative or zero score bars.
-func randomAxisQuery(rng *rand.Rand, d axisDomain) (q Query, pos int) {
+func randomAxisQuery(rng *rand.Rand, d axisDomain) (q Query) {
 	if rng.Intn(5) == 0 {
 		for i := 0; i < 1+rng.Intn(40); i++ {
 			q.IDs = append(q.IDs, rng.Intn(120))
@@ -103,31 +84,7 @@ func randomAxisQuery(rng *rand.Rand, d axisDomain) (q Query, pos int) {
 	if !d.source && rng.Intn(4) == 0 {
 		q.MinInteractions = rng.Intn(60)
 	}
-	if rng.Intn(2) == 0 {
-		q.TopK = 1 + rng.Intn(50)
-	}
-	if rng.Intn(3) == 0 {
-		pos = rng.Intn(20)
-	}
-	if rng.Intn(2) == 0 {
-		q.Limit = 1 + rng.Intn(15)
-	}
-	return q, pos
-}
-
-// candCursor is the cursor a walk holds after consuming pos rows of a
-// ranked candidate list. Past the last row it resumes after that row
-// with Pos still pos; it is nil at pos 0, over an empty ranking, or where
-// the row's key is NaN (a NaN key cannot resume a walk).
-func candCursor(ranked []leanCand, pos int) *Cursor {
-	if pos <= 0 || len(ranked) == 0 {
-		return nil
-	}
-	last := ranked[min(pos, len(ranked))-1]
-	if math.IsNaN(last.key) {
-		return nil
-	}
-	return &Cursor{Key: last.key, ID: last.id, Pos: pos}
+	return q
 }
 
 // sameCands requires two candidate lists to agree bitwise: key bits, ID
@@ -167,56 +124,65 @@ func sameResults(t *testing.T, label string, got, want *QueryResult) {
 	}
 }
 
-// columnsMatchLean runs n random queries — spines, bounded queries and
-// cursor walks — over the engine's own records (column scans) and over
-// shallow copies (leanEval) and requires bitwise agreement.
-func columnsMatchLean[R any](t *testing.T, stage string, a axisScanner[R], own []*R, d axisDomain, seed int64, n int) {
+// columnsMatchLean draws n random queries and reads every row of every
+// shard both ways: fromColumns, as a scan does, and fromLean, as a spine
+// repair does. The two must agree bitwise on every axis and measure the
+// query reads, the scope bits must decide each row as the reference
+// predicate keep does, and the spine must hold exactly the matching rows,
+// ranked.
+func columnsMatchLean[R any](t *testing.T, stage string, a *Assessor[R], records []*R, keep func(Query) func(*R) bool, d axisDomain, seed int64, n int) {
 	t.Helper()
-	copies := shallowCopies(own)
+	s := a.engine
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
-		q, pos := randomAxisQuery(rng, d)
-		label := fmt.Sprintf("%s: query %d (%+v, resumed at %d)", stage, i, q, pos)
-		sp, err := a.Spine(own, q)
-		lsp, lerr := a.Spine(copies, q)
-		if (err == nil) != (lerr == nil) {
-			t.Fatalf("%s: spine errors %v vs %v", label, err, lerr)
+		q := randomAxisQuery(rng, d)
+		label := fmt.Sprintf("%s: query %d (%+v)", stage, i, q)
+		sp, err := a.Spine(records, q)
+		rq, sc, cerr := s.compile(q)
+		if (err == nil) != (cerr == nil) {
+			t.Fatalf("%s: spine error %v, compile error %v", label, err, cerr)
 		}
 		if err != nil {
 			continue
 		}
-		if sp.Total() != lsp.Total() {
-			t.Fatalf("%s: spine total %d, want %d", label, sp.Total(), lsp.Total())
-		}
-		sameCands(t, label+" spine", sp.cands, lsp.cands)
-		q.After = candCursor(lsp.cands, pos) // a window from mid-ranking
-		res, err := a.Query(own, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lres, err := a.Query(copies, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResults(t, label+" query", res, lres)
-		// A short cursor walk on from there: each resumed page scans past
-		// the cursor.
-		w := q
-		w.Limit = 1 + rng.Intn(6)
-		for page := 0; page < 4; page++ {
-			res, err := a.Query(own, w)
-			if err != nil {
-				t.Fatal(err)
+		ref := keep(q)
+		var want []leanCand
+		for sh, e := range s.engines {
+			lo, _ := s.plan.Bounds(sh)
+			col, lean := e.newRowReader(rq, &s.counters.columns), e.newRowReader(rq, nil)
+			for c, r := range e.recs {
+				col.fromColumns(c)
+				lean.fromLean(c)
+				sameRowAxes(t, fmt.Sprintf("%s row %d", label, lo+c), &col.v, &lean.v)
+				in := ref == nil || ref(r)
+				if admitted := sc == nil || sc.admits(e.scope.row(c), r); admitted != in {
+					t.Fatalf("%s row %d: scope bits admit %v, reference %v", label, lo+c, admitted, in)
+				}
+				if !in || rq.unmatchable {
+					continue
+				}
+				if key, ok := rq.match(&lean.v); ok {
+					id, _ := e.ident(r)
+					want = append(want, leanCand{key: key, id: id, row: lo + c})
+				}
 			}
-			lres, err := a.Query(copies, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResults(t, fmt.Sprintf("%s page %d", label, page), res, lres)
-			if res.Next == nil || math.IsNaN(res.Next.Key) {
-				break // a NaN key cannot resume a walk
-			}
-			w.After = res.Next
+		}
+		refRank(want)
+		sameCands(t, label+" spine", sp.cands, want)
+	}
+}
+
+// sameRowAxes requires two readings of one row to agree bitwise.
+func sameRowAxes(t *testing.T, label string, got, want *rowAxes) {
+	t.Helper()
+	for j := range got.axis {
+		if got.axisOK[j] != want.axisOK[j] || math.Float64bits(got.axis[j]) != math.Float64bits(want.axis[j]) {
+			t.Fatalf("%s: axis slot %d reads %v/%v, leanEval %v/%v", label, j, got.axis[j], got.axisOK[j], want.axis[j], want.axisOK[j])
+		}
+	}
+	for j := range got.norm {
+		if got.normOK[j] != want.normOK[j] || math.Float64bits(got.norm[j]) != math.Float64bits(want.norm[j]) {
+			t.Fatalf("%s: measure slot %d reads %v/%v, leanEval %v/%v", label, j, got.norm[j], got.normOK[j], want.norm[j], want.normOK[j])
 		}
 	}
 }
@@ -334,7 +300,7 @@ func TestColumnScanMatchesLeanEvalBitwise(t *testing.T) {
 				opts := &AssessorOptions{Shards: shards, Weights: ws, ExtraSourceMeasures: axisTestSourceMeasures()}
 				a := NewSourceAssessor(records, defaultDI(), opts)
 				scoreBarsFilterNegatives(t, a, records, wi == 1)
-				axisStages(t, a, records, next, dirty, src, func(r *SourceRecord) *SourceRecord {
+				axisStages(t, a, records, next, dirty, src, refSourceKeep, func(r *SourceRecord) *SourceRecord {
 					c := *r
 					c.InboundLinks, c.FeedSubscribers = 1e6+r.InboundLinks, 1e6+r.FeedSubscribers
 					c.Panel.DailyVisitors *= 1e3
@@ -349,7 +315,7 @@ func TestColumnScanMatchesLeanEvalBitwise(t *testing.T) {
 				ExtraContributorMeasures: axisTestContributorMeasures(),
 			}
 			a := NewContributorAssessor(ix.Records(), defaultDI(), opts)
-			axisStages(t, a, ix.Records(), nix.Records(), cdirty, con, func(r *ContributorRecord) *ContributorRecord {
+			axisStages(t, a, ix.Records(), nix.Records(), cdirty, con, refContributorKeep, func(r *ContributorRecord) *ContributorRecord {
 				c := *r
 				c.RepliesReceived, c.FeedbacksReceived = 1e6+r.RepliesReceived, 1e6+r.FeedbacksReceived
 				c.ReadsReceived *= 1e3
@@ -361,7 +327,7 @@ func TestColumnScanMatchesLeanEvalBitwise(t *testing.T) {
 
 // scoreBarsFilterNegatives pins score bars at and below zero: under a
 // negative weight some scores fall below zero, and every record whose
-// score falls below the bar is filtered, on both scan paths.
+// score falls below the bar is filtered.
 func scoreBarsFilterNegatives(t *testing.T, a *SourceAssessor, records []*SourceRecord, wantNegative bool) {
 	t.Helper()
 	all := a.AssessAll(records)
@@ -378,24 +344,14 @@ func scoreBarsFilterNegatives(t *testing.T, a *SourceAssessor, records []*Source
 		if (negative > 0) != wantNegative {
 			t.Fatalf("%d records score below zero; want some: %v", negative, wantNegative)
 		}
-		for _, recs := range [][]*SourceRecord{records, shallowCopies(records)} {
-			res, err := a.Query(recs, Query{MinScore: bar})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Total != want {
-				t.Fatalf("MinScore %v: %d matches, want %d", bar, res.Total, want)
-			}
+		res, err := a.Query(records, Query{MinScore: bar})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Total != want {
+			t.Fatalf("MinScore %v: %d matches, want %d", bar, res.Total, want)
 		}
 	}
-}
-
-// axisDeriver is an assessor that derives its successor by UpdateRows.
-type axisDeriver[R any, A any] interface {
-	axisScanner[R]
-	UpdateRows([]*R, []int, bool) A
-	BenchmarksEqual(A) bool
-	ShardCount() int
 }
 
 // axisStages pins the column scan against leanEval on a fresh assessor,
@@ -404,26 +360,27 @@ type axisDeriver[R any, A any] interface {
 // columns, so the same queries build none), one re-evaluating a single
 // unchanged row (only that row's shard rebuilds), and one whose dirty
 // rows in the first shard move benchmarks (the clean shards remap onto
-// new benchmarks and must not keep their columns). boost returns a
-// record copy with inflated observations.
-func axisStages[R any, A axisDeriver[R, A]](t *testing.T, a A, records, next []*R, dirty []int, d axisDomain, boost func(*R) *R) {
+// new benchmarks and must not keep their columns). keep is the kind's
+// reference scope predicate; boost returns a record copy with inflated
+// observations.
+func axisStages[R any](t *testing.T, a *Assessor[R], records, next []*R, dirty []int, d axisDomain, keep func(Query) func(*R) bool, boost func(*R) *R) {
 	const seed, n = 5150, 24
-	columnsMatchLean[R](t, "built", a, records, d, seed, n)
+	columnsMatchLean(t, "built", a, records, keep, d, seed, n)
 	if a.SpineStats().Columns == 0 {
 		t.Fatal("built: the scans read no axis column")
 	}
 	u := a.UpdateRows(next, dirty, true)
-	columnsMatchLean[R](t, "epoch moved", u, next, d, seed, n)
+	columnsMatchLean(t, "epoch moved", u, next, keep, d, seed, n)
 	if u.SpineStats().Columns == 0 {
 		t.Fatal("epoch moved: the scans read no axis column")
 	}
 	shared := u.UpdateRows(next, nil, false)
-	columnsMatchLean[R](t, "still, clean", shared, next, d, seed, n)
+	columnsMatchLean(t, "still, clean", shared, next, keep, d, seed, n)
 	if got := shared.SpineStats().Columns; got != 0 {
 		t.Fatalf("still, clean: %d columns rebuilt, want 0 (all shared)", got)
 	}
 	one := u.UpdateRows(next, []int{len(next) - 1}, false)
-	columnsMatchLean[R](t, "still, one row", one, next, d, seed, n)
+	columnsMatchLean(t, "still, one row", one, next, keep, d, seed, n)
 	last := u.ShardCount() - 1
 	if got, want := one.SpineStats().Columns, builtColumns(u, last); got != want || want == 0 {
 		t.Fatalf("still, one row: %d columns rebuilt, want %d (the dirty shard's)", got, want)
@@ -438,18 +395,12 @@ func axisStages[R any, A axisDeriver[R, A]](t *testing.T, a A, records, next []*
 	if moved.BenchmarksEqual(u) {
 		t.Fatal("still, benchmarks moved: the boosted rows moved no benchmark")
 	}
-	columnsMatchLean[R](t, "still, benchmarks moved", moved, boosted, d, seed, n)
+	columnsMatchLean(t, "still, benchmarks moved", moved, boosted, keep, d, seed, n)
 }
 
 // builtColumns counts the axis columns built on one shard of an assessor.
-func builtColumns(a any, shard int) int64 {
-	var cols *axisColumns
-	switch a := a.(type) {
-	case *SourceAssessor:
-		cols = a.engine.engines[shard].axes
-	case *ContributorAssessor:
-		cols = a.engine.engines[shard].axes
-	}
+func builtColumns[R any](a *Assessor[R], shard int) int64 {
+	cols := a.engine.engines[shard].axes
 	n := int64(0)
 	for i := range cols.cols {
 		if cols.cols[i].v != nil {

@@ -235,11 +235,12 @@ func TestInfluencersMinInteractions(t *testing.T) {
 			t.Errorf("record with %d interactions passed the floor", inf.Record.Interactions)
 		}
 	}
-	// Zero-interaction users are always dropped (in place of a lurker,
-	// so the query scans it).
+	// Zero-interaction users are always dropped (one in place of a
+	// lurker, in the corpus the assessor is built over).
 	zero := append([]*ContributorRecord(nil), recs...)
 	zero[29] = &ContributorRecord{ID: 99, CommentsByCategory: map[string]int{}}
-	got = queryInfluencers(t, a, zero, InfluencerOptions{})
+	za := NewContributorAssessor(zero, DomainOfInterest{}, nil)
+	got = queryInfluencers(t, za, zero, InfluencerOptions{})
 	if len(got) != len(recs)-1 {
 		t.Errorf("%d influencers, want every record but the zero-interaction one", len(got))
 	}
@@ -251,20 +252,11 @@ func TestInfluencersMinInteractions(t *testing.T) {
 }
 
 // TestInfluencersMatchReference pins the query path to the retired roster
-// model across strategies, floors, bounds and shard counts — on the
-// engine's own rows (axis columns), on a record set with a foreign row
-// (leanEval) and after a repaired spine (RepairSpine re-evaluates the
+// model across strategies, floors, bounds and shard counts — on a scan
+// (axis columns) and after a repaired spine (RepairSpine re-evaluates the
 // dirty rows through leanEval).
 func TestInfluencersMatchReference(t *testing.T) {
 	recs := influencerFixture()
-	// A foreign row: a record the engine was not built over, in place of
-	// a lurker.
-	foreign := append([]*ContributorRecord(nil), recs...)
-	foreign[12] = &ContributorRecord{
-		ID: 12, Name: "late", Joined: recs[0].Joined, ObservedAt: recs[0].ObservedAt,
-		CommentsByCategory: map[string]int{"place": 80}, DiscussionsTouched: 30,
-		Interactions: 80, RepliesReceived: 250, FeedbacksReceived: 90,
-	}
 	repaired := 0
 	for _, shards := range []int{1, 3} {
 		a := NewContributorAssessor(recs, DomainOfInterest{}, &AssessorOptions{Shards: shards})
@@ -272,10 +264,8 @@ func TestInfluencersMatchReference(t *testing.T) {
 			for _, mi := range []int{0, 1, 50} {
 				for _, k := range []int{0, 4} {
 					opts := InfluencerOptions{Strategy: s, MinInteractions: mi, TopK: k}
-					for name, set := range map[string][]*ContributorRecord{"own": recs, "foreign": foreign} {
-						label := fmt.Sprintf("shards=%d %s %+v", shards, name, opts)
-						sameInfluencers(t, label, queryInfluencers(t, a, set, opts), Influencers(a, set, opts))
-					}
+					label := fmt.Sprintf("shards=%d %+v", shards, opts)
+					sameInfluencers(t, label, queryInfluencers(t, a, recs, opts), Influencers(a, recs, opts))
 				}
 			}
 			// Repair: move two rows' activity and re-derive the spine.

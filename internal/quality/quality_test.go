@@ -196,7 +196,6 @@ func fixtureSourceRecord() *SourceRecord {
 			NewDiscussionsPerDay: 0.5,
 		},
 		ObservedAt:         obs,
-		WindowDays:         180,
 		MaxOpenDiscussions: 10,
 	}
 	r.IndexDiscussions(1, 2, 1, 3, 2, 3)

@@ -165,9 +165,12 @@ type QueryResult struct {
 // Results are bit-identical to filtering and slicing Rank's output. A
 // field the record kind lacks is an error: Kinds on contributors;
 // MinSpamResistance, MinInteractions and SortByInfluence on sources. So is
-// a record slice whose length is not the assessor's row count: records
-// are read row for row (a record may be replaced, not added or removed).
-// Spine and Window check the same; RepairSpine answers ok=false.
+// a record slice that is not the assessor's own: records are read row
+// for row, and a slice of another length, or one holding at a row the
+// scan reads a record other than the one the assessor holds there, is an
+// error (a refreshed record reaches the assessor through UpdateRows).
+// Spine and Window check the same; RepairSpine answers ok=false. Assess,
+// AssessAll and Rank evaluate any record.
 func (a *Assessor[R]) Query(records []*R, q Query) (*QueryResult, error) {
 	return a.engine.rankTopK(records, q)
 }
@@ -219,8 +222,9 @@ type recordKind[R any] struct {
 	name string
 	// ident returns a record's ID and name.
 	ident func(*R) (id int, name string)
-	// keep compiles a query's scope fields into a record predicate, nil
-	// when the query is unscoped.
+	// keep compiles the scope fields no scope bit answers (IDs, and
+	// MinInteractions for contributors) into a record predicate, nil when
+	// none is set.
 	keep func(Query) func(*R) bool
 	// scope lists a record's scope facts, the values the scope column
 	// interns (scope.go).
@@ -264,65 +268,24 @@ var contributorKind = &recordKind[ContributorRecord]{
 	spam: relativeReactionMeasures,
 }
 
-// sourceKeep compiles the source-scope fields into a record predicate, or
-// nil when the query is unscoped.
+// sourceKeep compiles a source query's IDs into a record predicate.
 func sourceKeep(q Query) func(*SourceRecord) bool {
-	if len(q.IDs) == 0 && len(q.Categories) == 0 && len(q.Kinds) == 0 {
+	ids := intSet(q.IDs)
+	if ids == nil {
 		return nil
 	}
-	idSet := intSet(q.IDs)
-	kindSet := stringSet(q.Kinds)
-	catSet := stringSet(q.Categories)
-	return func(r *SourceRecord) bool {
-		if idSet != nil && !idSet[r.ID] {
-			return false
-		}
-		if kindSet != nil && !kindSet[r.Kind] {
-			return false
-		}
-		if catSet != nil {
-			found := false
-			for i := range r.Discussions {
-				if catSet[r.Discussions[i].Category] {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return false
-			}
-		}
-		return true
-	}
+	return func(r *SourceRecord) bool { return ids[r.ID] }
 }
 
-// contributorKeep compiles the contributor-scope fields into a predicate.
+// contributorKeep compiles a contributor query's IDs and MinInteractions
+// into a record predicate.
 func contributorKeep(q Query) func(*ContributorRecord) bool {
-	if len(q.IDs) == 0 && len(q.Categories) == 0 && q.MinInteractions <= 0 {
+	if len(q.IDs) == 0 && q.MinInteractions <= 0 {
 		return nil
 	}
-	idSet := intSet(q.IDs)
-	catSet := stringSet(q.Categories)
+	ids := intSet(q.IDs)
 	return func(r *ContributorRecord) bool {
-		if r.Interactions < q.MinInteractions {
-			return false
-		}
-		if idSet != nil && !idSet[r.ID] {
-			return false
-		}
-		if catSet != nil {
-			found := false
-			for cat, n := range r.CommentsByCategory {
-				if n > 0 && catSet[cat] {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return false
-			}
-		}
-		return true
+		return r.Interactions >= q.MinInteractions && (ids == nil || ids[r.ID])
 	}
 }
 
@@ -337,22 +300,10 @@ func intSet(xs []int) map[int]bool {
 	return s
 }
 
-func stringSet(xs []string) map[string]bool {
-	if len(xs) == 0 {
-		return nil
-	}
-	s := make(map[string]bool, len(xs))
-	for _, x := range xs {
-		s[x] = true
-	}
-	return s
-}
-
 // leanBuf holds the reusable scratch of the lean (map-free) evaluation of
-// one record during a query scan. Reusing one buffer across the scan keeps
-// the filter-and-rank pass allocation-free.
+// one row during a spine repair. Reusing one buffer across the repair
+// keeps it allocation-free.
 type leanBuf struct {
-	raw            []float64
 	def            []bool
 	norm           []float64
 	dimSum, dimCnt []float64
@@ -363,7 +314,6 @@ type leanBuf struct {
 func (e *matrixEngine[R]) newLeanBuf() *leanBuf {
 	nm := len(e.infos)
 	return &leanBuf{
-		raw:    make([]float64, nm),
 		def:    make([]bool, nm),
 		norm:   make([]float64, nm),
 		dimSum: make([]float64, e.nDims),
@@ -373,38 +323,24 @@ func (e *matrixEngine[R]) newLeanBuf() *leanBuf {
 	}
 }
 
-// leanEval computes one record's score, axis accumulators and normalized
-// values into b without building any maps; c is r's matrix column, or -1
-// to evaluate the catalogue, as for assessProject. The arithmetic —
+// leanEval computes matrix column c's score, axis accumulators and
+// normalized values into b without building any maps. The arithmetic —
 // accumulation order, weighting, normalisation — is exactly
 // assessProject's, so every number a query filters or sorts on is
 // bit-identical to the materialized Assessment.
-func (e *matrixEngine[R]) leanEval(r *R, c int, b *leanBuf) {
-	nm := len(e.infos)
-	if c >= 0 {
-		for m := 0; m < nm; m++ {
-			b.raw[m] = e.vals[m][c]
-			b.def[m] = e.present[m][c]
-		}
-	} else {
-		for m := range e.evals {
-			b.raw[m], b.def[m] = e.evals[m](r, &e.di)
-		}
-	}
-	for i := range b.dimSum {
-		b.dimSum[i], b.dimCnt[i] = 0, 0
-	}
-	for i := range b.attSum {
-		b.attSum[i], b.attCnt[i] = 0, 0
-	}
+func (e *matrixEngine[R]) leanEval(c int, b *leanBuf) {
+	clear(b.dimSum)
+	clear(b.dimCnt)
+	clear(b.attSum)
+	clear(b.attCnt)
 	var wSum, wTotal float64
-	for m := 0; m < nm; m++ {
-		if !b.def[m] {
+	for m := range e.infos {
+		if b.def[m] = e.present[m][c]; !b.def[m] {
 			b.norm[m] = 0
 			continue
 		}
 		info := &e.infos[m]
-		n := e.benchmarks[m].Normalize(b.raw[m], info.higherIsBetter)
+		n := e.benchmarks[m].Normalize(e.vals[m][c], info.higherIsBetter)
 		b.norm[m] = n
 		w := e.weights[m]
 		wSum += w * n
@@ -574,18 +510,19 @@ func (rq *resolvedQuery) match(v *rowAxes) (key float64, ok bool) {
 }
 
 // scanMatches is the lean pass shared by rankTopK and spine: scope,
-// predicates and sort keys read off the axis columns for the engine's own
-// records (leanEval for any other), no maps, no Assessment structs. Every
-// match counts toward total; the candidates ranking strictly after the
-// page's after-bound are kept — none when its width is 0, all of them when
-// it is unbounded, the best `width` through a min-heap otherwise. rowOff
-// shifts stored row indices: a shard engine scanning its local record
-// slice passes its global range start so candidates carry global rows and
-// merge directly into the corpus-wide ranking. built counts the axis
-// columns the scan builds. An unbounded scan appends into pooled scratch
-// and returns an exact-size copy, so a spine part costs its own bytes,
-// not the growth of an append.
-func (e *matrixEngine[R]) scanMatches(records []*R, rowOff int, rq *resolvedQuery, sc *scopeFilter[R], built *atomic.Int64, p pageWindow) ([]leanCand, int) {
+// predicates and sort keys read off the scope and axis columns, no maps,
+// no Assessment structs. records must be the engine's own, row for row; a
+// row holding any other record ends the scan with an error. Every match
+// counts toward total; the candidates ranking strictly after the page's
+// after-bound are kept — none when its width is 0, all of them when it is
+// unbounded, the best `width` through a min-heap otherwise. rowOff shifts
+// stored row indices: a shard engine scanning its local record slice
+// passes its global range start so candidates carry global rows and merge
+// directly into the corpus-wide ranking. built counts the axis columns
+// the scan builds. An unbounded scan appends into pooled scratch and
+// returns an exact-size copy, so a spine part costs its own bytes, not
+// the growth of an append.
+func (e *matrixEngine[R]) scanMatches(records []*R, rowOff int, rq *resolvedQuery, sc *scopeFilter[R], built *atomic.Int64, p pageWindow) ([]leanCand, int, error) {
 	rr := e.newRowReader(rq, built)
 	var cands []leanCand
 	var scratch *[]leanCand
@@ -598,8 +535,13 @@ func (e *matrixEngine[R]) scanMatches(records []*R, rowOff int, rq *resolvedQuer
 		cands = (*scratch)[:0]
 	}
 	total := 0
+	var err error
 	for i, r := range records {
-		c, ok := rr.cand(r, i, rowOff+i, sc)
+		if r != e.recs[i] {
+			err = foreignRow(rowOff + i)
+			break
+		}
+		c, ok := rr.cand(i, rowOff+i, sc)
 		if !ok {
 			continue
 		}
@@ -632,7 +574,16 @@ func (e *matrixEngine[R]) scanMatches(records []*R, rowOff int, rq *resolvedQuer
 		scanScratchPool.Put(scratch)
 		cands = kept
 	}
-	return cands, total
+	if err != nil {
+		return nil, 0, err
+	}
+	return cands, total, nil
+}
+
+// foreignRow is the error of a read reaching a row that holds a record
+// other than the assessor's own.
+func foreignRow(row int) error {
+	return fmt.Errorf("quality: the record at row %d is not the one the assessor holds there", row)
 }
 
 var scanScratchPool = sync.Pool{New: func() any { return new([]leanCand) }}
@@ -705,18 +656,19 @@ type Spine struct {
 func (sp *Spine) Total() int { return sp.total }
 
 // repairCands is one shard's spine repair: drop the dirty rows' carried
-// candidates, re-evaluate the dirty records against the current matrix,
-// and re-insert the survivors at their ranked positions, at
+// candidates, re-evaluate the dirty rows against the current matrix, and
+// re-insert the survivors at their ranked positions, at
 // O(prev + dirty·log) instead of O(shard) cost. rowOff is the shard's
 // global record-range start; dirtyLocal indexes records relative to it,
-// while prev, records and the result all use global rows.
-func (e *matrixEngine[R]) repairCands(records []*R, rowOff int, dirtyLocal []int, prev []leanCand, rq *resolvedQuery, sc *scopeFilter[R]) []leanCand {
+// while prev, records and the result all use global rows. ok is false
+// when a dirty row of records holds a record other than the engine's.
+func (e *matrixEngine[R]) repairCands(records []*R, rowOff int, dirtyLocal []int, prev []leanCand, rq *resolvedQuery, sc *scopeFilter[R]) (cands []leanCand, ok bool) {
 	dirty := make(map[int]bool, len(dirtyLocal))
 	for _, c := range dirtyLocal {
 		dirty[rowOff+c] = true
 	}
 	// Carry every clean row's candidate; dirty rows re-qualify from scratch.
-	cands := make([]leanCand, 0, len(prev)+len(dirtyLocal))
+	cands = make([]leanCand, 0, len(prev)+len(dirtyLocal))
 	for _, c := range prev {
 		if !dirty[c.row] {
 			cands = append(cands, c)
@@ -725,11 +677,11 @@ func (e *matrixEngine[R]) repairCands(records []*R, rowOff int, dirtyLocal []int
 	rr := e.newRowReader(rq, nil) // leanEval only: building a column is O(shard)
 	for _, c0 := range dirtyLocal {
 		row := rowOff + c0
-		if row < 0 || row >= len(records) {
-			continue
+		if records[row] != e.recs[c0] {
+			return nil, false
 		}
-		c, ok := rr.cand(records[row], c0, row, sc)
-		if !ok {
+		c, match := rr.cand(c0, row, sc)
+		if !match {
 			continue
 		}
 		i := sort.Search(len(cands), func(i int) bool { return candWorse(cands[i], c) })
@@ -737,7 +689,7 @@ func (e *matrixEngine[R]) repairCands(records []*R, rowOff int, dirtyLocal []int
 		copy(cands[i+1:], cands[i:])
 		cands[i] = c
 	}
-	return cands
+	return cands, true
 }
 
 // windowResult assembles the QueryResult envelope around a materialized

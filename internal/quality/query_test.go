@@ -20,7 +20,7 @@ import (
 // materialized assessments, re-sort by the requested axis, drop the rows
 // at or before the resume cursor, slice.
 func referenceQuery(a *SourceAssessor, records []*SourceRecord, q Query) *QueryResult {
-	keep := sourceKeep(q)
+	keep := refSourceKeep(q)
 	var matches []*Assessment
 	for _, r := range records {
 		if keep != nil && !keep(r) {
@@ -113,6 +113,84 @@ func referenceCursor(a *SourceAssessor, records []*SourceRecord, q Query, pos in
 	}
 	last := ranked[min(pos, len(ranked))-1]
 	return &Cursor{Key: referenceKey(q, last), ID: last.ID, Pos: pos}
+}
+
+// refSourceKeep and refContributorKeep are the reference scope
+// predicates: every scope field decided from the record's own fields, the
+// answer the engine's scope bits and recordKind.keep must give together.
+//
+// refSourceKeep compiles the source-scope fields into a record predicate,
+// or nil when the query is unscoped.
+func refSourceKeep(q Query) func(*SourceRecord) bool {
+	if len(q.IDs) == 0 && len(q.Categories) == 0 && len(q.Kinds) == 0 {
+		return nil
+	}
+	idSet := intSet(q.IDs)
+	kindSet := stringSet(q.Kinds)
+	catSet := stringSet(q.Categories)
+	return func(r *SourceRecord) bool {
+		if idSet != nil && !idSet[r.ID] {
+			return false
+		}
+		if kindSet != nil && !kindSet[r.Kind] {
+			return false
+		}
+		if catSet != nil {
+			found := false
+			for i := range r.Discussions {
+				if catSet[r.Discussions[i].Category] {
+					found = true
+					break
+				}
+			}
+			if !found {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// refContributorKeep compiles the contributor-scope fields into a
+// predicate.
+func refContributorKeep(q Query) func(*ContributorRecord) bool {
+	if len(q.IDs) == 0 && len(q.Categories) == 0 && q.MinInteractions <= 0 {
+		return nil
+	}
+	idSet := intSet(q.IDs)
+	catSet := stringSet(q.Categories)
+	return func(r *ContributorRecord) bool {
+		if r.Interactions < q.MinInteractions {
+			return false
+		}
+		if idSet != nil && !idSet[r.ID] {
+			return false
+		}
+		if catSet != nil {
+			found := false
+			for cat, n := range r.CommentsByCategory {
+				if n > 0 && catSet[cat] {
+					found = true
+					break
+				}
+			}
+			if !found {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+func stringSet(xs []string) map[string]bool {
+	if len(xs) == 0 {
+		return nil
+	}
+	s := make(map[string]bool, len(xs))
+	for _, x := range xs {
+		s[x] = true
+	}
+	return s
 }
 
 func TestQueryMatchesReference(t *testing.T) {
@@ -780,15 +858,12 @@ func TestQueryExtremeWindowValuesDoNotPanic(t *testing.T) {
 	}
 }
 
-// TestEmptyCorpus pins every read and update path of an assessor built
-// over zero records — the state an empty crawl hands to QueryRecords — at
-// one shard and at several: reads answer empty, the update and spine
-// carry succeed, and an off-corpus record assesses against the degenerate
-// all-zero benchmarks (every normalized value 0.5).
 // TestRecordSliceLengthMismatch pins the row-for-row contract of the read
-// methods: a record slice shorter or longer than the assessor's corpus is
-// an error from Query, Spine and Window and a refused repair from
-// RepairSpine, never a silently truncated scan or a panic in a worker.
+// methods: a record slice shorter or longer than the assessor's corpus, or
+// one holding a record the assessor does not hold at a row the read
+// reaches, is an error from Query, Spine and Window and a refused repair
+// from RepairSpine, never a silently truncated scan, a panic in a worker
+// or a row read from another record.
 func TestRecordSliceLengthMismatch(t *testing.T) {
 	records := worldRecords(t, 40, 43)
 	for _, shards := range []int{1, 7} {
@@ -799,16 +874,25 @@ func TestRecordSliceLengthMismatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A tick that dirtied nothing: every shard carries.
-			next := a.UpdateRows(records, nil, false)
+			// A tick that re-evaluated the best row without moving it:
+			// its shard repairs, every other shard carries.
+			row := sp.cands[0].row
+			next := a.UpdateRows(records, []int{row}, false)
 			if _, ok := next.RepairSpine(records, sp, q); !ok {
 				t.Fatal("RepairSpine refused the matching record slice")
 			}
 			extra := *records[0]
 			extra.ID = len(records)
+			// A copy of the best row's record: equal in every field, yet
+			// not the record the assessor holds there, on a row every
+			// scan, the first page and the repair read.
+			copied := *records[row]
+			foreign := append([]*SourceRecord(nil), records...)
+			foreign[row] = &copied
 			for name, bad := range map[string][]*SourceRecord{
 				"shorter": records[:len(records)-3],
 				"longer":  append(append([]*SourceRecord(nil), records...), &extra),
+				"foreign": foreign,
 			} {
 				if _, err := a.Query(bad, q); err == nil {
 					t.Errorf("%s: Query accepted %d records over %d rows", name, len(bad), len(records))
@@ -827,6 +911,11 @@ func TestRecordSliceLengthMismatch(t *testing.T) {
 	}
 }
 
+// TestEmptyCorpus pins every read and update path of an assessor built
+// over zero records — the state an empty crawl hands to QueryRecords — at
+// one shard and at several: reads answer empty, the update and spine
+// carry succeed, and an off-corpus record assesses against the degenerate
+// all-zero benchmarks (every normalized value 0.5).
 func TestEmptyCorpus(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {

@@ -251,7 +251,7 @@ func checkNaNRanking(t *testing.T, label string, a *SourceAssessor, records []*S
 // the assessment's axis.
 func nanReference(t *testing.T, a *SourceAssessor, records []*SourceRecord, q Query) []leanCand {
 	t.Helper()
-	keep := sourceKeep(q)
+	keep := refSourceKeep(q)
 	var out []leanCand
 	for row, r := range records {
 		if keep != nil && !keep(r) {

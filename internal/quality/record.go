@@ -47,8 +47,6 @@ type SourceRecord struct {
 	Panel           PanelStat
 	// ObservedAt is the reference instant for age computations.
 	ObservedAt time.Time
-	// WindowDays is the observation window length for per-day rates.
-	WindowDays float64
 	// MaxOpenDiscussions is the open-discussion count of the largest
 	// source in the corpus, the paper's base for the "compared to largest
 	// Web blog/forum" measure.
@@ -62,24 +60,22 @@ type SourceRecord struct {
 	DuplicateComments  int
 
 	// authors is the ascending set of distinct comment authors, open the
-	// number of open discussions, opened each discussion's opening
-	// instant in Unix nanoseconds and comments each discussion's comment
-	// count: statistics carried with the record so that a measure reads
-	// them instead of re-deriving them from the world's comments or from
-	// every time.Time. IndexDiscussions derives them;
-	// UpdateSourceRecordsFromWorld extends a dirty row's copies with its
-	// new discussions and comments. opened is nil when some opening
+	// number of open discussions and opened each discussion's opening
+	// instant in Unix nanoseconds: statistics carried with the record so
+	// that a measure reads them instead of re-deriving them from the
+	// world's comments or from every time.Time. IndexDiscussions derives
+	// them; UpdateSourceRecordsFromWorld extends a dirty row's copies with
+	// its new discussions and comments. opened is nil when some opening
 	// instant lies outside the range ageNanos accepts.
-	authors  []int32
-	open     int
-	opened   []int64
-	comments []int32
+	authors []int32
+	open    int
+	opened  []int64
 }
 
 // IndexDiscussions derives the statistics the record carries: its
 // distinct comment authors from authors, the author of every comment in
 // any order and with repeats, and its open-discussion count and opening-
-// instant and comment-count columns from Discussions. Every record
+// instant column from Discussions. Every record
 // constructor calls it; a record assembled by hand must call it once its
 // Discussions are final.
 func (r *SourceRecord) IndexDiscussions(authors ...int) {
@@ -95,13 +91,11 @@ func (r *SourceRecord) IndexDiscussions(authors ...int) {
 func (r *SourceRecord) index(ids []int32) {
 	r.open = 0
 	r.opened = make([]int64, 0, len(r.Discussions))
-	r.comments = make([]int32, 0, len(r.Discussions))
 	for _, d := range r.Discussions {
 		if d.Open {
 			r.open++
 		}
 		r.opened = appendOpened(r.opened, d.Opened)
-		r.comments = append(r.comments, int32(d.Comments))
 	}
 	slices.Sort(ids)
 	// The merge copies the set out, so the record does not keep the
@@ -111,8 +105,9 @@ func (r *SourceRecord) index(ids []int32) {
 
 // indexed reports whether the carried per-discussion statistics cover
 // every discussion, as they do once IndexDiscussions ran and until
-// Discussions is replaced by hand.
-func (r *SourceRecord) indexed() bool { return len(r.comments) == len(r.Discussions) }
+// Discussions is replaced by hand — unless an opening instant lay outside
+// ageNanos' range, which voids the opened column for good.
+func (r *SourceRecord) indexed() bool { return len(r.opened) == len(r.Discussions) }
 
 // appendOpened extends an opening-instant column with t; the column turns
 // nil for good once one instant is out of ageNanos' range.

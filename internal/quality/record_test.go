@@ -88,8 +88,8 @@ func scanSource(s *webgen.Source) sourceScan {
 }
 
 // checkRecordStats pins every record of s in recs — carried, rebuilt or
-// crawled — to the scan of s: the author set, the open count, the
-// comment-count column, and each discussion's Comments and CommentTags.
+// crawled — to the scan of s: the author set, the open count, and each
+// discussion's Comments and CommentTags.
 func checkRecordStats(t *testing.T, step string, s *webgen.Source, recs ...*SourceRecord) {
 	t.Helper()
 	want := scanSource(s)
@@ -97,9 +97,6 @@ func checkRecordStats(t *testing.T, step string, s *webgen.Source, recs ...*Sour
 		if !slices.Equal(r.authors, want.authors) || r.open != want.open {
 			t.Fatalf("%s: source %d carries %v / %d open, scan %v / %d",
 				step, r.ID, r.authors, r.open, want.authors, want.open)
-		}
-		if !slices.Equal(r.comments, want.comments) {
-			t.Fatalf("%s: source %d carries comment counts %v, scan %v", step, r.ID, r.comments, want.comments)
 		}
 		if len(r.Discussions) != len(want.comments) {
 			t.Fatalf("%s: source %d has %d discussion stats, scan %d", step, r.ID, len(r.Discussions), len(want.comments))
@@ -113,9 +110,9 @@ func checkRecordStats(t *testing.T, step string, s *webgen.Source, recs ...*Sour
 	}
 }
 
-// TestCarriedRecordStatistics pins the author sets, open counts,
-// comment-count columns and per-discussion comment and tag counts that
-// UpdateSourceRecordsFromWorld carries through a run of mixed ticks —
+// TestCarriedRecordStatistics pins the author sets, open counts and
+// per-discussion comment and tag counts that UpdateSourceRecordsFromWorld
+// carries through a run of mixed ticks —
 // day-moving, same-day and per-source polls that open discussions — to
 // the ones SourceRecordsFromWorld and a crawl's SourceRecordsFromSnapshot
 // derive, and all three to a walk of the world's comments; it also pins
@@ -164,7 +161,7 @@ func TestCarriedRecordStatistics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crawled := SourceRecordsFromSnapshot(snap, panel, w.Config.End, w.Days())
+	crawled := SourceRecordsFromSnapshot(snap, panel, w.Config.End)
 	if len(crawled) != len(records) {
 		t.Fatalf("crawled %d records, carried %d", len(crawled), len(records))
 	}
@@ -264,20 +261,14 @@ func TestExtendIndexCases(t *testing.T) {
 	if &next.opened[0] != &two.opened[0] {
 		t.Fatal("no discussion was appended, yet the opened column was copied")
 	}
-	if &next.comments[0] == &two.comments[0] || !slices.Equal(two.comments, []int32{2, 1}) {
-		t.Fatalf("a grown discussion must count its comments in a copy of the column, previous %v", two.comments)
-	}
 	o2 := disc(false, 8)
 	third := extended(next, source(o0, g1, o2))
 	if &third.opened[0] == &next.opened[0] || len(next.opened) != 2 {
 		t.Fatal("an appended discussion must extend a copy of the opened column")
 	}
-	if &third.comments[0] == &next.comments[0] || len(next.comments) != 2 {
-		t.Fatal("an appended discussion must extend a copy of the comment-count column")
-	}
 	// No comment and no discussion new: every column is shared.
 	same := extended(third, source(o0, g1, o2))
-	if &same.comments[0] != &third.comments[0] || &same.opened[0] != &third.opened[0] {
+	if &same.opened[0] != &third.opened[0] {
 		t.Fatal("an unchanged source copied its carried columns")
 	}
 }
@@ -327,7 +318,6 @@ func FuzzExtendIndex(f *testing.F) {
 			before.Discussions = slices.Clone(old.Discussions)
 			before.authors = slices.Clone(old.authors)
 			before.opened = slices.Clone(old.opened)
-			before.comments = slices.Clone(old.comments)
 			r := &SourceRecord{}
 			r.extendIndex(old, ns)
 			want := &SourceRecord{}

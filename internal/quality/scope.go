@@ -1,16 +1,16 @@
 package quality
 
-// The scope column is the per-engine cache of a record kind's scope
-// predicate (recordKind.keep), as the axis columns (axes.go) are of
-// leanEval. A record's scope facts — the content categories it is active
-// in and, for a source, its kind — are interned to small ints by a
-// dictionary the sharded coordinator owns and its shard engines share,
-// and each engine row carries the bitset of its facts, built at matrix
-// fill. A scan over the engine's own rows then decides Categories and
-// Kinds by testing one bitset per row against masks compiled once per
-// query, instead of a string-set lookup per discussion; foreign rows and
-// the O(dirty) spine repair keep calling keep, and the suites that draw
-// Categories and Kinds on both paths pin the two against each other.
+// The scope column holds, per engine row, the facts a query's Categories
+// and Kinds are decided on. A record's scope facts — the content
+// categories it is active in and, for a source, its kind — are interned
+// to small ints by a dictionary the sharded coordinator owns and its
+// shard engines share, and each engine row carries the bitset of its
+// facts, built at matrix fill. Every scan and spine repair then decides
+// Categories and Kinds by testing one bitset per row against masks
+// compiled once per query, instead of a string-set lookup per discussion;
+// the fields no bit answers (IDs, MinInteractions) stay a record
+// predicate (recordKind.keep). The suites that draw Categories and Kinds
+// pin the bits against a predicate over the records kept in the tests.
 //
 // Scope does not depend on time: an update re-derives the bits of its
 // dirty rows only, copy-on-write like a matrix row, and carries the
@@ -209,39 +209,30 @@ func (e *matrixEngine[R]) rescope(corpus []*R, dirty []int, b *scopeBuilder[R]) 
 	}
 }
 
-// scopeFilter is a scoped query's scope, compiled once per execution:
-// keep decides any record from its fields; for an engine's own rows, the
-// masks and rest decide the same from the row's scope bits.
+// scopeFilter is a scoped query's scope, compiled once per execution: the
+// masks decide Categories and Kinds off a row's scope bits, rest the
+// fields no bit answers.
 type scopeFilter[R any] struct {
-	keep        func(*R) bool
 	cats, kinds []uint64      // any-of masks; nil when the field is empty
-	rest        func(*R) bool // the scope fields no bit answers (IDs, MinInteractions); nil when none is set
+	rest        func(*R) bool // IDs and MinInteractions (recordKind.keep); nil when none is set
 }
 
 // compileScope compiles q's scope against the coordinator's dictionary;
 // nil when q is unscoped.
 func (s *shardedEngine[R]) compileScope(q Query) *scopeFilter[R] {
-	keep := s.kind.keep(q)
-	if keep == nil {
+	rest := s.kind.keep(q)
+	if rest == nil && len(q.Categories) == 0 && len(q.Kinds) == 0 {
 		return nil
 	}
-	rq := q
-	rq.Categories, rq.Kinds = nil, nil
 	return &scopeFilter[R]{
-		keep: keep,
 		cats: s.dict.mask(q.Categories, false), kinds: s.dict.mask(q.Kinds, true),
-		rest: s.kind.keep(rq),
+		rest: rest,
 	}
 }
 
-// admits decides record r: off its scope bits when it is own row c of
-// engine e, through keep otherwise.
-func (f *scopeFilter[R]) admits(e *matrixEngine[R], r *R, c int, own bool) bool {
-	if !own {
-		return f.keep(r)
-	}
-	row := e.scope.row(c)
-	return shard.Overlaps(row, f.cats) && shard.Overlaps(row, f.kinds) && (f.rest == nil || f.rest(r))
+// admits decides record r from its row's scope bits.
+func (f *scopeFilter[R]) admits(bits []uint64, r *R) bool {
+	return shard.Overlaps(bits, f.cats) && shard.Overlaps(bits, f.kinds) && (f.rest == nil || f.rest(r))
 }
 
 // sourceScope lists a source's scope facts: its kind and the category of

@@ -32,6 +32,7 @@ package quality
 // of this at shard counts {1, 2, 7, 16}.
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -116,8 +117,8 @@ type shardedEngine[R any] struct {
 	// (scope.go); the shards share it.
 	dict *scopeDict
 	// col maps a record ID to its global row: the row whose shard
-	// engine serves the record, from its matrix column when the record is
-	// that engine's record there by pointer (colOf) and by direct
+	// engine assesses the record, from its matrix column when the record
+	// is that engine's record there by pointer (colOf) and by direct
 	// evaluation otherwise. Every shard normalizes against the same global
 	// benchmarks, so the choice never changes a result. ID→row never
 	// changes while the corpus keeps its shape, so it is built once per
@@ -253,24 +254,26 @@ func benchmarksEqual(a, b []Benchmark) bool {
 	return true
 }
 
-// assess routes a record to the engine owning its ID's row; off-corpus
-// records fall back to shard 0, whose direct-evaluation path normalizes
-// against the same shared global benchmarks as every other shard.
+// assess routes a record to the engine owning its ID's row, served from
+// the matrix when the record is the engine's own there; other records
+// evaluate the catalogue on that engine, or on shard 0 when no row has
+// their ID. Every shard normalizes against the same global benchmarks.
 func (s *shardedEngine[R]) assess(r *R) *Assessment {
 	id, _ := s.kind.ident(r)
-	if row, ok := s.col[id]; ok {
-		return s.assessRow(r, row, ProjectFull)
+	row, ok := s.col[id]
+	if !ok {
+		return s.engines[0].assessProject(r, -1, ProjectFull)
 	}
-	return s.engines[0].assessProject(r, -1, ProjectFull)
+	e, c := s.rowOf(row)
+	return e.assessProject(r, e.colOf(r, c), ProjectFull)
 }
 
-// assessRow materializes r on the shard engine owning global row row,
-// from its matrix column when r is the engine's record there.
-func (s *shardedEngine[R]) assessRow(r *R, row int, fields Projection) *Assessment {
+// rowOf returns the shard engine owning global row row and the row's
+// position in it.
+func (s *shardedEngine[R]) rowOf(row int) (*matrixEngine[R], int) {
 	sh := s.plan.Of(row)
 	lo, _ := s.plan.Bounds(sh)
-	e := s.engines[sh]
-	return e.assessProject(r, e.colOf(r, row-lo), fields)
+	return s.engines[sh], row - lo
 }
 
 func (s *shardedEngine[R]) assessAll(records []*R) []*Assessment {
@@ -303,9 +306,8 @@ func (s *shardedEngine[R]) scores() []float64 {
 
 // scoreAt runs the score kernel on one global row.
 func (s *shardedEngine[R]) scoreAt(row int) float64 {
-	sh := s.plan.Of(row)
-	lo, _ := s.plan.Bounds(sh)
-	return s.engines[sh].scoreAt(row - lo)
+	e, c := s.rowOf(row)
+	return e.scoreAt(c)
 }
 
 // benchmarkMap keys the ledger's benchmarks by measure ID.
@@ -357,7 +359,10 @@ func (s *shardedEngine[R]) rankTopK(records []*R, q Query) (*QueryResult, error)
 	if rq.unmatchable {
 		return &QueryResult{Items: []*Assessment{}}, nil
 	}
-	parts, totals := s.scatter(records, q, rq, sc, p, nil)
+	parts, totals, err := s.scatter(records, q, rq, sc, p, nil)
+	if err != nil {
+		return nil, err
+	}
 	merged := shard.MergeK(parts, candBetter, p.width) // an unbounded width of -1 keeps all
 	return s.finishWindow(records, merged, p.start, sum(totals), q), nil
 }
@@ -377,10 +382,13 @@ func (s *shardedEngine[R]) checkRecords(records []*R) error {
 // Shards the router proves scope-incompatible are skipped: they cannot
 // contain a match, so they contribute zero candidates and zero total.
 // scanned, when non-nil, gets a counter bump per shard actually scanned.
-func (s *shardedEngine[R]) scatter(records []*R, q Query, rq *resolvedQuery, sc *scopeFilter[R], p pageWindow, onScan func(sh int)) (parts [][]leanCand, totals []int) {
+// A scan reaching a record the assessor does not hold fails the
+// evaluation.
+func (s *shardedEngine[R]) scatter(records []*R, q Query, rq *resolvedQuery, sc *scopeFilter[R], p pageWindow, onScan func(sh int)) (parts [][]leanCand, totals []int, err error) {
 	ns := s.plan.Shards()
 	parts = make([][]leanCand, ns)
 	totals = make([]int, ns)
+	errs := make([]error, ns)
 	parallel.ForEachChunk(ns, s.opts.Workers, func(lo, hi int) {
 		for sh := lo; sh < hi; sh++ {
 			if sc != nil && !s.router.CanMatch(sh, q.IDs, sc.kinds, sc.cats) {
@@ -390,14 +398,14 @@ func (s *shardedEngine[R]) scatter(records []*R, q Query, rq *resolvedQuery, sc 
 				onScan(sh)
 			}
 			rlo, rhi := s.plan.Bounds(sh)
-			cands, total := s.engines[sh].scanMatches(records[rlo:rhi], rlo, rq, sc, &s.counters.columns, p)
+			cands, total, err := s.engines[sh].scanMatches(records[rlo:rhi], rlo, rq, sc, &s.counters.columns, p)
 			// Rank the row-ordered matches (the heap-ordered ones of a
 			// bounded scan) best-first for the merge.
 			rankCands(cands)
-			parts[sh], totals[sh] = cands, total
+			parts[sh], totals[sh], errs[sh] = cands, total, err
 		}
 	})
-	return parts, totals
+	return parts, totals, errors.Join(errs...)
 }
 
 // spine evaluates the standing query per shard — unbounded, fully ranked —
@@ -414,13 +422,17 @@ func (s *shardedEngine[R]) spine(records []*R, q Query) (*Spine, error) {
 	if rq.unmatchable {
 		return &Spine{}, nil
 	}
-	parts, totals := s.scatter(records, q, rq, sc, pageWindow{width: -1}, func(int) { s.counters.scans.Add(1) })
+	parts, totals, err := s.scatter(records, q, rq, sc, pageWindow{width: -1}, func(int) { s.counters.scans.Add(1) })
+	if err != nil {
+		return nil, err
+	}
 	merged := shard.MergeK(parts, candBetter, 0)
 	return &Spine{cands: merged, total: sum(totals), parts: parts, totals: totals}, nil
 }
 
 // window cuts a page out of a sharded spine at the location rankTopK
-// scans for, and materializes each row on its owning shard.
+// scans for, and materializes each row on its owning shard. A page row
+// holding a record the assessor does not hold is an error.
 func (s *shardedEngine[R]) window(records []*R, sp *Spine, q Query) (*QueryResult, error) {
 	if err := s.checkRecords(records); err != nil {
 		return nil, err
@@ -429,7 +441,13 @@ func (s *shardedEngine[R]) window(records []*R, sp *Spine, q Query) (*QueryResul
 	if err != nil {
 		return nil, err
 	}
-	return s.finishWindow(records, p.cut(sp.cands), p.start, sp.total, q), nil
+	page := p.cut(sp.cands)
+	for _, c := range page {
+		if e, lc := s.rowOf(c.row); records[c.row] != e.recs[lc] {
+			return nil, foreignRow(c.row)
+		}
+	}
+	return s.finishWindow(records, page, p.start, sp.total, q), nil
 }
 
 // repairSpine is the dirty-shard evaluation path of a standing query: when
@@ -463,7 +481,10 @@ func (s *shardedEngine[R]) repairSpine(records []*R, prev *Spine, q Query) (*Spi
 			continue
 		}
 		rlo, _ := s.plan.Bounds(sh)
-		parts[sh] = s.engines[sh].repairCands(records, rlo, s.dirtyLocal[sh], prev.parts[sh], rq, sc)
+		var ok bool
+		if parts[sh], ok = s.engines[sh].repairCands(records, rlo, s.dirtyLocal[sh], prev.parts[sh], rq, sc); !ok {
+			return nil, false
+		}
 		totals[sh] = len(parts[sh])
 		s.counters.repairs.Add(1)
 	}
@@ -471,14 +492,16 @@ func (s *shardedEngine[R]) repairSpine(records []*R, prev *Spine, q Query) (*Spi
 	return &Spine{cands: merged, total: sum(totals), parts: parts, totals: totals}, true
 }
 
-// finishWindow materializes a page of global-row candidates, routing each
-// record to its owning shard's matrix, and assembles the shared envelope.
+// finishWindow materializes a page of global-row candidates, each from its
+// owning shard's matrix, and assembles the shared envelope. Every page row
+// must hold the assessor's own record.
 func (s *shardedEngine[R]) finishWindow(records []*R, cands []leanCand, start, total int, q Query) *QueryResult {
 	items := make([]*Assessment, len(cands))
 	parallel.ForEachChunk(len(cands), s.opts.Workers, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			row := cands[j].row
-			items[j] = s.assessRow(records[row], row, q.Fields)
+			e, c := s.rowOf(row)
+			items[j] = e.assessProject(records[row], c, q.Fields)
 		}
 	})
 	return windowResult(items, cands, start, total, q)

@@ -356,12 +356,12 @@ var sourceMeasures = []SourceMeasure{
 			if len(r.Discussions) == 0 || r.ObservedAt.IsZero() {
 				return 0, false
 			}
-			// The carried columns give each term the same bits in the same
-			// order as the walk over the discussion stats.
+			// The carried opening instants give each term the same bits in
+			// the same order as the walk over the discussion stats alone.
 			var sum float64
-			if obsNs, ok := r.ageClock(); ok && r.indexed() {
+			if obsNs, ok := r.ageClock(); ok {
 				for i, o := range r.opened {
-					sum += float64(r.comments[i]) / atLeastOneDay(ageDays(obsNs, o))
+					sum += float64(r.Discussions[i].Comments) / atLeastOneDay(ageDays(obsNs, o))
 				}
 			} else {
 				for i := range r.Discussions {

@@ -194,7 +194,7 @@ func TestAdvanceConcurrentReadersOfPreviousEnv(t *testing.T) {
 			var sum float64
 			for _, r := range base.SourceRecords {
 				s, _ := base.SourceScore(r.ID)
-				sum += s + r.Panel.NewDiscussionsPerDay + r.WindowDays + float64(r.OpenDiscussions()+r.DistinctCommenters()+r.TotalComments())
+				sum += s + r.Panel.NewDiscussionsPerDay + float64(r.OpenDiscussions()+r.DistinctCommenters()+r.TotalComments())
 			}
 			for _, c := range base.ContributorRecords {
 				sum += float64(c.DiscussionsOpened+c.DiscussionsTouched+c.Interactions+c.TotalComments()) + c.AgeDays()

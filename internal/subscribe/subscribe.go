@@ -25,11 +25,11 @@
 // read of the current round, exactly the recovery an HTTP client performs
 // after 410 Gone.
 //
-// A registry is fed either explicitly (the informer facade calls Publish
-// from Advance, after the snapshot swap) or by its own pump: given a wake
-// source (a ChangeNotifier-style rotating channel) or a poll interval, one
-// goroutine — not one per waiter — observes the provider and publishes new
-// rounds to every group.
+// A registry is fed by its owner: the informer facade calls Publish from
+// Advance, after the snapshot swap. Subscribe first syncs the registry to
+// the owner's current round, read through the source New was given, so a
+// subscription never attaches behind a round its caller has already
+// observed; nothing else observes the owner.
 //
 //informer:bounded
 package subscribe
@@ -37,7 +37,6 @@ package subscribe
 import (
 	"errors"
 	"sync"
-	"time"
 
 	"github.com/informing-observers/informer/internal/quality"
 )
@@ -154,17 +153,6 @@ const defaultBuffer = 16
 
 // Options tunes a Registry.
 type Options struct {
-	// Wake, when set, gives the registry's pump an event-driven wake-up: a
-	// function returning a channel that is closed when a round newer than
-	// the current one is published (the ChangeNotifier contract). The pump
-	// re-grabs the channel before every observation, so no publication can
-	// be missed.
-	Wake func() <-chan struct{}
-	// PollInterval is the pump's fallback cadence for providers without a
-	// wake source. One registry-wide poll replaces the historical
-	// per-request poll loop. Ignored when Wake is set; zero disables the
-	// pump entirely (the owner feeds the registry via Publish).
-	PollInterval time.Duration
 	// Buffer overrides the per-subscription channel capacity
 	// (defaultBuffer when zero).
 	Buffer int
@@ -187,12 +175,10 @@ type Registry struct {
 	source func() Snapshot
 	opts   Options
 
-	mu      sync.Mutex
-	groups  map[string]*group
-	last    Snapshot // last published round (nil before the first)
-	closed  bool
-	closeCh chan struct{}
-	pumping bool
+	mu     sync.Mutex
+	groups map[string]*group
+	last   Snapshot // last published round (nil before the first)
+	closed bool
 
 	ticks, evals, overflows int64
 }
@@ -223,16 +209,11 @@ type Subscription struct {
 }
 
 // New builds a registry over a snapshot source. source must return the
-// provider's current round and be safe for concurrent use; it is consulted
-// at every Subscribe (so a subscription always attaches to the current
-// round) and by the pump, if Options enables one.
+// owner's current round and be safe for concurrent use; every Subscribe
+// syncs the registry to it first, so a subscription always attaches to
+// the current round.
 func New(source func() Snapshot, opts Options) *Registry {
-	return &Registry{
-		source:  source,
-		opts:    opts,
-		groups:  map[string]*group{},
-		closeCh: make(chan struct{}),
-	}
+	return &Registry{source: source, opts: opts, groups: map[string]*group{}}
 }
 
 // StandingForm normalizes a query to the form a subscription group is
@@ -298,7 +279,6 @@ func (r *Registry) SubscribeWith(q quality.Query, f Filter) (*Subscription, erro
 	}
 	s := &Subscription{reg: r, grp: g, ch: make(chan Event, buf), filter: f, since: g.version, window: g.window}
 	g.subs[s] = struct{}{}
-	r.startPumpLocked()
 	return s, nil
 }
 
@@ -306,8 +286,8 @@ func (r *Registry) SubscribeWith(q quality.Query, f Filter) (*Subscription, erro
 // published round, every group's standing query is evaluated once against
 // it, the window delta is computed once, and the same event is fanned to
 // all of the group's subscribers. Older or equal rounds are no-ops, so
-// Publish is idempotent per version and safe to call from both an owner
-// (the facade's Advance) and a pump.
+// Publish is idempotent per version, and a round Subscribe already synced
+// to is not published twice.
 func (r *Registry) Publish(snap Snapshot) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -392,8 +372,8 @@ func (r *Registry) Stats() Stats {
 	return Stats{Ticks: r.ticks, Evaluations: r.evals, Overflows: r.overflows, Groups: len(r.groups), Subscribers: subs}
 }
 
-// Close shuts the registry down: the pump exits, every subscription's
-// channel is closed with ErrClosed, and further Subscribes fail.
+// Close shuts the registry down: every subscription's channel is closed
+// with ErrClosed, and further Subscribes fail.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -401,7 +381,6 @@ func (r *Registry) Close() {
 		return
 	}
 	r.closed = true
-	close(r.closeCh)
 	for _, g := range r.groups {
 		for s := range g.subs {
 			s.closed = true
@@ -410,47 +389,6 @@ func (r *Registry) Close() {
 		}
 	}
 	r.groups = map[string]*group{}
-}
-
-// startPumpLocked launches the registry's single observation goroutine on
-// first demand. The pump exists only for registries over providers the
-// owner does not feed explicitly; with neither a wake source nor a poll
-// interval it never starts.
-func (r *Registry) startPumpLocked() {
-	if r.pumping || r.closed || (r.opts.Wake == nil && r.opts.PollInterval <= 0) {
-		return
-	}
-	r.pumping = true
-	go r.pump()
-}
-
-// pump is the registry's one observation loop: grab the wake channel (so
-// a publication between observing and blocking cannot be missed), publish
-// the provider's current round, block until woken — by the wake source,
-// the poll timer, or Close.
-func (r *Registry) pump() {
-	for {
-		var wake <-chan struct{}
-		if r.opts.Wake != nil {
-			wake = r.opts.Wake()
-		}
-		r.Publish(r.source())
-		if wake == nil {
-			timer := time.NewTimer(r.opts.PollInterval)
-			select {
-			case <-timer.C:
-			case <-r.closeCh:
-				timer.Stop()
-				return
-			}
-		} else {
-			select {
-			case <-wake:
-			case <-r.closeCh:
-				return
-			}
-		}
-	}
 }
 
 // Events is the subscription's delta stream: one Event per published round

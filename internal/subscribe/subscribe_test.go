@@ -2,10 +2,9 @@ package subscribe
 
 // Unit contracts of the subscription registry: canonical grouping, one
 // evaluation per group per tick however many subscribers fan out of it,
-// since-token continuity, slow-consumer resync semantics, the rotating
-// change channel, and the pump (wake-driven and poll-driven). End-to-end
-// behaviour over a real corpus — including HTTP transports — is pinned at
-// the repo root and in internal/apiserve.
+// since-token continuity, slow-consumer resync semantics and shutdown.
+// End-to-end behaviour over a real corpus — including HTTP transports —
+// is pinned at the repo root and in internal/apiserve.
 
 import (
 	"errors"
@@ -46,16 +45,15 @@ func window(ids ...int) []*quality.Assessment {
 	return items
 }
 
-// swappableSource is a provider stub: a current snapshot plus the rotating
-// change channel of the ChangeNotifier contract.
+// swappableSource is a provider stub: the owner's current snapshot, which
+// tests swap before publishing it.
 type swappableSource struct {
 	mu  sync.Mutex
 	cur Snapshot
-	ch  chan struct{}
 }
 
 func newSource(cur Snapshot) *swappableSource {
-	return &swappableSource{cur: cur, ch: make(chan struct{})}
+	return &swappableSource{cur: cur}
 }
 
 func (p *swappableSource) snapshot() Snapshot {
@@ -64,18 +62,10 @@ func (p *swappableSource) snapshot() Snapshot {
 	return p.cur
 }
 
-func (p *swappableSource) changed() <-chan struct{} {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ch
-}
-
 func (p *swappableSource) swap(next Snapshot) {
 	p.mu.Lock()
-	old := p.ch
-	p.cur, p.ch = next, make(chan struct{})
+	p.cur = next
 	p.mu.Unlock()
-	close(old)
 }
 
 func TestSubscribeGroupsByCanonicalKey(t *testing.T) {
@@ -308,51 +298,6 @@ func TestEvaluationErrorKeepsBaseline(t *testing.T) {
 	ev := <-s.Events()
 	if ev.Since != 1 || ev.Snapshot != 3 || len(ev.Changes) == 0 {
 		t.Fatalf("gap event %+v, want since 1 -> snapshot 3 with changes", ev)
-	}
-}
-
-func TestPumpWakeDriven(t *testing.T) {
-	src := newSource(&stubSnap{version: 1, items: window(1, 2)})
-	r := New(src.snapshot, Options{Wake: src.changed})
-	defer r.Close()
-	s, err := r.Subscribe(quality.Query{TopK: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	src.swap(&stubSnap{version: 2, items: window(2, 1)})
-	select {
-	case ev := <-s.Events():
-		if ev.Since != 1 || ev.Snapshot != 2 {
-			t.Fatalf("pumped event %+v", ev)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("wake-driven pump never published the swap")
-	}
-}
-
-func TestPumpPollDriven(t *testing.T) {
-	src := newSource(&stubSnap{version: 1, items: window(1, 2)})
-	r := New(src.snapshot, Options{PollInterval: 5 * time.Millisecond})
-	defer r.Close()
-	s, err := r.Subscribe(quality.Query{TopK: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	// No wake source: the swap is picked up by the registry-wide poll.
-	src.mu.Lock()
-	src.cur = &stubSnap{version: 2, items: window(2, 1)}
-	src.mu.Unlock()
-	select {
-	case ev := <-s.Events():
-		if ev.Snapshot != 2 {
-			t.Fatalf("polled event %+v", ev)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("poll-driven pump never published the swap")
 	}
 }
 

@@ -39,7 +39,6 @@ func syntheticSourceRecords(n int, seed int64) []*quality.SourceRecord {
 			InboundLinks:    rng.Intn(500),
 			FeedSubscribers: rng.Intn(3000),
 			ObservedAt:      observed,
-			WindowDays:      60,
 			Panel: quality.PanelStat{
 				TrafficRank:          1 + rng.Intn(n),
 				DailyVisitors:        float64(rng.Intn(20000)),
